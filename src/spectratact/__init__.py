@@ -67,11 +67,13 @@ from .sensor import (
     SensorConfig,
     Stimulus,
     SweepRow,
+    channel_intensities,
     make_transmission,
     measure_snr_db,
     position_transmission,
     simulate_reading,
     sweep,
+    transmission_factors,
 )
 from .spectral import (
     Channel,

@@ -24,7 +24,7 @@ from .errors import (
     SaturatedError,
     UnusableSampleError,
 )
-from .sensor import NoiseModel, SensorConfig, Stimulus, noise_free_channels, position_transmission
+from .sensor import NoiseModel, SensorConfig, channel_intensities, position_transmission
 from .spectral import log_ratio
 
 
@@ -39,6 +39,10 @@ class PositionCalibration:
     numerator_ch: str
     denominator_ch: str
     span_mm: tuple[float, float]
+
+    def __post_init__(self):
+        if not (math.isfinite(self.slope) and self.slope != 0):
+            raise DegenerateFitError(f"slope must be finite and nonzero, got {self.slope}")
 
     def predict_log_ratio(self, position_mm: float) -> float:
         return self.slope * position_mm + self.intercept
@@ -115,8 +119,6 @@ def fit_position(
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean()) / (xc @ xc))
     intercept = float(y.mean() - slope * x.mean())
-    if slope == 0:
-        raise DegenerateFitError("fitted slope is zero; channels carry no contrast")
     residuals = y - (slope * x + intercept)
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -289,20 +291,11 @@ class ResolutionReport:
         }
 
 
-def log_ratio_noise_sigma(
-    config: SensorConfig, poscal: PositionCalibration, noise: NoiseModel, stim: Stimulus
-) -> float:
-    """First-order 1-sigma noise on the fitted log-ratio at a stimulus."""
-    values = noise_free_channels(config, stim)
+def _ratio_pair(config: SensorConfig, poscal: PositionCalibration, values: np.ndarray):
+    """Numerator and denominator channels of ``values`` (last axis: channels)."""
     names = config.bank.names
-    num = values[names.index(poscal.numerator_ch)]
-    den = values[names.index(poscal.denominator_ch)]
-    if num <= 0 or den <= 0:
-        raise DegenerateFitError("operating point lies in the dead zone")
-    sigma = noise.sigma_vector(values)
-    s_num = sigma[names.index(poscal.numerator_ch)]
-    s_den = sigma[names.index(poscal.denominator_ch)]
-    return math.hypot(s_num / num, s_den / den)
+    return (values[..., names.index(poscal.numerator_ch)],
+            values[..., names.index(poscal.denominator_ch)])
 
 
 def estimate_resolution(
@@ -322,14 +315,15 @@ def estimate_resolution(
     absolute decode residual on noise-free held-out grids, i.e. pure
     model bias, independent of the noise level.
     """
-    if poscal.slope == 0:
-        raise DegenerateFitError("position calibration has zero slope")
-    stim = Stimulus(position_mm, force_n)
-    sigma_lr = log_ratio_noise_sigma(config, poscal, noise, stim)
-    spatial_resolution = sigma_lr / abs(poscal.slope)
+    values = channel_intensities(config, [position_mm], [force_n])[0]
+    sigma = noise.sigma_vector(values)
+    num, den = _ratio_pair(config, poscal, values)
+    if num <= 0 or den <= 0:
+        raise DegenerateFitError("operating point lies in the dead zone")
+    s_num, s_den = _ratio_pair(config, poscal, sigma)
+    spatial_resolution = math.hypot(s_num / num, s_den / den) / abs(poscal.slope)
 
-    values = noise_free_channels(config, stim)
-    sigma_total = float(np.sqrt(np.sum(noise.sigma_vector(values) ** 2)))
+    sigma_total = float(np.sqrt(np.sum(sigma ** 2)))
     transmission = position_transmission(config, position_mm)
     slope_force = forcecal.derivative(force_n)
     if slope_force <= 0:
@@ -339,27 +333,23 @@ def estimate_resolution(
     if held_out_positions is None:
         lo, hi = poscal.span_mm
         held_out_positions = np.linspace(lo, hi, 33)[1:-1]
-    errors = []
-    for x in held_out_positions:
-        reading_values = noise_free_channels(config, Stimulus(float(x), force_n))
-        names = config.bank.names
-        num = reading_values[names.index(poscal.numerator_ch)]
-        den = reading_values[names.index(poscal.denominator_ch)]
-        decoded = poscal.position_for_log_ratio(math.log(num / den))
-        errors.append(abs(decoded - float(x)))
-    spatial_accuracy = float(np.mean(errors))
+    xs = np.asarray(held_out_positions, dtype=float)
+    num, den = _ratio_pair(config, poscal,
+                           channel_intensities(config, xs, np.full(xs.shape, force_n)))
+    decoded = poscal.position_for_log_ratio(np.log(num / den))
+    spatial_accuracy = float(np.mean(np.abs(decoded - xs)))
 
     if held_out_forces is None:
         held_out_forces = 0.5 * (forcecal.forces_n[1:] + forcecal.forces_n[:-1])
+    fs = np.asarray(held_out_forces, dtype=float)
+    totals = channel_intensities(config, np.full(fs.shape, position_mm), fs).sum(axis=1)
     force_errors = []
-    for f in held_out_forces:
-        reading_values = noise_free_channels(config, Stimulus(position_mm, float(f)))
-        normalized = float(reading_values.sum()) / transmission
+    for f, total in zip(fs.tolist(), totals.tolist()):
         try:
-            decoded = forcecal.invert(normalized)
+            decoded_force = forcecal.invert(total / transmission)
         except (BelowThresholdError, SaturatedError):
             continue
-        force_errors.append(abs(decoded - float(f)))
+        force_errors.append(abs(decoded_force - f))
     force_accuracy = float(np.mean(force_errors)) if force_errors else 0.0
 
     return ResolutionReport(

@@ -39,8 +39,9 @@ from .sensor import (
     NoiseModel,
     SensorConfig,
     load_sensor_config,
-    position_transmission,
+    make_transmission,
     sweep,
+    transmission_factors,
 )
 from .twin import TrajectorySample, TwinAssembly, generate_path, snr_db_for_angle_sigma, track
 from .fivebar import TerminalPose
@@ -203,8 +204,6 @@ def _parse_sample_row(raw, col, channel_cols):
         position = float(raw[col["position_mm"]]) if "position_mm" in col else None
         force = float(raw[col["force_n"]]) if "force_n" in col else None
         values = [float(raw[i]) for i, _ in channel_cols]
-        if any(v < 0 for v in values):
-            return None
         names = tuple(name for _, name in channel_cols)
         reading = ChannelReading(values, names, below_floor=not any(v > 0 for v in values))
         return position, force, reading
@@ -238,8 +237,7 @@ def cmd_calibrate(args) -> int:
     ]
     if candidates:
         position, group = max(candidates, key=lambda item: len(item[1]))
-        forcecal = fit_force(group, lambda x: position_transmission(config, x),
-                             known_position_mm=position)
+        forcecal = fit_force(group, make_transmission(config), known_position_mm=position)
 
     doc = {"position": poscal.to_dict()}
     if forcecal is not None:
@@ -248,7 +246,7 @@ def cmd_calibrate(args) -> int:
     grid = [float(x) for x in np.linspace(lo, hi, 129)]
     doc["transmission"] = {
         "positions_mm": grid,
-        "factors": [position_transmission(config, x) for x in grid],
+        "factors": transmission_factors(config, grid).tolist(),
     }
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "calibration.json"), doc)
@@ -274,7 +272,7 @@ def cmd_decode(args) -> int:
         trans_doc = doc["transmission"]
         grid = np.asarray(trans_doc["positions_mm"], dtype=float)
         factors = np.asarray(trans_doc["factors"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateFitError) as exc:
         raise CliError(f"invalid calibration {args.calibration}: {exc}")
     transmission = lambda x: float(np.interp(x, grid, factors))
 

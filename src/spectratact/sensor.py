@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .spectral import (
     ChannelBank,
     DyeProfile,
     Spectrum,
-    attenuate,
+    _sample_widths,
     default_bank,
     default_red_dye,
     integrate_channels,
@@ -34,6 +35,23 @@ MAX_LENGTH_MM = 200.0
 # Readings below this fraction of the full-scale intensity are clamped to
 # zero; they carry no usable ratio information.
 RELATIVE_INTENSITY_FLOOR = 1e-12
+
+# Rows per block of the batched forward model; bounds the memory of its
+# (rows x wavelengths) intermediates.
+CHUNK_ROWS = 256
+
+
+@dataclass(frozen=True)
+class _Optics:
+    """Per-config constants of the forward model, computed once per config."""
+
+    source: np.ndarray      # source intensity per wavelength sample
+    neg_decay: np.ndarray   # -c * k of the strained dye, per mm
+    widths: np.ndarray      # rectangle-rule sample widths
+    responses: np.ndarray   # (channels, wavelengths)
+    gain: float             # bending gain
+    full_scale: float       # total of the unattenuated source through the bank
+    floor: float            # readings below this are clamped to zero
 
 
 @dataclass(frozen=True)
@@ -70,6 +88,20 @@ class SensorConfig:
         )
         kwargs.update(overrides)
         return cls(**kwargs)
+
+    @cached_property
+    def _optics(self) -> _Optics:
+        dye = strained_dye(self.dye, self.perturbation.strain)
+        full_scale = float(integrate_channels(self.source, self.bank).sum())
+        return _Optics(
+            source=self.source.intensities,
+            neg_decay=-dye.concentration_scale * dye.decay_per_mm,
+            widths=_sample_widths(self.source.wavelengths_nm),
+            responses=self.bank.responses,
+            gain=bending_gain(self.perturbation),
+            full_scale=full_scale,
+            floor=RELATIVE_INTENSITY_FLOOR * full_scale,
+        )
 
     def with_perturbation(self, perturbation: PerturbationState) -> "SensorConfig":
         return replace(self, perturbation=perturbation)
@@ -121,13 +153,6 @@ class Stimulus:
         if not self.force_n >= 0:
             raise ValueError(f"force_n must be >= 0, got {self.force_n}")
 
-    def validate_for(self, config: SensorConfig) -> None:
-        if not 0 <= self.position_mm <= config.length_mm:
-            raise ValueError(
-                f"position {self.position_mm} mm outside sensor span "
-                f"[0, {config.length_mm}] mm"
-            )
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -155,7 +180,7 @@ class NoiseModel:
     def sigma_vector(self, noise_free: np.ndarray) -> np.ndarray:
         if self.mode == "snr_db":
             return np.asarray(noise_free, dtype=float) * 10.0 ** (-self.value / 20.0)
-        return np.full(len(noise_free), float(self.value))
+        return np.full(np.shape(noise_free), float(self.value))
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "value": self.value, "seed": self.seed}
@@ -176,8 +201,8 @@ class ChannelReading:
         self.channel_names = tuple(channel_names)
         if self.values.shape != (len(self.channel_names),):
             raise ValueError("values and channel_names lengths differ")
-        if np.any(self.values < 0):
-            raise ValueError("channel intensities must be nonnegative")
+        if not all(0 <= v < math.inf for v in self.values.tolist()):
+            raise ValueError("channel intensities must be finite and nonnegative")
         self.below_floor = bool(below_floor)
 
     def channel(self, name: str) -> float:
@@ -206,40 +231,85 @@ class ChannelReading:
 
 def full_scale_intensity(config: SensorConfig) -> float:
     """Total intensity of the unattenuated source through the bank."""
-    return float(integrate_channels(config.source, config.bank).sum())
+    return config._optics.full_scale
 
 
-def noise_free_channels(config: SensorConfig, stim: Stimulus) -> np.ndarray:
-    """Deterministic part of the forward model, before floor clamping."""
-    stim.validate_for(config)
-    fraction = coupled_fraction(config.coupling, stim.force_n)
-    gain = bending_gain(config.perturbation)
-    dye = strained_dye(config.dye, config.perturbation.strain)
-    filtered = attenuate(config.source, dye, stim.position_mm)
-    clear = math.exp(-config.clear_loss_per_mm * stim.position_mm)
-    return fraction * clear * integrate_channels(filtered, config.bank) * gain
+def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarray]:
+    """Clear-path loss and bank integrals of the dye-filtered source per position.
+
+    The arithmetic follows ``attenuate`` then ``integrate_channels`` step
+    for step, so every row equals theirs bit for bit: the stacked matmul
+    runs one matrix-vector product per row, where a single matrix product
+    would round differently.  The clear-path loss stays in ``math``, whose
+    ``exp`` rounds differently from ``np.exp``.  Rows go in blocks of
+    ``CHUNK_ROWS`` to bound the (rows x wavelengths) intermediates.
+    """
+    x = np.asarray(positions_mm, dtype=float).reshape(-1)
+    outside = ~((x >= 0) & (x <= config.length_mm))
+    if outside.any():
+        raise ValueError(
+            f"position {float(x[outside][0])} mm outside sensor span "
+            f"[0, {config.length_mm}] mm"
+        )
+    optics = config._optics
+    integrals = np.empty((x.size, optics.responses.shape[0]))
+    for start in range(0, x.size, CHUNK_ROWS):
+        block = x[start:start + CHUNK_ROWS, None]
+        filtered = (optics.source * np.exp(optics.neg_decay * block)) * optics.widths
+        stacked = np.matmul(optics.responses, filtered[:, :, None])
+        integrals[start:start + block.shape[0]] = stacked[:, :, 0]
+    loss = config.clear_loss_per_mm
+    return [math.exp(-loss * p) for p in x.tolist()], integrals
 
 
-def position_transmission(config: SensorConfig, position_mm: float) -> float:
-    """Total intensity per unit coupled fraction at a press position.
+def channel_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndarray:
+    """Noise-free channels for paired (position, force) rows, before floor clamping.
+
+    Returns an array of shape (rows, channels): the coupled fraction times
+    the clear-path loss times the bank integrals of the filtered source.
+    """
+    clear, integrals = _filtered(config, positions_mm)
+    forces = np.asarray(forces_n, dtype=float).reshape(-1).tolist()
+    if len(forces) != len(clear):
+        raise ValueError("positions and forces lengths differ")
+    law = config.coupling
+    scale = np.array([coupled_fraction(law, f) * c for f, c in zip(forces, clear)])
+    return scale[:, None] * integrals * config._optics.gain
+
+
+def transmission_factors(config: SensorConfig, positions_mm) -> np.ndarray:
+    """Total intensity per unit coupled fraction at each press position.
 
     Dividing a reading's total by this factor recovers the coupled
     fraction, the position-free quantity the force calibration inverts.
     """
-    if not 0 <= position_mm <= config.length_mm:
-        raise ValueError(
-            f"position {position_mm} mm outside sensor span [0, {config.length_mm}] mm"
-        )
-    gain = bending_gain(config.perturbation)
-    dye = strained_dye(config.dye, config.perturbation.strain)
-    filtered = attenuate(config.source, dye, position_mm)
-    clear = math.exp(-config.clear_loss_per_mm * position_mm)
-    return clear * float(integrate_channels(filtered, config.bank).sum()) * gain
+    clear, integrals = _filtered(config, positions_mm)
+    return np.array(clear) * integrals.sum(axis=1) * config._optics.gain
+
+
+def noise_free_channels(config: SensorConfig, stim: Stimulus) -> np.ndarray:
+    """Deterministic part of the forward model, before floor clamping."""
+    return channel_intensities(config, [stim.position_mm], [stim.force_n])[0]
+
+
+def position_transmission(config: SensorConfig, position_mm: float) -> float:
+    """Transmission factor at one press position (see :func:`transmission_factors`)."""
+    return float(transmission_factors(config, [position_mm])[0])
 
 
 def make_transmission(config: SensorConfig):
     """Transmission factor as a callable of position, for decoders."""
     return lambda position_mm: position_transmission(config, position_mm)
+
+
+def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarray:
+    """Channel rows after noise (one draw per row from ``rngs``) and the floor."""
+    values = channel_intensities(config, positions, forces)
+    if noise is not None:
+        draws = np.array([rng.standard_normal(values.shape[1]) for rng in rngs])
+        noisy = values + draws.reshape(values.shape) * noise.sigma_vector(values)
+        values = np.maximum(noisy, 0.0)
+    return np.where(values < config._optics.floor, 0.0, values)
 
 
 def simulate_reading(
@@ -249,23 +319,17 @@ def simulate_reading(
     rng: np.random.Generator | None = None,
 ) -> ChannelReading:
     """One sensor reading; deterministic given (config, stim, seed)."""
-    values = noise_free_channels(config, stim)
-    if noise is not None:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        sigma = noise.sigma_vector(values)
-        values = values + rng.standard_normal(len(values)) * sigma
-        values = np.maximum(values, 0.0)
-    floor = RELATIVE_INTENSITY_FLOOR * full_scale_intensity(config)
-    values = np.where(values < floor, 0.0, values)
-    return ChannelReading(values, config.bank.names, below_floor=not np.any(values > 0))
+    if noise is not None and rng is None:
+        rng = np.random.default_rng(noise.seed)
+    values = _readings(config, [stim.position_mm], [stim.force_n], noise, [rng])[0]
+    return ChannelReading(values, config.bank.names, below_floor=not (values > 0).any())
 
 
 def measure_snr_db(config: SensorConfig, stim: Stimulus, noise: NoiseModel) -> float:
     """SNR of the total intensity: 20*log10(signal / total noise sigma)."""
     values = noise_free_channels(config, stim)
     signal = float(values.sum())
-    if signal <= RELATIVE_INTENSITY_FLOOR * full_scale_intensity(config):
+    if signal <= config._optics.floor:
         raise UndefinedSnrError("dead-zone stimulus: noise-free reading is zero")
     sigma_total = float(np.sqrt(np.sum(noise.sigma_vector(values) ** 2)))
     if sigma_total == 0:
@@ -299,12 +363,13 @@ def sweep(
     """
     positions = [float(p) for p in positions_mm]
     forces = [float(f) for f in forces_n]
-    stimuli = [Stimulus(p, f) for p in positions for f in forces]
-    for stim in stimuli:
-        stim.validate_for(config)
-    rngs = rng_substreams(seed, len(stimuli)) if noise is not None else [None] * len(stimuli)
+    xs = np.repeat(positions, len(forces))
+    fs = np.tile(forces, len(positions))
+    rngs = rng_substreams(seed, xs.size) if noise is not None else None
+    values = _readings(config, xs, fs, noise, rngs)
+    below = ~(values > 0).any(axis=1)
+    names = config.bank.names
     return [
-        SweepRow(stim.position_mm, stim.force_n,
-                 simulate_reading(config, stim, noise, rng))
-        for stim, rng in zip(stimuli, rngs)
+        SweepRow(p, f, ChannelReading(v, names, below_floor=b))
+        for p, f, v, b in zip(xs.tolist(), fs.tolist(), values, below.tolist())
     ]

@@ -165,7 +165,7 @@ def track(
     if not samples:
         raise ValueError("trajectory is empty")
     times = [s.t_s for s in samples]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if any(not b > a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be strictly increasing")
     if not any(working_branch(assembly.fivebar, s.pose) for s in samples):
         raise UnreachableError("no trajectory sample is reachable on the working branch")

@@ -31,6 +31,14 @@ def reading(b, r):
     return ChannelReading([b, r], ("B", "R"))
 
 
+class TestPositionCalibration:
+    @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan, math.inf])
+    def test_degenerate_slope_rejected(self, line_poscal, slope):
+        doc = dict(line_poscal.to_dict(), slope=slope)
+        with pytest.raises(DegenerateFitError):
+            PositionCalibration.from_dict(doc)
+
+
 class TestFitPosition:
     def test_single_wavelength_slope_oracle(self):
         # slope must equal k_den - k_num and the intercept the source ratio
@@ -216,7 +224,7 @@ class TestEstimateResolution:
 
     def test_zero_slope_rejected(self, default_config, default_forcecal, default_poscal):
         import dataclasses
-        broken = dataclasses.replace(default_poscal, slope=0.0)
         with pytest.raises(DegenerateFitError):
+            broken = dataclasses.replace(default_poscal, slope=0.0)
             estimate_resolution(default_config, broken, default_forcecal,
                                 NoiseModel(), 42.5, 2.0)

@@ -183,6 +183,43 @@ class TestDecode:
         _, rows = csv_rows(dec / "decoded.csv")
         assert [r[2] for r in rows] == ["ok", "ok", "ok", "corrupt_row", "no_contact"]
 
+    def test_non_finite_channels_are_corrupt(self, line_config_path, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", line_config_path, "--out", str(sim),
+                     "--positions", "10,40,70", "--forces", "2"]) == 0
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", line_config_path, "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        lines = read(sim / "sweep.csv").strip().splitlines()
+        lines += ["20.0,2.0,nan,1.0,0", "30.0,2.0,1.0,inf,0", "35.0,2.0,-inf,1.0,0"]
+        mangled = tmp_path / "mangled.csv"
+        mangled.write_text("\n".join(lines) + "\n")
+        dec = tmp_path / "dec"
+        assert main(["decode", "--calibration", str(cal / "calibration.json"),
+                     "--readings", str(mangled), "--out", str(dec)]) == 0
+        _, rows = csv_rows(dec / "decoded.csv")
+        assert [r[2] for r in rows] == ["ok"] * 3 + ["corrupt_row"] * 3
+        code = main(["calibrate", "--config", line_config_path, "--out", str(tmp_path / "c2"),
+                     "--samples", str(mangled)])
+        assert code == 3
+
+    def test_zero_slope_calibration_exits_2(self, line_config_path, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", line_config_path, "--out", str(sim),
+                     "--positions", "10,40,70", "--forces", "2"]) == 0
+        cal = tmp_path / "cal"
+        assert main(["calibrate", "--config", line_config_path, "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        for slope in (0.0, math.nan, math.inf):
+            doc = json.loads(read(cal / "calibration.json"))
+            doc["position"]["slope"] = slope
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps(doc))
+            code = main(["decode", "--calibration", str(broken),
+                         "--readings", str(sim / "sweep.csv"), "--out", str(tmp_path / "d")])
+            assert code == 2
+            assert "slope" in capsys.readouterr().err
+
 
 class TestTrack:
     def test_zero_noise_exact_and_reproducible(self, twin_config_path, tmp_path):

@@ -1,0 +1,114 @@
+"""The batched forward model against the Beer-Lambert closed form.
+
+``channel_intensities`` must equal, to round-off, the closed form
+
+    frac(F) * exp(-a x) * sum_l R(l) S(l) exp(-c k(l) x / (1 + strain)) dl
+
+on arbitrary grids, banks and perturbations, and every row of a batch
+must equal the same row computed on its own, across the chunk
+boundaries of the kernel.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as stn
+
+from spectratact import (
+    ChannelBank,
+    CouplingLaw,
+    DyeProfile,
+    PerturbationState,
+    SensorConfig,
+    Spectrum,
+    boxcar_channel,
+    line_channel,
+)
+from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_factors
+
+REL_TOL = 1e-12
+ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+
+
+@stn.composite
+def configs(draw):
+    rng = np.random.default_rng(draw(stn.integers(0, 2**32 - 1)))
+    n = draw(stn.integers(8, 60))
+    # strictly increasing, non-uniform wavelength grid
+    grid = 400.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 8.0, n - 1))])
+    source = Spectrum(grid, rng.uniform(0.0, 5.0, n))
+    dye = DyeProfile(grid, rng.uniform(0.0, 0.2, n), draw(stn.floats(0.0, 4.0)))
+    picks = rng.choice(n, size=draw(stn.integers(2, 4)), replace=False)
+    if draw(stn.booleans()):
+        channels = [line_channel(f"c{i}", grid[p], grid) for i, p in enumerate(picks)]
+    else:
+        ends = np.minimum(picks + rng.integers(0, 10, picks.size), n - 1)
+        channels = [boxcar_channel(f"c{i}", grid[p], grid[e], grid, closed_hi=True)
+                    for i, (p, e) in enumerate(zip(picks, ends))]
+    coupling = CouplingLaw(draw(stn.floats(0.0, 1.0)), draw(stn.floats(0.05, 2.0)),
+                           draw(stn.floats(0.2, 2.0)))
+    return SensorConfig(
+        length_mm=draw(stn.floats(30.0, 200.0)),
+        source=source,
+        dye=dye,
+        bank=ChannelBank(tuple(channels)),
+        coupling=coupling,
+        clear_loss_per_mm=draw(stn.floats(0.0, 0.01)),
+        perturbation=PerturbationState(strain=draw(stn.floats(0.0, 0.5))),
+    )
+
+
+def stimuli(config, n, seed):
+    """Positions in the span with both ends present; forces on every branch of the law."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, config.length_mm, n)
+    positions[:2] = (0.0, config.length_mm)[:n]
+    law = config.coupling
+    choices = np.array([0.0, law.f_threshold_n, 0.5 * law.f_threshold_n,
+                        law.saturation_force_n, 2.0 * law.saturation_force_n + 1.0])
+    forces = np.where(rng.random(n) < 0.5, rng.choice(choices, n),
+                      rng.uniform(0.0, 1.5 * law.saturation_force_n, n))
+    return positions, forces
+
+
+def closed_form(config, positions, forces):
+    grid = config.source.wavelengths_nm
+    widths = np.empty_like(grid)
+    widths[0], widths[-1] = grid[1] - grid[0], grid[-1] - grid[-2]
+    widths[1:-1] = 0.5 * (grid[2:] - grid[:-2])
+    law = config.coupling
+    lifted = np.clip(forces - law.f_threshold_n, 0.0, None)
+    fraction = np.where(forces > law.f_threshold_n,
+                        np.minimum(1.0, law.gain * lifted ** law.exponent), 0.0)
+    k = config.dye.concentration_scale * config.dye.decay_per_mm \
+        / (1.0 + config.perturbation.strain)
+    transmitted = np.exp(-np.outer(positions, k))
+    integrals = np.einsum("cl,l,nl,l->nc", config.bank.responses,
+                          config.source.intensities, transmitted, widths)
+    clear = np.exp(-config.clear_loss_per_mm * positions)
+    return (fraction * clear)[:, None] * integrals, clear * integrals.sum(axis=1)
+
+
+def assert_close(got, expected):
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= REL_TOL * np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs(), n=stn.sampled_from(ROW_COUNTS), seed=stn.integers(0, 2**32 - 1))
+def test_matches_closed_form(config, n, seed):
+    positions, forces = stimuli(config, n, seed)
+    channels = channel_intensities(config, positions, forces)
+    expected_channels, expected_transmission = closed_form(config, positions, forces)
+    assert_close(channels, expected_channels)
+    assert_close(transmission_factors(config, positions), expected_transmission)
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=configs(), seed=stn.integers(0, 2**32 - 1))
+def test_rows_independent_of_batch(config, seed):
+    n = 2 * CHUNK_ROWS + 3
+    positions, forces = stimuli(config, n, seed)
+    batch = channel_intensities(config, positions, forces)
+    for i in (0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS, n - 1):
+        alone = channel_intensities(config, positions[i:i + 1], forces[i:i + 1])
+        assert np.array_equal(batch[i], alone[0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectratact import (
+    ChannelReading,
     NoiseModel,
     SensorConfig,
     Stimulus,
@@ -98,6 +99,16 @@ class TestSimulateReading:
         reading = simulate_reading(config, Stimulus(80.0, 0.2))
         floor = 1e-12 * full_scale_intensity(config)
         assert np.all((reading.values == 0) | (reading.values >= floor))
+
+
+class TestChannelReading:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            ChannelReading([1.0, bad], ("B", "R"))
+
+    def test_accepts_zero(self):
+        assert ChannelReading([0.0, 0.0], ("B", "R"), below_floor=True).total() == 0.0
 
 
 class TestMeasureSnr:

@@ -153,6 +153,15 @@ class TestTrackErrors:
         with pytest.raises(ValueError):
             track(assembly, samples)
 
+    def test_nan_time_rejected(self, assembly):
+        samples = [
+            TrajectorySample(0.0, TerminalPose(40.0, 120.0)),
+            TrajectorySample(math.nan, TerminalPose(41.0, 120.0)),
+            TrajectorySample(2.0, TerminalPose(42.0, 120.0)),
+        ]
+        with pytest.raises(ValueError):
+            track(assembly, samples)
+
     def test_fully_unreachable_rejected(self, assembly):
         samples = [
             TrajectorySample(float(i), TerminalPose(40.0, 300.0 + i)) for i in range(3)
