@@ -39,6 +39,7 @@ from .errors import (
     KinematicError,
     NoContactError,
     NonMonotoneDataError,
+    OutOfSpanError,
     SaturatedError,
     SingularError,
     SpectraTactError,

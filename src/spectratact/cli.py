@@ -3,7 +3,8 @@
 Every command reads a JSON config, writes CSV/JSON artifacts atomically
 into an output directory, and drops a ``manifest.json`` recording the
 command, arguments, seed, tool version and config hash; ``replay``
-re-executes a manifest.  Outputs are byte-identical across reruns.
+re-executes a manifest if its config still has the recorded hash.
+Outputs are byte-identical across reruns.
 
 Exit codes: 0 success, 2 config/input error, 3 degenerate data,
 4 unreachable/kinematic error.
@@ -417,8 +418,14 @@ def cmd_replay(args) -> int:
     command = manifest.get("command")
     stored = manifest.get("args", {})
     argv = [command]
-    if manifest.get("config_path"):
-        argv += ["--config", manifest["config_path"]]
+    config_path = manifest.get("config_path")
+    if config_path:
+        recorded = manifest.get("config_sha256")
+        current = _sha256_file(config_path)
+        if current != recorded:
+            raise CliError(f"config {config_path} changed since the recorded run: "
+                           f"sha256 {current}, recorded {recorded}")
+        argv += ["--config", config_path]
     argv += ["--seed", str(manifest.get("seed", 0)), "--out", args.out]
     for key, value in sorted(stored.items()):
         if value is None:

@@ -17,6 +17,10 @@ class NoContactError(BelowFloorError):
     """Reading carries no coupled light; there is nothing to decode."""
 
 
+class OutOfSpanError(SpectraTactError, ValueError):
+    """Press position lies outside the sensor's span."""
+
+
 class UnsupportedRegimeError(SpectraTactError):
     """Perturbation lies outside the range the model is validated for."""
 

@@ -10,8 +10,6 @@ the elbow-up branch (circle intersection with the larger y).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,26 +231,35 @@ def working_branch(config: FiveBarConfig, pose: TerminalPose, margin_mm: float =
     return pose.y_mm > 0.5 * (e1y + e2y) + margin_mm
 
 
-def fk_jacobian(config: FiveBarConfig, angles: JointAngles, step_rad: float = 1e-6) -> np.ndarray:
-    """Terminal-position Jacobian d(x,y)/d(theta1,theta2), central differences."""
-    jac = np.empty((2, 2))
-    for i in range(2):
-        delta = [0.0, 0.0]
-        delta[i] = step_rad
-        hi = forward_kinematics(config, JointAngles(angles.theta1_rad + delta[0],
-                                                    angles.theta2_rad + delta[1]))
-        lo = forward_kinematics(config, JointAngles(angles.theta1_rad - delta[0],
-                                                    angles.theta2_rad - delta[1]))
-        jac[0, i] = (hi.x_mm - lo.x_mm) / (2 * step_rad)
-        jac[1, i] = (hi.y_mm - lo.y_mm) / (2 * step_rad)
-    return jac
+def _loop_closure(config: FiveBarConfig, theta1, theta2, x_mm, y_mm):
+    """Velocity loop closure A dP = B dtheta at terminal points P, so J = A^-1 B.
+
+    From |P - E_i|^2 = l^2 (Gosselin & Angeles, IEEE T-RA 6(3), 1990): row
+    A_i = (P - E_i)^T, B = diag(b_i) with b_i = (P - E_i) . dE_i/dtheta_i.
+    Returns (A_1, A_2, b_1, b_2, det A) elementwise; det A = 0 is the fold.
+    """
+    l, d = config.l_mm, config.d_mm
+    s1, c1, s2, c2 = np.sin(theta1), np.cos(theta1), np.sin(theta2), np.cos(theta2)
+    a1 = (x_mm - l * s1, y_mm - l * c1)
+    a2 = (x_mm - (d - l * s2), y_mm - l * c2)
+    det = a1[0] * a2[1] - a1[1] * a2[0]
+    return a1, a2, l * (a1[0] * c1 - a1[1] * s1), -l * (a2[0] * c2 + a2[1] * s2), det
 
 
-def _max_workers(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("SPECTRATACT_THREADS")
-    return max(1, int(env)) if env else 1
+def fk_jacobian(config: FiveBarConfig, angles: JointAngles) -> np.ndarray:
+    """Terminal-position Jacobian d(x,y)/d(theta1,theta2), closed form J = A^-1 B.
+
+    Raises as :func:`forward_kinematics` does, and SingularError on the fold.
+    """
+    pose = forward_kinematics(config, angles)
+    a1, a2, b1, b2, det = _loop_closure(config, angles.theta1_rad, angles.theta2_rad,
+                                        pose.x_mm, pose.y_mm)
+    if det == 0:
+        raise SingularError("passive links colinear: terminal Jacobian undefined")
+    return np.array([[a2[1] * b1, -a1[1] * b2], [-a2[0] * b1, a1[0] * b2]]) / det
+
+
+MC_CHUNK_POSES = 2048  # perturbed poses per FK batch (whole cells), bounds temporaries
 
 
 def deviation_map(
@@ -262,7 +269,6 @@ def deviation_map(
     seed: int = 0,
     method: str = "jacobian",
     n_trials: int = 300,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Per-cell 1-sigma terminal deviation under independent angle noise.
 
@@ -272,54 +278,44 @@ def deviation_map(
     Unreachable, singular or lower-assembly-mode cells are NaN, never
     raised.
     """
-    if not angle_sigma_deg >= 0:
-        raise ValueError("angle_sigma_deg must be >= 0")
+    if not (angle_sigma_deg >= 0 and math.isfinite(angle_sigma_deg)):
+        raise ValueError(f"angle_sigma_deg must be finite and >= 0, got {angle_sigma_deg}")
+    if not n_trials >= 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if method not in ("jacobian", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     sigma_rad = math.radians(angle_sigma_deg)
-    xs, ys = grid.x_axis(), grid.y_axis()
+    # inverse_kinematics term for term, acos arguments clamped at 1 so that
+    # dropped cells stay finite; ``keep`` is the per-cell test of
+    # reachable(margin=REACH_REL_TOL * l) and of working_branch
+    l, d = config.l_mm, config.d_mm
+    x, y = grid.x_axis()[None, :], grid.y_axis()[:, None]
+    r1, r2 = np.hypot(x, y), np.hypot(d - x, y)
+    t1 = np.pi / 2 - np.arctan2(y, x) - np.arccos(np.minimum(r1 / (2.0 * l), 1.0))
+    t2 = np.pi / 2 - np.arctan2(y, d - x) - np.arccos(np.minimum(r2 / (2.0 * l), 1.0))
+    limit = 2.0 * l - REACH_REL_TOL * l
+    keep = (y > 0) & (r1 < limit) & (r2 < limit) & (y > 0.5 * (l * np.cos(t1) + l * np.cos(t2)))
     out = np.full((grid.ny, grid.nx), np.nan)
+    if method == "jacobian":
+        # |J|_F = l * hypot(b1, b2) / |det A|: both rows of A have length l
+        _, _, b1, b2, det = _loop_closure(config, t1, t2, x, y)
+        np.divide(sigma_rad * l * np.hypot(b1, b2), np.abs(det),
+                  out=out, where=keep & (det != 0))
+        return out
+
+    base_x, base_y, base_ok = (v.ravel() for v in _fk_batch(config, t1, t2))
+    t1, t2 = t1.ravel(), t2.ravel()
+    cells = np.flatnonzero(keep.ravel() & base_ok)
     streams = np.random.SeedSequence(seed).spawn(grid.ny * grid.nx)
-
-    def fill_row(iy: int) -> None:
-        y = float(ys[iy])
-        for ix in range(grid.nx):
-            x = float(xs[ix])
-            pose = TerminalPose(x, y)
-            if not reachable(config, x, y, margin=REACH_REL_TOL * config.l_mm):
-                continue
-            if not working_branch(config, pose):
-                continue
-            try:
-                angles = inverse_kinematics(config, pose)
-            except (UnreachableError, SingularError):
-                continue
-            if method == "jacobian":
-                try:
-                    jac = fk_jacobian(config, angles)
-                except (UnreachableError, SingularError):
-                    continue
-                out[iy, ix] = sigma_rad * float(np.sqrt(np.sum(jac * jac)))
-            else:
-                try:
-                    base = forward_kinematics(config, angles)
-                except (UnreachableError, SingularError):
-                    continue
-                rng = np.random.default_rng(streams[iy * grid.nx + ix])
-                noise = rng.standard_normal((n_trials, 2)) * sigma_rad
-                px, py, valid = _fk_batch(
-                    config, angles.theta1_rad + noise[:, 0], angles.theta2_rad + noise[:, 1]
-                )
-                if valid.sum() < n_trials / 2:
-                    continue
-                dev2 = (px[valid] - base.x_mm) ** 2 + (py[valid] - base.y_mm) ** 2
-                out[iy, ix] = float(np.sqrt(dev2.mean()))
-
-    n_workers = _max_workers(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill_row, range(grid.ny)))
-    else:
-        for iy in range(grid.ny):
-            fill_row(iy)
+    per_chunk = max(1, MC_CHUNK_POSES // n_trials)
+    for start in range(0, cells.size, per_chunk):
+        k = cells[start:start + per_chunk]
+        noise = np.stack([np.random.default_rng(streams[i]).standard_normal((n_trials, 2))
+                          for i in k.tolist()]) * sigma_rad
+        px, py, valid = _fk_batch(config, t1[k, None] + noise[..., 0],
+                                  t2[k, None] + noise[..., 1])
+        dev2 = np.where(valid, (px - base_x[k, None]) ** 2 + (py - base_y[k, None]) ** 2, 0.0)
+        n_valid = valid.sum(axis=1)
+        rms = np.sqrt(dev2.sum(axis=1) / np.maximum(n_valid, 1))
+        out.flat[k] = np.where(n_valid >= n_trials / 2, rms, np.nan)
     return out

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
-from .errors import UndefinedSnrError
+from .errors import OutOfSpanError, UndefinedSnrError
 from .spectral import (
     ChannelBank,
     DyeProfile,
@@ -247,7 +247,7 @@ def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarr
     x = np.asarray(positions_mm, dtype=float).reshape(-1)
     outside = ~((x >= 0) & (x <= config.length_mm))
     if outside.any():
-        raise ValueError(
+        raise OutOfSpanError(
             f"position {float(x[outside][0])} mm outside sensor span "
             f"[0, {config.length_mm}] mm"
         )

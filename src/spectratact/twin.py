@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import PositionCalibration, fit_position
 from .decoder import JointEncoderModel, decode_joint_angle
-from .errors import KinematicError, NoContactError, UnreachableError
+from .errors import KinematicError, NoContactError, OutOfSpanError, UnreachableError
 from .fivebar import (
     FiveBarConfig,
     JointAngles,
@@ -177,7 +177,7 @@ def track(
     for sample, stream in zip(samples, streams):
         try:
             pose_hat = _track_one(assembly, sample.pose, noise, stream)
-        except (KinematicError, NoContactError, ValueError):
+        except (KinematicError, NoContactError, OutOfSpanError):
             dropped += 1
             continue
         reconstructed.append(TrajectorySample(sample.t_s, pose_hat))

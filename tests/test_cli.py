@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -75,6 +76,24 @@ class TestSimulate:
         assert main(["replay", "--manifest", str(tmp_path / "a" / "manifest.json"),
                      "--out", str(tmp_path / "b")]) == 0
         assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
+    def test_replay_rejects_changed_config(self, line_config_path, tmp_path, capsys):
+        assert main(["simulate", "--config", line_config_path,
+                     "--out", str(tmp_path / "a"), "--positions", "0:85:10",
+                     "--forces", "2", "--snr-db", "30", "--seed", "11"]) == 0
+        recorded = json.loads(read(tmp_path / "a" / "manifest.json"))["config_sha256"]
+        doc = json.loads(read(line_config_path))
+        doc["clear_loss_per_mm"] += 0.001
+        with open(line_config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(tmp_path / "a" / "manifest.json"),
+                     "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert recorded in err
+        with open(line_config_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() in err
+        assert not (tmp_path / "b").exists()
 
     def test_out_of_range_position_exits_2(self, line_config_path, tmp_path):
         code = main(["simulate", "--config", line_config_path,

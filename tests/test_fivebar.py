@@ -14,8 +14,10 @@ from spectratact import (
     UnreachableError,
     deviation_map,
     elbow_separation_ratio,
+    fk_jacobian,
     forward_kinematics,
     inverse_kinematics,
+    working_branch,
     workspace_mask,
 )
 from spectratact.fivebar import reachable
@@ -54,6 +56,56 @@ def interior_grid(config, n=50, margin=1e-6):
                     upper_mode_oracle(d, l, float(x), float(y), margin=margin * l):
                 poses.append(TerminalPose(float(x), float(y)))
     return poses
+
+
+def fd_jacobian(config, angles, step=1e-6):
+    """Central-difference terminal Jacobian from forward kinematics."""
+    jac = np.empty((2, 2))
+    for i in range(2):
+        delta = [0.0, 0.0]
+        delta[i] = step
+        hi = forward_kinematics(config, JointAngles(angles.theta1_rad + delta[0],
+                                                    angles.theta2_rad + delta[1]))
+        lo = forward_kinematics(config, JointAngles(angles.theta1_rad - delta[0],
+                                                    angles.theta2_rad - delta[1]))
+        jac[0, i] = (hi.x_mm - lo.x_mm) / (2 * step)
+        jac[1, i] = (hi.y_mm - lo.y_mm) / (2 * step)
+    return jac
+
+
+def monte_carlo_reference(config, sigma_deg, grid, seed, n_trials):
+    """Cell-by-cell Monte Carlo deviation map from the scalar kinematics, same substreams."""
+    sigma_rad = math.radians(sigma_deg)
+    out = np.full((grid.ny, grid.nx), np.nan)
+    streams = np.random.SeedSequence(seed).spawn(grid.ny * grid.nx)
+    for iy, y in enumerate(grid.y_axis()):
+        for ix, x in enumerate(grid.x_axis()):
+            pose = TerminalPose(float(x), float(y))
+            if not reachable(config, pose.x_mm, pose.y_mm, margin=1e-9 * config.l_mm):
+                continue
+            if not working_branch(config, pose):
+                continue
+            try:
+                angles = inverse_kinematics(config, pose)
+                base = forward_kinematics(config, angles)
+            except (UnreachableError, SingularError):
+                continue
+            rng = np.random.default_rng(streams[iy * grid.nx + ix])
+            noise = rng.standard_normal((n_trials, 2)) * sigma_rad
+            px, py = [], []
+            for d1, d2 in noise:
+                try:
+                    p = forward_kinematics(config, JointAngles(angles.theta1_rad + d1,
+                                                               angles.theta2_rad + d2))
+                except (UnreachableError, SingularError):
+                    continue
+                px.append(p.x_mm)
+                py.append(p.y_mm)
+            if len(px) < n_trials / 2:
+                continue
+            dev2 = (np.array(px) - base.x_mm) ** 2 + (np.array(py) - base.y_mm) ** 2
+            out[iy, ix] = float(np.sqrt(dev2.mean()))
+    return out
 
 
 class TestInverseKinematics:
@@ -110,6 +162,35 @@ class TestForwardKinematics:
     def test_no_intersection_unreachable(self):
         with pytest.raises(UnreachableError):
             forward_kinematics(CONFIG, JointAngles(-1.2, -1.2))
+
+
+class TestJacobian:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=stn.floats(-100.0, 180.0),
+        y=stn.floats(5.0, 195.0),
+    )
+    def test_matches_central_differences(self, x, y):
+        pose = TerminalPose(x, y)
+        if not reachable(CONFIG, x, y, margin=1e-3 * CONFIG.l_mm):
+            return
+        if not working_branch(CONFIG, pose) or elbow_separation_ratio(CONFIG, pose) > 0.99:
+            return
+        angles = inverse_kinematics(CONFIG, pose)
+        jac = fk_jacobian(CONFIG, angles)
+        oracle = fd_jacobian(CONFIG, angles)
+        assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_elbows_beyond_reach_unreachable(self):
+        # elbows 2l * 1.1 apart: the distal circles never meet
+        with pytest.raises(UnreachableError):
+            fk_jacobian(CONFIG, JointAngles(-1.2, -1.2))
+
+    def test_fold_is_singular(self):
+        # elbows exactly 2l apart: passive links colinear, det A = 0
+        theta = math.asin((CONFIG.d_mm - 2 * CONFIG.l_mm) / (2 * CONFIG.l_mm))
+        with pytest.raises(SingularError):
+            fk_jacobian(CONFIG, JointAngles(theta, theta))
 
 
 class TestRoundTrips:
@@ -239,12 +320,48 @@ class TestDeviationMap:
         b = deviation_map(CONFIG, 0.04, grid, seed=9, method="monte_carlo", n_trials=200)
         assert np.array_equal(a, b, equal_nan=True)
 
-    def test_workers_do_not_change_output(self):
-        a = deviation_map(CONFIG, 0.04, self.GRID, seed=2, method="monte_carlo",
-                          n_trials=100, workers=1)
-        b = deviation_map(CONFIG, 0.04, self.GRID, seed=2, method="monte_carlo",
-                          n_trials=100, workers=4)
-        assert np.array_equal(a, b, equal_nan=True)
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, -0.01])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="angle_sigma_deg"):
+            deviation_map(CONFIG, sigma, self.GRID)
+
+    @pytest.mark.parametrize("n_trials", [0, -5])
+    def test_rejects_bad_trial_count(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            deviation_map(CONFIG, 0.04, self.GRID, method="monte_carlo", n_trials=n_trials)
+
+    def test_finite_cells_are_reachable_working_branch_cells(self):
+        # the benchmark's box: a third of it is unreachable or lower-mode
+        grid = GridSpec(-60.0, 140.0, 1.0, 200.0, 41, 37)
+        out = deviation_map(CONFIG, 0.02, grid, method="jacobian")
+        margin = 1e-9 * CONFIG.l_mm
+        checked = 0
+        for iy, y in enumerate(grid.y_axis()):
+            for ix, x in enumerate(grid.x_axis()):
+                pose = TerminalPose(float(x), float(y))
+                expected = reachable(CONFIG, pose.x_mm, pose.y_mm, margin=margin) and \
+                    working_branch(CONFIG, pose)
+                if expected and elbow_separation_ratio(CONFIG, pose) >= 1.0 - 1e-5:
+                    continue
+                assert np.isfinite(out[iy, ix]) == expected
+                assert not expected or out[iy, ix] > 0
+                checked += expected
+        assert checked > 0.5 * grid.nx * grid.ny
+
+    # 50 trials go many cells to a batch, 3000 one cell per batch.  At 25
+    # deg some trials fall past reach, and a few cells near the workspace
+    # edge fall below the half-valid threshold.
+    @pytest.mark.parametrize("n_trials, sigma_deg", [(50, 25.0), (3000, 3.0)])
+    def test_monte_carlo_matches_per_cell_reference(self, n_trials, sigma_deg):
+        grid = GridSpec(-60.0, 140.0, 1.0, 200.0, 11, 9)
+        out = deviation_map(CONFIG, sigma_deg, grid, seed=4, method="monte_carlo",
+                            n_trials=n_trials)
+        ref = monte_carlo_reference(CONFIG, sigma_deg, grid, seed=4, n_trials=n_trials)
+        kept = np.isfinite(deviation_map(CONFIG, sigma_deg, grid, method="jacobian"))
+        assert np.array_equal(np.isfinite(out), np.isfinite(ref))
+        assert np.isfinite(ref).sum() > 20
+        assert np.isnan(ref[kept]).any() == (sigma_deg > 10)
+        assert np.allclose(out, ref, rtol=1e-9, atol=0.0, equal_nan=True)
 
 
 class TestWorkingBranch:

@@ -7,7 +7,9 @@ import pytest
 from spectratact import (
     ChannelReading,
     NoiseModel,
+    OutOfSpanError,
     SensorConfig,
+    SpectraTactError,
     Stimulus,
     UndefinedSnrError,
     boxcar_channel,
@@ -90,6 +92,11 @@ class TestSimulateReading:
             simulate_reading(default_config, Stimulus(90.0, 2.0))
         with pytest.raises(ValueError):
             simulate_reading(default_config, Stimulus(-1.0, 2.0))
+
+    def test_out_of_range_error_is_typed(self, default_config):
+        with pytest.raises(OutOfSpanError) as info:
+            simulate_reading(default_config, Stimulus(90.0, 2.0))
+        assert isinstance(info.value, SpectraTactError)
 
     def test_tiny_values_floored_to_zero(self):
         grid = default_wavelength_grid()

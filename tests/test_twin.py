@@ -16,6 +16,7 @@ from spectratact import (
     track,
     workspace_mask,
 )
+from spectratact import twin
 from spectratact.decoder import JointEncoderModel
 from spectratact.twin import TrajectorySample, TwinAssembly, encoder_sensor_config
 
@@ -181,6 +182,14 @@ class TestTrackErrors:
         assert report.dropped > 0
         assert report.n_samples == 15
         assert len(reconstructed) == 15 - report.dropped
+
+    def test_unexpected_value_error_propagates(self, assembly, s_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(twin, "_track_one", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            track(assembly, s_path)
 
 
 class TestAssembly:
