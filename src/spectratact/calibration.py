@@ -27,6 +27,8 @@ from .errors import (
 from .sensor import NoiseModel, SensorConfig, channel_intensities, position_transmission
 from .spectral import log_ratio
 
+INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
+
 
 @dataclass(frozen=True)
 class PositionCalibration:
@@ -179,7 +181,7 @@ class ForceCalibration:
     def derivative(self, force_n: float) -> float:
         return float(self._derivative(force_n))
 
-    def invert(self, normalized_value: float, rel_tol: float = 1e-10) -> float:
+    def invert(self, normalized_value: float) -> float:
         """Force whose interpolated response equals the given value.
 
         Bisection, guaranteed to converge by monotonicity.  Values below
@@ -202,7 +204,7 @@ class ForceCalibration:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= rel_tol * max(1.0, abs(mid)):
+            if hi - lo <= INVERT_REL_TOL * max(1.0, abs(mid)):
                 break
         return 0.5 * (lo + hi)
 

@@ -2,8 +2,8 @@
 
 Every command reads a JSON config, writes CSV/JSON artifacts atomically
 into an output directory, and drops a ``manifest.json`` recording the
-command, arguments, seed, tool version and config hash; ``replay``
-re-executes a manifest if its config still has the recorded hash.
+command, every parsed option, seed, tool version and config hash;
+``replay`` re-executes a manifest if its config still has the recorded hash.
 Outputs are byte-identical across reruns.
 
 Exit codes: 0 success, 2 config/input error, 3 degenerate data,
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,13 +34,13 @@ from .errors import (
     NoContactError,
     NonMonotoneDataError,
     SaturatedError,
+    UnsupportedRegimeError,
     UnusableSampleError,
 )
 from .sensor import (
     ChannelReading,
     NoiseModel,
     SensorConfig,
-    load_sensor_config,
     make_transmission,
     sweep,
     transmission_factors,
@@ -96,27 +97,46 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, config_path: str | None,
-                    seed: int, extra_args: dict) -> None:
+# Parsed options the manifest records outside ``args``, or (``out``, ``func``) not at all.
+_MANIFEST_OWN = ("command", "func", "out", "seed", "config")
+
+
+def _write_manifest(args) -> None:
+    """Record the command with every parsed option, so ``replay`` can re-run it."""
+    config_path = getattr(args, "config", None)
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "config_path": config_path,
         "config_sha256": _sha256_file(config_path) if config_path else None,
-        "args": extra_args,
+        "args": {k: v for k, v in vars(args).items() if k not in _MANIFEST_OWN},
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
+    """Header (None for an empty file) and data rows of a CSV file."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise CliError(f"file not found: {path}")
+    with fh:
+        reader = csv.reader(fh)
+        return next(reader, None), list(reader)
 
 
 def _load_config(path: str) -> SensorConfig:
@@ -153,60 +173,37 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     positions = _parse_value_list(args.positions, "--positions")
     forces = _parse_value_list(args.forces, "--forces")
-    noise = _noise_from_args(args)
-    try:
-        rows = sweep(config, positions, forces, noise, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    rows = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
     header = ["position_mm", "force_n"] + [f"ch_{n}" for n in config.bank.names] + ["below_floor"]
     csv_rows = [
         [r.position_mm, r.force_n, *[float(v) for v in r.reading.values],
          int(r.reading.below_floor)]
         for r in rows
     ]
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "sweep.csv"), header, csv_rows)
-    _write_manifest(args.out, "simulate", args.config, args.seed, {
-        "positions": args.positions,
-        "forces": args.forces,
-        "snr_db": args.snr_db,
-        "noise_sigma": args.noise_sigma,
-    })
+    _write_manifest(args)
     print(f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
     return EXIT_OK
 
 
 def _read_samples_csv(path: str):
-    """Rows of (position, force, reading, row_ok) from a sweep-format CSV."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return [], []
-        channel_cols = [(i, name[3:]) for i, name in enumerate(header)
-                        if name.startswith("ch_")]
-        if not channel_cols:
-            raise CliError(f"{path}: no ch_* columns in header {header}")
-        col = {name: i for i, name in enumerate(header)}
-        rows = []
-        for raw in reader:
-            rows.append((raw, _parse_sample_row(raw, col, channel_cols)))
-        names = tuple(name for _, name in channel_cols)
-        return rows, names
+    """Per row of a sweep-format CSV, (position, force, reading) or None if unparsable."""
+    header, raws = _read_csv(path)
+    if header is None:
+        return []
+    channel_cols = [i for i, name in enumerate(header) if name.startswith("ch_")]
+    if not channel_cols:
+        raise CliError(f"{path}: no ch_* columns in header {header}")
+    names = tuple(header[i][3:] for i in channel_cols)
+    col = {name: i for i, name in enumerate(header)}
+    return [_parse_sample_row(raw, col, channel_cols, names) for raw in raws]
 
 
-def _parse_sample_row(raw, col, channel_cols):
+def _parse_sample_row(raw, col, channel_cols, names):
     try:
         position = float(raw[col["position_mm"]]) if "position_mm" in col else None
         force = float(raw[col["force_n"]]) if "force_n" in col else None
-        values = [float(raw[i]) for i, _ in channel_cols]
-        names = tuple(name for _, name in channel_cols)
-        reading = ChannelReading(values, names, below_floor=not any(v > 0 for v in values))
+        reading = ChannelReading([float(raw[i]) for i in channel_cols], names)
         return position, force, reading
     except (IndexError, ValueError):
         return None
@@ -214,10 +211,10 @@ def _parse_sample_row(raw, col, channel_cols):
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    rows, _ = _read_samples_csv(args.samples)
-    parsed = [p for _, p in rows if p is not None]
+    rows = _read_samples_csv(args.samples)
+    parsed = [p for p in rows if p is not None]
     if len(parsed) != len(rows):
-        bad = [i for i, (_, p) in enumerate(rows) if p is None]
+        bad = [i for i, p in enumerate(rows) if p is None]
         raise CliError(f"{args.samples}: unparsable rows at {bad}", EXIT_DEGENERATE)
     # dead-zone rows are expected in force sweeps; they cannot feed the
     # position fit but stay available as the zero knot of the force fit
@@ -249,13 +246,8 @@ def cmd_calibrate(args) -> int:
         "positions_mm": grid,
         "factors": transmission_factors(config, grid).tolist(),
     }
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "calibration.json"), doc)
-    _write_manifest(args.out, "calibrate", args.config, args.seed, {
-        "samples": args.samples,
-        "numerator": args.numerator,
-        "denominator": args.denominator,
-    })
+    _write_manifest(args)
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
@@ -277,9 +269,8 @@ def cmd_decode(args) -> int:
         raise CliError(f"invalid calibration {args.calibration}: {exc}")
     transmission = lambda x: float(np.interp(x, grid, factors))
 
-    rows, _ = _read_samples_csv(args.readings)
     out_rows = []
-    for raw, parsed in rows:
+    for parsed in _read_samples_csv(args.readings):
         if parsed is None:
             out_rows.append(["", "", "corrupt_row"])
             continue
@@ -300,41 +291,31 @@ def cmd_decode(args) -> int:
             except SaturatedError:
                 flag = "saturated"
         out_rows.append([repr(decoded.position_mm), force_repr, flag])
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "decoded.csv"),
                ["position_mm", "force_n", "flag"], out_rows)
-    _write_manifest(args.out, "decode", None, args.seed, {
-        "calibration": args.calibration,
-        "readings": args.readings,
-    })
+    _write_manifest(args)
     print(f"decode: wrote {len(out_rows)} rows to {os.path.join(args.out, 'decoded.csv')}")
     return EXIT_OK
 
 
 def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CliError(f"{path}: empty trajectory")
-        col = {name: i for i, name in enumerate(header)}
-        for required in ("t_s", "x_mm", "y_mm"):
-            if required not in col:
-                raise CliError(f"{path}: missing column {required!r}")
-        samples = []
-        for raw in reader:
-            try:
-                samples.append(TrajectorySample(
-                    float(raw[col["t_s"]]),
-                    TerminalPose(float(raw[col["x_mm"]]), float(raw[col["y_mm"]])),
-                ))
-            except (IndexError, ValueError) as exc:
-                raise CliError(f"{path}: bad trajectory row {raw}: {exc}")
-        return samples
+    header, raws = _read_csv(path)
+    if header is None:
+        raise CliError(f"{path}: empty trajectory")
+    col = {name: i for i, name in enumerate(header)}
+    for required in ("t_s", "x_mm", "y_mm"):
+        if required not in col:
+            raise CliError(f"{path}: missing column {required!r}")
+    samples = []
+    for raw in raws:
+        try:
+            samples.append(TrajectorySample(
+                float(raw[col["t_s"]]),
+                TerminalPose(float(raw[col["x_mm"]]), float(raw[col["y_mm"]])),
+            ))
+        except (IndexError, ValueError) as exc:
+            raise CliError(f"{path}: bad trajectory row {raw}: {exc}")
+    return samples
 
 
 def cmd_track(args) -> int:
@@ -355,20 +336,13 @@ def cmd_track(args) -> int:
                                      args.angle_sigma_deg)
         noise = NoiseModel("snr_db", snr, args.seed)
     reconstructed, report = track(assembly, trajectory, noise, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "reconstructed.csv"),
         ["t_s", "x_mm", "y_mm"],
         [[s.t_s, s.pose.x_mm, s.pose.y_mm] for s in reconstructed],
     )
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    _write_manifest(args.out, "track", args.config, args.seed, {
-        "trajectory": args.trajectory,
-        "generate": args.generate,
-        "snr_db": args.snr_db,
-        "noise_sigma": args.noise_sigma,
-        "angle_sigma_deg": args.angle_sigma_deg,
-    })
+    _write_manifest(args)
     print(f"track: rms={report.rms_error_mm!r} mm, max={report.max_error_mm!r} mm, "
           f"dropped={report.dropped}/{report.n_samples}")
     return EXIT_OK
@@ -382,15 +356,8 @@ def cmd_sweep_design(args) -> int:
     for length in lengths:
         for conc in concentrations:
             try:
-                variant = SensorConfig(
-                    length_mm=length,
-                    source=config.source,
-                    dye=config.dye.with_concentration(conc),
-                    bank=config.bank,
-                    coupling=config.coupling,
-                    clear_loss_per_mm=config.clear_loss_per_mm,
-                    perturbation=config.perturbation,
-                )
+                variant = replace(config, length_mm=length,
+                                  dye=config.dye.with_concentration(conc))
             except ValueError as exc:
                 raise CliError(f"design point length={length} conc={conc}: {exc}")
             positions = np.linspace(0.0, length, max(int(round(length)) + 1, 3))
@@ -398,17 +365,12 @@ def cmd_sweep_design(args) -> int:
             poscal = fit_position([(r.position_mm, r.reading) for r in rows])
             out_rows.append([length, conc, poscal.slope, poscal.intercept,
                              poscal.r_squared])
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "design.csv"),
         ["length_mm", "concentration_scale", "slope_per_mm", "intercept", "r_squared"],
         out_rows,
     )
-    _write_manifest(args.out, "sweep-design", args.config, args.seed, {
-        "lengths": args.lengths,
-        "concentrations": args.concentrations,
-        "probe_force": args.probe_force,
-    })
+    _write_manifest(args)
     print(f"sweep-design: wrote {len(out_rows)} design points")
     return EXIT_OK
 
@@ -444,12 +406,14 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
         parser.add_argument("--config", required=True, help="JSON config path")
 
 
-def _add_noise(parser: argparse.ArgumentParser) -> None:
+def _add_noise(parser: argparse.ArgumentParser):
+    """The mutually exclusive group of noise options, for commands to extend."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--snr-db", type=float, default=None,
                        help="per-channel SNR noise, dB (omit for noise-free)")
     group.add_argument("--noise-sigma", type=float, default=None,
                        help="absolute per-channel noise sigma, intensity units")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--trajectory", default=None, help="CSV with t_s,x_mm,y_mm")
     group.add_argument("--generate", default=None,
                        help="synthetic path 'shape:scale:cx:cy:n', shape in {line,circle,S}")
-    _add_noise(p)
-    p.add_argument("--angle-sigma-deg", type=float, default=None,
-                   help="choose SNR so decoded angles carry this 1-sigma error")
+    _add_noise(p).add_argument("--angle-sigma-deg", type=float, default=None,
+                               help="choose SNR so decoded angles carry this 1-sigma error")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("sweep-design", help="slope sensitivity over length/concentration")
@@ -524,7 +487,7 @@ def main(argv=None) -> int:
     except KinematicError as exc:
         print(f"error: kinematics: {exc}", file=sys.stderr)
         return EXIT_KINEMATIC
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

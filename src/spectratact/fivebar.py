@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularError, UnreachableError
+from .sensor import substream
 
 REACH_REL_TOL = 1e-9
 
@@ -213,7 +214,7 @@ def elbow_separation_ratio(config: FiveBarConfig, pose: TerminalPose) -> float:
     return math.hypot(e2x - e1x, e2y - e1y) / (2.0 * config.l_mm)
 
 
-def working_branch(config: FiveBarConfig, pose: TerminalPose, margin_mm: float = 0.0) -> bool:
+def working_branch(config: FiveBarConfig, pose: TerminalPose) -> bool:
     """True when a pose lies on the elbow-up assembly mode.
 
     The joint-angle formulas are two-to-one: the passive links can
@@ -228,7 +229,7 @@ def working_branch(config: FiveBarConfig, pose: TerminalPose, margin_mm: float =
     except (UnreachableError, SingularError):
         return False
     (e1x, e1y), (e2x, e2y) = _elbows(config, angles)
-    return pose.y_mm > 0.5 * (e1y + e2y) + margin_mm
+    return pose.y_mm > 0.5 * (e1y + e2y)
 
 
 def _loop_closure(config: FiveBarConfig, theta1, theta2, x_mm, y_mm):
@@ -306,11 +307,10 @@ def deviation_map(
     base_x, base_y, base_ok = (v.ravel() for v in _fk_batch(config, t1, t2))
     t1, t2 = t1.ravel(), t2.ravel()
     cells = np.flatnonzero(keep.ravel() & base_ok)
-    streams = np.random.SeedSequence(seed).spawn(grid.ny * grid.nx)
     per_chunk = max(1, MC_CHUNK_POSES // n_trials)
     for start in range(0, cells.size, per_chunk):
         k = cells[start:start + per_chunk]
-        noise = np.stack([np.random.default_rng(streams[i]).standard_normal((n_trials, 2))
+        noise = np.stack([substream(seed, i).standard_normal((n_trials, 2))
                           for i in k.tolist()]) * sigma_rad
         px, py, valid = _fk_batch(config, t1[k, None] + noise[..., 0],
                                   t2[k, None] + noise[..., 1])

@@ -10,7 +10,6 @@ the filtering length equals the press distance from that end.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -131,17 +130,6 @@ class SensorConfig:
         )
 
 
-def load_sensor_config(path) -> SensorConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SensorConfig.from_dict(json.load(fh))
-
-
-def save_sensor_config(config: SensorConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class Stimulus:
     """Applied press: position measured from the detector end, in mm."""
@@ -192,18 +180,22 @@ class NoiseModel:
 
 
 class ChannelReading:
-    """Per-channel intensities, in the bank's channel order."""
+    """Per-channel intensities, in the bank's channel order.
+
+    ``below_floor`` is set when every channel reads zero (the dead zone).
+    """
 
     __slots__ = ("values", "channel_names", "below_floor")
 
-    def __init__(self, values, channel_names, below_floor: bool = False):
+    def __init__(self, values, channel_names):
         self.values = np.asarray(values, dtype=float)
         self.channel_names = tuple(channel_names)
         if self.values.shape != (len(self.channel_names),):
             raise ValueError("values and channel_names lengths differ")
-        if not all(0 <= v < math.inf for v in self.values.tolist()):
+        listed = self.values.tolist()
+        if not all(0 <= v < math.inf for v in listed):
             raise ValueError("channel intensities must be finite and nonnegative")
-        self.below_floor = bool(below_floor)
+        self.below_floor = not any(listed)  # nonnegative, so any() is any(v > 0)
 
     def channel(self, name: str) -> float:
         try:
@@ -224,7 +216,6 @@ class ChannelReading:
         return (
             isinstance(other, ChannelReading)
             and self.channel_names == other.channel_names
-            and self.below_floor == other.below_floor
             and np.array_equal(self.values, other.values)
         )
 
@@ -320,9 +311,9 @@ def simulate_reading(
 ) -> ChannelReading:
     """One sensor reading; deterministic given (config, stim, seed)."""
     if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
+        rng = substream(noise.seed)
     values = _readings(config, [stim.position_mm], [stim.force_n], noise, [rng])[0]
-    return ChannelReading(values, config.bank.names, below_floor=not (values > 0).any())
+    return ChannelReading(values, config.bank.names)
 
 
 def measure_snr_db(config: SensorConfig, stim: Stimulus, noise: NoiseModel) -> float:
@@ -344,9 +335,15 @@ class SweepRow:
     reading: ChannelReading
 
 
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Generator of ``SeedSequence(seed).spawn`` child ``key`` (``(i, j)``: child j of
+    child i; ``()``: ``default_rng(seed)``), built without its siblings."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def rng_substreams(seed: int, n: int) -> list[np.random.Generator]:
     """Deterministic per-row RNG substreams, independent of consumption order."""
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
+    return [substream(seed, i) for i in range(n)]
 
 
 def sweep(
@@ -367,9 +364,8 @@ def sweep(
     fs = np.tile(forces, len(positions))
     rngs = rng_substreams(seed, xs.size) if noise is not None else None
     values = _readings(config, xs, fs, noise, rngs)
-    below = ~(values > 0).any(axis=1)
     names = config.bank.names
     return [
-        SweepRow(p, f, ChannelReading(v, names, below_floor=b))
-        for p, f, v, b in zip(xs.tolist(), fs.tolist(), values, below.tolist())
+        SweepRow(p, f, ChannelReading(v, names))
+        for p, f, v in zip(xs.tolist(), fs.tolist(), values)
     ]

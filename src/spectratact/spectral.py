@@ -14,7 +14,6 @@ identical and raise :class:`GridMismatchError` otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -351,21 +350,3 @@ def band_effective_decay(
     x = paths - paths.mean()
     slope = float(x @ (y - y.mean()) / (x @ x))
     return -slope
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-
-def load_spectrum(path) -> Spectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Spectrum.from_dict(json.load(fh))
-
-
-def load_dye(path) -> DyeProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DyeProfile.from_dict(json.load(fh))
-
-
-def load_bank(path) -> ChannelBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ChannelBank.from_dict(json.load(fh))

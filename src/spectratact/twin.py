@@ -25,7 +25,7 @@ from .fivebar import (
     inverse_kinematics,
     working_branch,
 )
-from .sensor import NoiseModel, SensorConfig, Stimulus, simulate_reading, sweep
+from .sensor import NoiseModel, SensorConfig, Stimulus, simulate_reading, substream, sweep
 from .spectral import line_bank
 
 DEFAULT_INDENTER_FORCE_N = 2.0
@@ -170,13 +170,12 @@ def track(
     if not any(working_branch(assembly.fivebar, s.pose) for s in samples):
         raise UnreachableError("no trajectory sample is reachable on the working branch")
 
-    streams = np.random.SeedSequence(seed).spawn(len(samples))
     reconstructed: list[TrajectorySample] = []
     errors: list[float] = []
     dropped = 0
-    for sample, stream in zip(samples, streams):
+    for i, sample in enumerate(samples):
         try:
-            pose_hat = _track_one(assembly, sample.pose, noise, stream)
+            pose_hat = _track_one(assembly, sample.pose, noise, seed, i)
         except (KinematicError, NoContactError, OutOfSpanError):
             dropped += 1
             continue
@@ -198,20 +197,18 @@ def track(
     return reconstructed, report
 
 
-def _track_one(assembly, pose, noise, stream) -> TerminalPose:
+def _track_one(assembly, pose, noise, seed, index) -> TerminalPose:
     angles = inverse_kinematics(assembly.fivebar, pose)
-    joint_streams = stream.spawn(2)
     decoded_deg = []
-    for theta_rad, sensor, encoder, poscal, child in zip(
+    for joint, (theta_rad, sensor, encoder, poscal) in enumerate(zip(
         (angles.theta1_rad, angles.theta2_rad),
         assembly.sensors,
         assembly.encoders,
         assembly.calibrations,
-        joint_streams,
-    ):
+    )):
         position = encoder.position_for_angle(math.degrees(theta_rad))
         stim = Stimulus(position, assembly.indenter_force_n)
-        rng = np.random.default_rng(child) if noise is not None else None
+        rng = substream(seed, index, joint) if noise is not None else None
         reading = simulate_reading(sensor, stim, noise, rng)
         decoded_deg.append(decode_joint_angle(reading, encoder, poscal))
     return forward_kinematics(

@@ -133,8 +133,7 @@ class TestFitForce:
             base = simulate_reading(default_config, Stimulus(42.5, float(force)))
             for tweak in (0.99, 1.01):
                 samples.append((float(force),
-                                ChannelReading(base.values * tweak, base.channel_names,
-                                               base.below_floor)))
+                                ChannelReading(base.values * tweak, base.channel_names)))
         cal = fit_force(samples, transmission, known_position_mm=42.5)
         assert len(cal.forces_n) == 11
         base_cal = calibrate_force(default_config, n_knots=11)

@@ -304,3 +304,93 @@ class TestSweepDesign:
                      "--out", str(tmp_path / "d"), "--lengths", "250",
                      "--concentrations", "1.0"])
         assert code == 2
+
+
+class TestReplay:
+    """Every command's manifest records its parsed options and replays byte for byte."""
+
+    CASES = {
+        "simulate": (["--config", "{band}", "--positions", "0:85:7", "--forces", "1,4",
+                      "--noise-sigma", "0.3", "--seed", "2"],
+                     {"positions", "forces", "snr_db", "noise_sigma"}),
+        "calibrate": (["--config", "{band}", "--samples", "{sim}"],
+                      {"samples", "numerator", "denominator"}),
+        "decode": (["--calibration", "{cal}", "--readings", "{sim}"],
+                   {"calibration", "readings"}),
+        "track": (["--config", "{twin}", "--generate", "circle:30:40:120:20",
+                   "--snr-db", "40", "--seed", "5"],
+                  {"trajectory", "generate", "snr_db", "noise_sigma", "angle_sigma_deg"}),
+        "sweep-design": (["--config", "{band}", "--lengths", "60,85",
+                          "--concentrations", "1,1.5", "--probe-force", "2.5"],
+                         {"lengths", "concentrations", "probe_force"}),
+    }
+
+    @pytest.fixture()
+    def inputs(self, band_config_path, twin_config_path, tmp_path):
+        sim, cal = tmp_path / "sim", tmp_path / "cal"
+        assert main(["simulate", "--config", band_config_path, "--out", str(sim),
+                     "--positions", "0:85:12", "--forces", "0.1:10:11",
+                     "--snr-db", "40", "--seed", "5"]) == 0
+        assert main(["calibrate", "--config", band_config_path, "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        return {"band": band_config_path, "twin": twin_config_path,
+                "sim": str(sim / "sweep.csv"), "cal": str(cal / "calibration.json")}
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_replay_reproduces_every_file(self, command, inputs, tmp_path):
+        argv, keys = self.CASES[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--out", str(first)]
+                    + [arg.format(**inputs) for arg in argv]) == 0
+        manifest = json.loads(read(first / "manifest.json"))
+        assert manifest["command"] == command
+        assert set(manifest["args"]) == keys
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(again))
+        for name in names:
+            assert read(first / name) == read(again / name), name
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["simulate", "track", "replay"])
+    def test_non_object_json_exits_2(self, command, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[1, 2]")
+        argv = {
+            "simulate": ["--config", str(doc), "--positions", "10", "--forces", "2"],
+            "track": ["--config", str(doc), "--generate", "circle:30:40:120:5"],
+            "replay": ["--manifest", str(doc)],
+        }[command]
+        assert main([command, "--out", str(tmp_path / "o")] + argv) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "track", "sweep-design"])
+    def test_bend_beyond_half_turn_exits_2(self, command, line_config_path, tmp_path,
+                                           capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", line_config_path, "--out", str(sim),
+                     "--positions", "10,40,70", "--forces", "2"]) == 0
+        sensor = json.loads(read(line_config_path))
+        sensor["perturbation"] = {"bend_deg": 200.0}
+        config = tmp_path / "bent.json"
+        config.write_text(json.dumps({"sensor": sensor} if command == "track" else sensor))
+        argv = {
+            "simulate": ["--positions", "10", "--forces", "2"],
+            "calibrate": ["--samples", str(sim / "sweep.csv")],
+            "track": ["--generate", "circle:30:40:120:5"],
+            "sweep-design": ["--lengths", "85", "--concentrations", "1"],
+        }[command]
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "o")] + argv)
+        assert code == 2
+        assert "bend" in capsys.readouterr().err
+
+    def test_angle_sigma_excludes_noise_flags(self, twin_config_path, tmp_path):
+        for flag in (["--snr-db", "30"], ["--noise-sigma", "0.1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
+                      "--generate", "circle:30:40:120:5", "--angle-sigma-deg", "0.05"]
+                     + flag)
+            assert excinfo.value.code == 2
+        assert not (tmp_path / "o").exists()

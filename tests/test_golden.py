@@ -16,7 +16,7 @@ import pytest
 from spectratact import NoiseModel, SensorConfig, sweep
 from spectratact.cli import main
 from spectratact.contact import bending_gain, coupled_fraction, strained_dye
-from spectratact.sensor import RELATIVE_INTENSITY_FLOOR, rng_substreams
+from spectratact.sensor import RELATIVE_INTENSITY_FLOOR
 from spectratact.spectral import attenuate, integrate_channels
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
@@ -102,7 +102,8 @@ def test_artifact_bytes(artifacts, name):
 def reference_sweep(config, positions, forces, noise, seed):
     """Row-at-a-time forward model from the public spectral operations."""
     stimuli = [(float(p), float(f)) for p in positions for f in forces]
-    rngs = rng_substreams(seed, len(stimuli))
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(len(stimuli))]
     dye = strained_dye(config.dye, config.perturbation.strain)
     full_scale = float(integrate_channels(config.source, config.bank).sum())
     rows = []

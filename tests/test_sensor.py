@@ -21,7 +21,7 @@ from spectratact import (
     simulate_reading,
     sweep,
 )
-from spectratact.sensor import full_scale_intensity
+from spectratact.sensor import full_scale_intensity, substream
 from spectratact.spectral import ChannelBank, Spectrum, default_wavelength_grid
 
 
@@ -115,7 +115,26 @@ class TestChannelReading:
             ChannelReading([1.0, bad], ("B", "R"))
 
     def test_accepts_zero(self):
-        assert ChannelReading([0.0, 0.0], ("B", "R"), below_floor=True).total() == 0.0
+        assert ChannelReading([0.0, 0.0], ("B", "R")).total() == 0.0
+
+    def test_below_floor_derived_from_values(self):
+        assert ChannelReading([0.0, 0.0], ("B", "R")).below_floor
+        assert not ChannelReading([0.0, 1e-300], ("B", "R")).below_floor
+
+
+class TestSubstream:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_equals_spawned_child(self, seed):
+        def draws(rng):
+            return rng.standard_normal(5)
+
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
+            assert np.array_equal(draws(substream(seed, i)),
+                                  draws(np.random.default_rng(child)))
+            for j, grandchild in enumerate(child.spawn(2)):
+                assert np.array_equal(draws(substream(seed, i, j)),
+                                      draws(np.random.default_rng(grandchild)))
+        assert np.array_equal(draws(substream(seed)), draws(np.random.default_rng(seed)))
 
 
 class TestMeasureSnr:
