@@ -45,6 +45,9 @@ class PositionCalibration:
     def __post_init__(self):
         if not (math.isfinite(self.slope) and self.slope != 0):
             raise DegenerateFitError(f"slope must be finite and nonzero, got {self.slope}")
+        lo, hi = self.span_mm
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DegenerateFitError(f"span_mm must be finite with lo < hi, got {self.span_mm}")
 
     def predict_log_ratio(self, position_mm: float) -> float:
         return self.slope * position_mm + self.intercept

@@ -267,6 +267,15 @@ def cmd_decode(args) -> int:
         factors = np.asarray(trans_doc["factors"], dtype=float)
     except (KeyError, TypeError, ValueError, DegenerateFitError) as exc:
         raise CliError(f"invalid calibration {args.calibration}: {exc}")
+    # decode_force divides by the interpolated factor: NaN would flag garbage
+    # "ok", zero would divide by zero
+    if not (factors.ndim == 1 and factors.size and grid.shape == factors.shape
+            and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+        raise CliError(f"invalid calibration {args.calibration}: transmission needs "
+                       f"strictly increasing finite positions_mm, one per factor")
+    if not (np.isfinite(factors).all() and np.all(factors > 0)):
+        raise CliError(f"invalid calibration {args.calibration}: "
+                       f"transmission factors must be finite and positive")
     transmission = lambda x: float(np.interp(x, grid, factors))
 
     out_rows = []
@@ -379,6 +388,9 @@ def cmd_replay(args) -> int:
     manifest = _load_json(args.manifest)
     command = manifest.get("command")
     stored = manifest.get("args", {})
+    if not isinstance(stored, dict):
+        raise CliError(f"{args.manifest}: 'args' must be a JSON object, "
+                       f"got {type(stored).__name__}")
     argv = [command]
     config_path = manifest.get("config_path")
     if config_path:

@@ -5,6 +5,13 @@ turned into a press position on its wrapped sensor, the optical forward
 model produces (optionally noisy) readings, and the decode/FK chain
 reconstructs the terminal path.  Noise-free, the whole chain is exact on
 the workspace interior.
+
+``track`` batches the optics: kinematics and decoding stay scalar
+``math`` code per sample, while the forward model runs once per distinct
+sensor over every kept (sample, joint) row.  Each row draws its noise
+from its own substream ``(seed, sample, joint)``, so a row's reading
+does not depend on which other rows share the call or on their order,
+and the batched run gives the per-sample chain's result bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import PositionCalibration, fit_position
-from .decoder import JointEncoderModel, decode_joint_angle
-from .errors import KinematicError, NoContactError, OutOfSpanError, UnreachableError
+from .decoder import JointEncoderModel
+from .errors import KinematicError, UnreachableError
 from .fivebar import (
     FiveBarConfig,
     JointAngles,
@@ -25,7 +32,7 @@ from .fivebar import (
     inverse_kinematics,
     working_branch,
 )
-from .sensor import NoiseModel, SensorConfig, Stimulus, simulate_reading, substream, sweep
+from .sensor import NoiseModel, SensorConfig, _readings, substream, sweep
 from .spectral import line_bank
 
 DEFAULT_INDENTER_FORCE_N = 2.0
@@ -90,14 +97,24 @@ class TwinAssembly:
     def __post_init__(self):
         if not self.indenter_force_n > 0:
             raise ValueError("indenter_force_n must be > 0")
-        sensors = self.sensors or (encoder_sensor_config(), encoder_sensor_config())
-        encoders = self.encoders or (JointEncoderModel(), JointEncoderModel())
-        calibrations = self.calibrations or tuple(
-            calibrate_encoder(s, self.indenter_force_n) for s in sensors
-        )
-        object.__setattr__(self, "sensors", tuple(sensors))
-        object.__setattr__(self, "encoders", tuple(encoders))
-        object.__setattr__(self, "calibrations", tuple(calibrations))
+        sensors = tuple(self.sensors or (encoder_sensor_config(), encoder_sensor_config()))
+        encoders = tuple(self.encoders or (JointEncoderModel(), JointEncoderModel()))
+        if len(sensors) != 2 or len(encoders) != 2:
+            raise ValueError(f"need one sensor and one encoder per joint, got "
+                             f"{len(sensors)} sensor(s) and {len(encoders)} encoder(s)")
+        if sensors[0] is not sensors[1] and sensors[0].to_dict() == sensors[1].to_dict():
+            # one shared object: calibrated once, one kernel call per track
+            sensors = (sensors[0], sensors[0])
+        calibrations = tuple(self.calibrations or ())
+        if not calibrations:
+            first = calibrate_encoder(sensors[0], self.indenter_force_n)
+            calibrations = (first, first if sensors[1] is sensors[0]
+                            else calibrate_encoder(sensors[1], self.indenter_force_n))
+        if len(calibrations) != 2:
+            raise ValueError(f"need one calibration per joint, got {len(calibrations)}")
+        object.__setattr__(self, "sensors", sensors)
+        object.__setattr__(self, "encoders", encoders)
+        object.__setattr__(self, "calibrations", calibrations)
 
     def to_dict(self) -> dict:
         return {
@@ -155,11 +172,16 @@ def track(
 ) -> tuple[list[TrajectorySample], TrackingReport]:
     """Replay a terminal trajectory through the optical twin.
 
-    Per sample: IK to joint angles, encoder map to press positions,
-    optical simulation (per-sample RNG substreams derived from the seed
-    and the sample index), angle decoding, FK back to a pose.  Samples
-    that fail to decode are dropped and counted; they never abort the
-    run.  A trajectory with no reachable pose at all is rejected.
+    Kinematics, per sample: IK to joint angles, the encoder map to press
+    positions and the span test of each sensor.  Optics, batched: every
+    kept (sample, joint) row goes through one forward-model call per
+    distinct sensor.  Row (i, joint) draws its noise from its own
+    substream ``(seed, i, joint)``, so neither the batching nor the row
+    order changes a reading.  Decode, per sample: the position log-ratio
+    and the encoder map back to angles, then FK to a pose.  Samples that
+    are unreachable, off a sensor's span, without contact or past the FK
+    limits are dropped and counted; they never abort the run.  A
+    trajectory with no pose on the working branch is rejected.
     """
     samples = list(trajectory)
     if not samples:
@@ -167,54 +189,90 @@ def track(
     times = [s.t_s for s in samples]
     if any(not b > a for a, b in zip(times, times[1:])):
         raise ValueError("trajectory times must be strictly increasing")
-    if not any(working_branch(assembly.fivebar, s.pose) for s in samples):
+
+    fivebar, l = assembly.fivebar, assembly.fivebar.l_mm
+    (enc1, enc2), (s1, s2) = assembly.encoders, assembly.sensors
+    kept: list[int] = []
+    positions: list[tuple[float, float]] = []
+    on_branch = False
+    for i, sample in enumerate(samples):
+        try:
+            angles = inverse_kinematics(fivebar, sample.pose)
+        except KinematicError:
+            continue
+        t1, t2 = angles.theta1_rad, angles.theta2_rad
+        # working_branch's test: the pose lies above the elbow midpoint
+        on_branch = on_branch or sample.pose.y_mm > 0.5 * (l * math.cos(t1) + l * math.cos(t2))
+        p1 = enc1.position_for_angle(math.degrees(t1))
+        p2 = enc2.position_for_angle(math.degrees(t2))
+        if 0 <= p1 <= s1.length_mm and 0 <= p2 <= s2.length_mm:
+            kept.append(i)
+            positions.append((p1, p2))
+    if not on_branch:
         raise UnreachableError("no trajectory sample is reachable on the working branch")
 
     reconstructed: list[TrajectorySample] = []
     errors: list[float] = []
-    dropped = 0
-    for i, sample in enumerate(samples):
-        try:
-            pose_hat = _track_one(assembly, sample.pose, noise, seed, i)
-        except (KinematicError, NoContactError, OutOfSpanError):
-            dropped += 1
+    for i, deg1, deg2 in zip(kept, *_joint_angles(assembly, kept, positions, noise, seed)):
+        if deg1 is None or deg2 is None:
             continue
+        try:
+            pose_hat = forward_kinematics(
+                fivebar, JointAngles(math.radians(deg1), math.radians(deg2)))
+        except KinematicError:
+            continue
+        sample = samples[i]
         reconstructed.append(TrajectorySample(sample.t_s, pose_hat))
         errors.append(math.hypot(pose_hat.x_mm - sample.pose.x_mm,
                                  pose_hat.y_mm - sample.pose.y_mm))
     if errors:
         rms = float(np.sqrt(np.mean(np.square(errors))))
-        max_err = float(np.max(errors))
+        max_err = max(errors)
     else:
         rms = max_err = 0.0
     report = TrackingReport(
         rms_error_mm=rms,
         max_error_mm=max_err,
         errors_mm=errors,
-        dropped=dropped,
+        dropped=len(samples) - len(errors),
         n_samples=len(samples),
     )
     return reconstructed, report
 
 
-def _track_one(assembly, pose, noise, seed, index) -> TerminalPose:
-    angles = inverse_kinematics(assembly.fivebar, pose)
-    decoded_deg = []
-    for joint, (theta_rad, sensor, encoder, poscal) in enumerate(zip(
-        (angles.theta1_rad, angles.theta2_rad),
-        assembly.sensors,
-        assembly.encoders,
-        assembly.calibrations,
-    )):
-        position = encoder.position_for_angle(math.degrees(theta_rad))
-        stim = Stimulus(position, assembly.indenter_force_n)
-        rng = substream(seed, index, joint) if noise is not None else None
-        reading = simulate_reading(sensor, stim, noise, rng)
-        decoded_deg.append(decode_joint_angle(reading, encoder, poscal))
-    return forward_kinematics(
-        assembly.fivebar,
-        JointAngles(math.radians(decoded_deg[0]), math.radians(decoded_deg[1])),
-    )
+def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | None]]:
+    """Decoded angle in degrees per joint and kept sample, None without contact.
+
+    One forward-model call per distinct sensor: joints that share one
+    sensor object go through a single call on interleaved (sample, joint)
+    rows.  Decoding is :func:`decode_joint_angle`'s arithmetic on the
+    ratio's two channel columns, with ``math.log``, whose rounding
+    ``np.log`` does not share.
+    """
+    s1, s2 = assembly.sensors
+    groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
+    decoded = [[], []]
+    for sensor, joints in groups:
+        # built as the kernel draws: a list would hold every generator at once
+        rngs = None if noise is None else (substream(seed, i, j) for i in kept for j in joints)
+        xs = [pair[j] for pair in positions for j in joints]
+        values = _readings(sensor, xs, [assembly.indenter_force_n] * len(xs), noise, rngs)
+        # ChannelReading's check: an infinite noise sigma must not decode as a pose
+        if not np.isfinite(values).all():
+            raise ValueError("channel intensities must be finite and nonnegative")
+        names = sensor.bank.names
+        for k, j in enumerate(joints):
+            rows = values[k::len(joints)]
+            encoder, poscal = assembly.encoders[j], assembly.calibrations[j]
+            lo, hi = poscal.span_mm
+            for num, den in zip(rows[:, names.index(poscal.numerator_ch)].tolist(),
+                                rows[:, names.index(poscal.denominator_ch)].tolist()):
+                if num <= 0 or den <= 0:
+                    decoded[j].append(None)
+                    continue
+                raw = poscal.position_for_log_ratio(math.log(num / den))
+                decoded[j].append(encoder.angle_for_position(min(max(raw, lo), hi)))
+    return decoded
 
 
 def generate_path(

@@ -38,6 +38,13 @@ class TestPositionCalibration:
         with pytest.raises(DegenerateFitError):
             PositionCalibration.from_dict(doc)
 
+    @pytest.mark.parametrize("span", [(math.nan, 85.0), (0.0, math.inf), (85.0, 0.0),
+                                      (42.0, 42.0)])
+    def test_bad_span_rejected(self, line_poscal, span):
+        doc = dict(line_poscal.to_dict(), span_mm=list(span))
+        with pytest.raises(DegenerateFitError, match="span_mm"):
+            PositionCalibration.from_dict(doc)
+
 
 class TestFitPosition:
     def test_single_wavelength_slope_oracle(self):

@@ -240,6 +240,36 @@ class TestDecode:
             assert "slope" in capsys.readouterr().err
 
 
+    @pytest.fixture()
+    def calibrated(self, band_config_path, tmp_path):
+        sim, cal = tmp_path / "sim", tmp_path / "cal"
+        assert main(["simulate", "--config", band_config_path, "--out", str(sim),
+                     "--positions", "0:85:12", "--forces", "0.1:10:9",
+                     "--snr-db", "40", "--seed", "5"]) == 0
+        assert main(["calibrate", "--config", band_config_path, "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        return sim / "sweep.csv", json.loads(read(cal / "calibration.json"))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("transmission", "factors", math.nan),
+        ("transmission", "factors", 0.0),
+        ("transmission", "factors", -1.0),
+        ("transmission", "positions_mm", math.nan),
+        ("position", "span_mm", math.nan),
+    ])
+    def test_bad_calibration_exits_2(self, calibrated, section, key, value, tmp_path,
+                                     capsys):
+        readings, doc = calibrated
+        doc[section][key] = [value] * len(doc[section][key])
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["decode", "--calibration", str(broken), "--readings", str(readings),
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert key.split("_")[0] in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
 class TestTrack:
     def test_zero_noise_exact_and_reproducible(self, twin_config_path, tmp_path):
         args = ["track", "--config", twin_config_path,
@@ -385,6 +415,21 @@ class TestBadInput:
         code = main([command, "--config", str(config), "--out", str(tmp_path / "o")] + argv)
         assert code == 2
         assert "bend" in capsys.readouterr().err
+
+    def test_replay_non_object_args_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "simulate", "args": [1]}))
+        assert main(["replay", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'args' must be a JSON object" in capsys.readouterr().err
+
+    def test_twin_with_one_sensor_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "twin.json"
+        config.write_text(json.dumps({"sensors": [encoder_sensor_config().to_dict()]}))
+        code = main(["track", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--generate", "circle:30:40:120:5"])
+        assert code == 2
+        assert "per joint" in capsys.readouterr().err
 
     def test_angle_sigma_excludes_noise_flags(self, twin_config_path, tmp_path):
         for flag in (["--snr-db", "30"], ["--noise-sigma", "0.1"]):

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from spectratact import (
     track,
     workspace_mask,
 )
-from spectratact import twin
-from spectratact.decoder import JointEncoderModel
-from spectratact.twin import TrajectorySample, TwinAssembly, encoder_sensor_config
+from spectratact import sensor
+from spectratact.decoder import JointEncoderModel, decode_joint_angle
+from spectratact.errors import KinematicError, NoContactError, OutOfSpanError
+from spectratact.fivebar import JointAngles, forward_kinematics, inverse_kinematics
+from spectratact.sensor import Stimulus, simulate_reading, substream
+from spectratact.twin import TrackingReport, TrajectorySample, TwinAssembly, encoder_sensor_config
 
 FIVEBAR = FiveBarConfig(d_mm=80.0, l_mm=100.0)
 S_CENTER = (40.0, 120.0)
@@ -30,8 +34,77 @@ def assembly():
 
 
 @pytest.fixture(scope="module")
+def distinct():
+    """Joint 2 on a shorter, denser-dyed sensor: two sensor configs, two kernel calls."""
+    denser = encoder_sensor_config().dye.with_concentration(1.5)
+    return TwinAssembly(fivebar=FIVEBAR, sensors=(
+        encoder_sensor_config(), encoder_sensor_config(length_mm=60.0, dye=denser)))
+
+
+@pytest.fixture(scope="module")
 def s_path():
     return generate_path("S", S_CENTER, 40.0, 60, config=FIVEBAR)
+
+
+@pytest.fixture(scope="module")
+def mixed_path(s_path):
+    """Part of the S path with unreachable, off-span and edge poses interleaved.
+
+    At (-68, 104) and (-87, 110) joint 1 presses within 0.6 mm of its
+    sensor's end, where noise takes the raw decoded position past the
+    span; at (-87, 110) joint 2 presses at 70 mm, off a 60 mm sensor.
+    """
+    poses = [s.pose for s in s_path[:30]]
+    extra = [TerminalPose(40.0, 300.0), TerminalPose(40.0, -5.0),
+             TerminalPose(-100.0, 60.0), TerminalPose(180.0, 60.0),
+             TerminalPose(-68.0, 104.0), TerminalPose(-68.1, 104.0),
+             TerminalPose(-87.0, 110.0)]
+    for k, pose in enumerate(extra):
+        poses.insert(4 * k + 3, pose)
+    return [TrajectorySample(0.1 * i, pose) for i, pose in enumerate(poses)]
+
+
+def track_per_sample(assembly, trajectory, noise=None, seed=0):
+    """Reference chain, one sample and one reading object at a time.
+
+    Returns what ``track`` returns plus the count of drops by exception
+    class.  ``track`` must equal it bit for bit.
+    """
+    samples = list(trajectory)
+    reconstructed, errors, reasons = [], [], Counter()
+    for i, sample in enumerate(samples):
+        try:
+            angles = inverse_kinematics(assembly.fivebar, sample.pose)
+            decoded_deg = []
+            for joint, (theta_rad, sensor_, encoder, poscal) in enumerate(zip(
+                (angles.theta1_rad, angles.theta2_rad),
+                assembly.sensors,
+                assembly.encoders,
+                assembly.calibrations,
+            )):
+                position = encoder.position_for_angle(math.degrees(theta_rad))
+                stim = Stimulus(position, assembly.indenter_force_n)
+                rng = substream(seed, i, joint) if noise is not None else None
+                reading = simulate_reading(sensor_, stim, noise, rng)
+                decoded_deg.append(decode_joint_angle(reading, encoder, poscal))
+            pose_hat = forward_kinematics(
+                assembly.fivebar,
+                JointAngles(math.radians(decoded_deg[0]), math.radians(decoded_deg[1])),
+            )
+        except (KinematicError, NoContactError, OutOfSpanError) as exc:
+            reasons[type(exc).__name__] += 1
+            continue
+        reconstructed.append(TrajectorySample(sample.t_s, pose_hat))
+        errors.append(math.hypot(pose_hat.x_mm - sample.pose.x_mm,
+                                 pose_hat.y_mm - sample.pose.y_mm))
+    report = TrackingReport(
+        rms_error_mm=float(np.sqrt(np.mean(np.square(errors)))) if errors else 0.0,
+        max_error_mm=float(np.max(errors)) if errors else 0.0,
+        errors_mm=errors,
+        dropped=len(samples) - len(errors),
+        n_samples=len(samples),
+    )
+    return reconstructed, report, reasons
 
 
 class TestGeneratePath:
@@ -183,13 +256,77 @@ class TestTrackErrors:
         assert report.n_samples == 15
         assert len(reconstructed) == 15 - report.dropped
 
+    def test_infinite_noise_rejected_like_per_sample_chain(self, assembly, s_path):
+        noise = NoiseModel("absolute_sigma", math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            track_per_sample(assembly, s_path, noise)
+        with pytest.raises(ValueError, match="finite"):
+            track(assembly, s_path, noise)
+
     def test_unexpected_value_error_propagates(self, assembly, s_path, monkeypatch):
         def broken(*args):
             raise ValueError("programming error")
 
-        monkeypatch.setattr(twin, "_track_one", broken)
+        monkeypatch.setattr(sensor, "channel_intensities", broken)
         with pytest.raises(ValueError, match="programming error"):
             track(assembly, s_path)
+
+
+NOISES = {
+    "noise_free": None,
+    "snr_db": NoiseModel("snr_db", 40.0),
+    "absolute_sigma": NoiseModel("absolute_sigma", 2e-5),
+}
+
+
+class TestTrackMatchesPerSampleChain:
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("sensors", ["shared", "distinct"])
+    @pytest.mark.parametrize("path", ["s_path", "mixed_path"])
+    def test_bit_identical(self, noise, sensors, path, request):
+        twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
+        samples = request.getfixturevalue(path)
+        reconstructed, report = track(twin_, samples, NOISES[noise], seed=11)
+        expected, expected_report, _ = track_per_sample(twin_, samples, NOISES[noise], seed=11)
+        assert reconstructed == expected
+        assert report.to_dict() == expected_report.to_dict()
+
+    @pytest.mark.parametrize("sensors", ["shared", "distinct"])
+    def test_every_drop_reason(self, sensors, mixed_path, request):
+        twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
+        noise = NoiseModel("snr_db", 3.0)  # channels often clamp to zero: no contact
+        reconstructed, report = track(twin_, mixed_path, noise, seed=4)
+        expected, expected_report, reasons = track_per_sample(twin_, mixed_path, noise, seed=4)
+        assert {"UnreachableError", "OutOfSpanError", "NoContactError"} <= set(reasons)
+        assert reconstructed == expected
+        assert report.to_dict() == expected_report.to_dict()
+
+    def test_below_threshold_force_drops_every_sample(self, assembly, s_path):
+        weak = TwinAssembly(fivebar=FIVEBAR, calibrations=assembly.calibrations,
+                            indenter_force_n=0.01)
+        reconstructed, report = track(weak, s_path)
+        _, _, reasons = track_per_sample(weak, s_path)
+        assert reasons == {"NoContactError": len(s_path)}
+        assert reconstructed == [] and report.dropped == len(s_path)
+
+
+class TestTrackBatching:
+    """One forward-model call per distinct sensor, whatever the path length."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("sensors, calls", [("shared", 1), ("distinct", 2)])
+    def test_kernel_calls(self, sensors, calls, n, s_path, monkeypatch, request):
+        twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
+        counted = []
+        kernel = sensor.channel_intensities
+
+        def counting(*args):
+            counted.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(sensor, "channel_intensities", counting)
+        track(twin_, s_path[:n], NoiseModel("snr_db", 40.0), seed=3)
+        assert len(counted) == calls
 
 
 class TestAssembly:
@@ -205,6 +342,20 @@ class TestAssembly:
                "sensor": encoder_sensor_config().to_dict()}
         assembly = TwinAssembly.from_dict(doc)
         assert assembly.sensors[0].to_dict() == assembly.sensors[1].to_dict()
+        assert assembly.sensors[0] is assembly.sensors[1]
+
+    def test_equal_sensors_become_one_calibrated_once(self):
+        config = encoder_sensor_config().to_dict()
+        assembly = TwinAssembly.from_dict({"sensors": [config, config]})
+        assert assembly.sensors[0] is assembly.sensors[1]
+        assert assembly.calibrations[0] is assembly.calibrations[1]
+
+    @pytest.mark.parametrize("field, count", [("sensors", 1), ("encoders", 3),
+                                              ("calibrations", 1)])
+    def test_one_part_per_joint_required(self, assembly, field, count):
+        parts = getattr(assembly, field)
+        with pytest.raises(ValueError, match="per joint"):
+            TwinAssembly(fivebar=FIVEBAR, **{field: (parts + parts)[:count]})
 
     def test_snr_helper_hits_angle_target(self, assembly):
         # decoded-angle scatter should land near the requested 1-sigma
