@@ -2,9 +2,12 @@
 
 Position: ordinary least squares of the channel log-ratio against press
 position (the ratio is affine in position for narrow channels).  Force:
-a monotone piecewise-cubic interpolant of normalized total intensity
-against force, built on knots clustered toward the contact threshold
-where the response has unbounded slope.
+a monotone piecewise-cubic (PCHIP) interpolant of normalized total
+intensity against force, built on knots clustered toward the contact
+threshold where the response has unbounded slope.  The interpolant is
+implemented here in numpy and matches scipy's ``PchipInterpolator`` bit
+for bit (the tests use scipy as the oracle), so importing the package
+does not import scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BelowFloorError,
@@ -28,6 +30,11 @@ from .sensor import NoiseModel, SensorConfig, channel_intensities, position_tran
 from .spectral import log_ratio
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
+
+
+def _like(query, result: np.ndarray):
+    """``result`` as a float when ``query`` was a scalar."""
+    return float(result) if np.ndim(query) == 0 else result
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,11 @@ class ForceCalibration:
     """Monotone cubic interpolant of normalized intensity vs force.
 
     Knots are strictly increasing on both axes; the interpolant passes
-    through every knot and preserves monotonicity (PCHIP slopes), so the
-    inverse exists everywhere between the first and last knot.
+    through every knot and preserves monotonicity, so the inverse exists
+    everywhere between the first and last knot.  It is an in-house PCHIP
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980) whose slopes,
+    coefficients and evaluation repeat scipy's ``PchipInterpolator``
+    operation for operation, so every value equals scipy's bit for bit.
     """
 
     forces_n: np.ndarray
@@ -161,6 +171,8 @@ class ForceCalibration:
             raise DegenerateFitError("force calibration needs at least 3 knots")
         if values.shape != forces.shape:
             raise ValueError("forces and normalized intensities lengths differ")
+        if not (np.isfinite(forces).all() and np.isfinite(values).all()):
+            raise ValueError("forces_n and normalized knots must be finite")
         if not np.all(np.diff(forces) > 0):
             raise NonMonotoneDataError("knot forces must be strictly increasing")
         if not np.all(np.diff(values) > 0):
@@ -171,45 +183,92 @@ class ForceCalibration:
         object.__setattr__(self, "normalized", values)
 
     @cached_property
-    def _interpolant(self) -> PchipInterpolator:
-        return PchipInterpolator(self.forces_n, self.normalized)
+    def _coefficients(self) -> np.ndarray:
+        """(4, knots - 1) cubic coefficients per interval, highest power first.
 
-    @cached_property
-    def _derivative(self):
-        return self._interpolant.derivative()
-
-    def evaluate(self, force_n: float) -> float:
-        return float(self._interpolant(force_n))
-
-    def derivative(self, force_n: float) -> float:
-        return float(self._derivative(force_n))
-
-    def invert(self, normalized_value: float) -> float:
-        """Force whose interpolated response equals the given value.
-
-        Bisection, guaranteed to converge by monotonicity.  Values below
-        the first knot raise :class:`BelowThresholdError` (dead zone),
-        above the last knot :class:`SaturatedError`.
+        Interior slopes are the weighted harmonic mean of the neighbouring
+        secants, end slopes the one-sided three-point estimate.  Every
+        secant is positive, so PCHIP's sign and zero cases reduce to
+        clamping a nonpositive end slope to +0.0.
         """
+        x, y = self.forces_n, self.normalized
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.empty_like(y)
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[[0, -1]] = np.where(ends > 0, ends, 0.0)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    def _interval(self, force_n: np.ndarray):
+        """Coefficient columns of the interval holding each force, and the offset into it.
+
+        Counting the interior knots at or below a force finds its interval,
+        with the end intervals extended outwards (extrapolation).
+        """
+        i = np.searchsorted(self.forces_n[1:-1], force_n, side="right")
+        return self._coefficients[:, i], force_n - self.forces_n[i]
+
+    def _evaluate(self, force_n: np.ndarray) -> np.ndarray:
+        (c0, c1, c2, c3), s = self._interval(force_n)
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
+
+    def evaluate(self, force_n):
+        """Normalized intensity at each force; a scalar gives a float."""
+        return _like(force_n, self._evaluate(np.asarray(force_n, dtype=float)))
+
+    def derivative(self, force_n):
+        """Slope of the interpolant at each force; a scalar gives a float."""
+        (c0, c1, c2, _), s = self._interval(np.asarray(force_n, dtype=float))
+        return _like(force_n, (c2 + (2 * c1) * s) + (3 * c0) * (s * s))
+
+    def invert(self, normalized_value):
+        """Force whose interpolated response equals each given value.
+
+        Bisection on the knot force range, guaranteed to converge by
+        monotonicity.  Each value halves its own bracket until the width
+        is within ``INVERT_REL_TOL`` of max(1, |midpoint|), or 200 times;
+        only values still bracketing are evaluated, so an array gives the
+        same bits as inverting its values one by one.  A scalar gives a
+        float, an array an array of its shape.  A value below the first
+        knot raises :class:`BelowThresholdError` (dead zone), above the
+        last knot :class:`SaturatedError`.
+        """
+        values = np.asarray(normalized_value, dtype=float)
         lo_v, hi_v = float(self.normalized[0]), float(self.normalized[-1])
-        if normalized_value < lo_v:
+        below = values < lo_v
+        if below.any():
             raise BelowThresholdError(
-                f"normalized intensity {normalized_value:g} below first knot {lo_v:g}"
+                f"normalized intensity {values[below][0]:g} below first knot {lo_v:g}"
             )
-        if normalized_value > hi_v:
+        above = values > hi_v
+        if above.any():
             raise SaturatedError(
-                f"normalized intensity {normalized_value:g} above last knot {hi_v:g}"
+                f"normalized intensity {values[above][0]:g} above last knot {hi_v:g}"
             )
-        lo, hi = float(self.forces_n[0]), float(self.forces_n[-1])
+        target = values.ravel()
+        forces = np.empty_like(target)
+        active = np.arange(target.size)
+        lo = np.full(target.size, self.forces_n[0])
+        hi = np.full(target.size, self.forces_n[-1])
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.evaluate(mid) < normalized_value:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= INVERT_REL_TOL * max(1.0, abs(mid)):
+            if not active.size:
                 break
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            rising = self._evaluate(mid) < target
+            lo = np.where(rising, mid, lo)
+            hi = np.where(rising, hi, mid)
+            done = hi - lo <= INVERT_REL_TOL * np.maximum(1.0, np.abs(mid))
+            if np.count_nonzero(done):
+                forces[active[done]] = 0.5 * (lo[done] + hi[done])
+                left = ~done
+                active, lo, hi, target = active[left], lo[left], hi[left], target[left]
+        forces[active] = 0.5 * (lo + hi)
+        return _like(normalized_value, forces.reshape(values.shape))
 
     def to_dict(self) -> dict:
         return {"forces_n": self.forces_n.tolist(), "normalized": self.normalized.tolist()}
@@ -347,15 +406,12 @@ def estimate_resolution(
     if held_out_forces is None:
         held_out_forces = 0.5 * (forcecal.forces_n[1:] + forcecal.forces_n[:-1])
     fs = np.asarray(held_out_forces, dtype=float)
-    totals = channel_intensities(config, np.full(fs.shape, position_mm), fs).sum(axis=1)
-    force_errors = []
-    for f, total in zip(fs.tolist(), totals.tolist()):
-        try:
-            decoded_force = forcecal.invert(total / transmission)
-        except (BelowThresholdError, SaturatedError):
-            continue
-        force_errors.append(abs(decoded_force - f))
-    force_accuracy = float(np.mean(force_errors)) if force_errors else 0.0
+    normalized = (channel_intensities(config, np.full(fs.shape, position_mm), fs)
+                  .sum(axis=1) / transmission)
+    # values outside the knots are dead zone or saturation, not model bias
+    inside = ~((normalized < forcecal.normalized[0]) | (normalized > forcecal.normalized[-1]))
+    force_errors = np.abs(forcecal.invert(normalized[inside]) - fs[inside])
+    force_accuracy = float(np.mean(force_errors)) if force_errors.size else 0.0
 
     return ResolutionReport(
         spatial_resolution_mm=spatial_resolution,

@@ -26,14 +26,12 @@ import numpy as np
 
 from . import __version__
 from .calibration import ForceCalibration, PositionCalibration, fit_force, fit_position
-from .decoder import decode_force, decode_position
+from .decoder import decode_position
 from .errors import (
-    BelowThresholdError,
     DegenerateFitError,
     KinematicError,
     NoContactError,
     NonMonotoneDataError,
-    SaturatedError,
     UnsupportedRegimeError,
     UnusableSampleError,
 )
@@ -267,8 +265,8 @@ def cmd_decode(args) -> int:
         factors = np.asarray(trans_doc["factors"], dtype=float)
     except (KeyError, TypeError, ValueError, DegenerateFitError) as exc:
         raise CliError(f"invalid calibration {args.calibration}: {exc}")
-    # decode_force divides by the interpolated factor: NaN would flag garbage
-    # "ok", zero would divide by zero
+    # force decoding divides by the interpolated factor: NaN would flag
+    # garbage "ok", zero would divide by zero
     if not (factors.ndim == 1 and factors.size and grid.shape == factors.shape
             and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
         raise CliError(f"invalid calibration {args.calibration}: transmission needs "
@@ -276,9 +274,10 @@ def cmd_decode(args) -> int:
     if not (np.isfinite(factors).all() and np.all(factors > 0)):
         raise CliError(f"invalid calibration {args.calibration}: "
                        f"transmission factors must be finite and positive")
-    transmission = lambda x: float(np.interp(x, grid, factors))
 
-    out_rows = []
+    # position per row (math.log rounds unlike np.log); force for every
+    # decoded row at once, in the file's row order
+    out_rows, decoded_rows, positions, totals = [], [], [], []
     for parsed in _read_samples_csv(args.readings):
         if parsed is None:
             out_rows.append(["", "", "corrupt_row"])
@@ -289,17 +288,24 @@ def cmd_decode(args) -> int:
         except NoContactError:
             out_rows.append(["", "", "no_contact"])
             continue
-        flag = "out_of_span" if decoded.out_of_span else "ok"
-        force_repr = ""
-        if forcecal is not None:
-            try:
-                force_repr = repr(decode_force(reading, decoded.position_mm,
-                                               forcecal, transmission))
-            except BelowThresholdError:
-                flag = "below_threshold"
-            except SaturatedError:
-                flag = "saturated"
-        out_rows.append([repr(decoded.position_mm), force_repr, flag])
+        decoded_rows.append(len(out_rows))
+        positions.append(decoded.position_mm)
+        totals.append(reading.total())
+        out_rows.append([repr(decoded.position_mm), "",
+                         "out_of_span" if decoded.out_of_span else "ok"])
+    if forcecal is not None and decoded_rows:
+        # a decoded position means two lit channels, so every total is positive
+        normalized = np.asarray(totals) / np.interp(positions, grid, factors)
+        below = normalized < forcecal.normalized[0]
+        above = normalized > forcecal.normalized[-1]
+        forces = iter(forcecal.invert(normalized[~(below | above)]).tolist())
+        for i, is_below, is_above in zip(decoded_rows, below.tolist(), above.tolist()):
+            if is_below:
+                out_rows[i][2] = "below_threshold"
+            elif is_above:
+                out_rows[i][2] = "saturated"
+            else:
+                out_rows[i][1] = repr(next(forces))
     _write_csv(os.path.join(args.out, "decoded.csv"),
                ["position_mm", "force_n", "flag"], out_rows)
     _write_manifest(args)

@@ -160,6 +160,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in ("snr_db", "absolute_sigma"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.mode} noise value must be finite, got {self.value!r}")
         if self.mode == "snr_db" and not self.value > 0:
             raise ValueError("snr_db must be > 0")
         if self.mode == "absolute_sigma" and not self.value >= 0:

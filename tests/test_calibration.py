@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
+from scipy.interpolate import PchipInterpolator
 
 from spectratact import (
+    BelowThresholdError,
     ChannelReading,
     DegenerateFitError,
     ForceCalibration,
     NoiseModel,
     NonMonotoneDataError,
     PositionCalibration,
+    SaturatedError,
     Stimulus,
     UnusableSampleError,
     estimate_resolution,
@@ -22,7 +27,7 @@ from spectratact import (
     sweep,
 )
 from spectratact.spectral import Spectrum, default_wavelength_grid, line_bank
-from spectratact.sensor import SensorConfig
+from spectratact.sensor import SensorConfig, channel_intensities, position_transmission
 
 from conftest import calibrate_force, calibrate_position
 
@@ -159,6 +164,14 @@ class TestFitForce:
         with pytest.raises(NonMonotoneDataError):
             ForceCalibration(np.array([0.1, 1.0, 2.0]), np.array([0.0, 0.5, 0.4]))
 
+    @pytest.mark.parametrize("forces, values", [
+        ([0.1, 1.0, math.inf], [0.0, 0.5, 0.7]),
+        ([0.1, 1.0, 2.0], [0.0, 0.5, math.inf]),
+    ])
+    def test_non_finite_knot_rejected(self, forces, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            ForceCalibration(np.array(forces), np.array(values))
+
     def test_too_few_forces(self, default_config):
         transmission = make_transmission(default_config)
         samples = [
@@ -188,6 +201,74 @@ class TestFitForce:
         assert np.array_equal(again.forces_n, default_forcecal.forces_n)
         assert np.array_equal(again.normalized, default_forcecal.normalized)
         assert again.invert(0.3) == pytest.approx(default_forcecal.invert(0.3), rel=1e-12)
+
+
+@stn.composite
+def knot_sets(draw):
+    """Strictly increasing knots: clustered like the calibration or unevenly spaced."""
+    n = draw(stn.integers(3, 40))
+    steps = stn.floats(-4.0, 1.0)  # log10 of a knot spacing
+    if draw(stn.booleans()):
+        forces = force_knot_schedule(draw(stn.floats(0.0, 0.5)), draw(stn.floats(1.0, 20.0)),
+                                     n, draw(stn.floats(1.0, 4.0)))
+    else:
+        start = draw(stn.floats(-5.0, 5.0))
+        forces = start + np.cumsum(10.0 ** np.array(draw(stn.lists(steps, min_size=n,
+                                                                   max_size=n))))
+    values = np.cumsum(10.0 ** np.array(draw(stn.lists(steps, min_size=n, max_size=n))))
+    return ForceCalibration(forces, values)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPchipOracle:
+    """The in-house PCHIP against scipy's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(knot_sets(), stn.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, cal, seed):
+        x = cal.forces_n
+        span = x[-1] - x[0]
+        rng = np.random.default_rng(seed)
+        queries = np.concatenate([
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            x[0] - span * rng.uniform(0.0, 1.0, 5), x[-1] + span * rng.uniform(0.0, 1.0, 5),
+            rng.uniform(x[0], x[-1], 50),
+        ])
+        scipy_pchip = PchipInterpolator(x, cal.normalized)
+        assert same_bits(cal._coefficients, scipy_pchip.c)
+        assert same_bits(cal.evaluate(queries), scipy_pchip(queries))
+        assert same_bits(cal.derivative(queries), scipy_pchip.derivative()(queries))
+
+    @settings(max_examples=20, deadline=None)  # each scalar call takes about 1 ms
+    @given(knot_sets(), stn.integers(0, 2**32 - 1))
+    def test_array_invert_equals_scalar_calls(self, cal, seed):
+        y = cal.normalized
+        values = np.concatenate([y, np.random.default_rng(seed).uniform(y[0], y[-1], 10)])
+        assert np.array_equal(cal.invert(values), [cal.invert(v) for v in values.tolist()])
+
+    def test_scalar_in_float_out(self, default_forcecal):
+        force = float(default_forcecal.forces_n[3])
+        value = float(default_forcecal.normalized[3])
+        assert type(default_forcecal.evaluate(force)) is float
+        assert type(default_forcecal.derivative(force)) is float
+        assert type(default_forcecal.invert(value)) is float
+        assert type(default_forcecal.invert(np.float64(value))) is float
+
+    def test_empty_array_in_empty_array_out(self, default_forcecal):
+        out = default_forcecal.invert(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_out_of_range_array_raises_like_scalar(self, default_forcecal):
+        lo, hi = default_forcecal.normalized[0], default_forcecal.normalized[-1]
+        mid = 0.5 * (lo + hi)
+        with pytest.raises(BelowThresholdError):
+            default_forcecal.invert(np.array([mid, lo - 0.1]))
+        with pytest.raises(SaturatedError):
+            default_forcecal.invert(np.array([mid, hi + 0.1]))
 
 
 class TestEstimateResolution:
@@ -234,3 +315,24 @@ class TestEstimateResolution:
             broken = dataclasses.replace(default_poscal, slope=0.0)
             estimate_resolution(default_config, broken, default_forcecal,
                                 NoiseModel(), 42.5, 2.0)
+
+    def test_force_accuracy_equals_per_value_loop(
+        self, default_config, default_poscal, default_forcecal
+    ):
+        # knots from the third on, and held-out forces from zero to past the
+        # last knot, so some values fall outside the knots on each side
+        cal = ForceCalibration(default_forcecal.forces_n[2:], default_forcecal.normalized[2:])
+        forces = np.linspace(0.0, 1.3 * cal.forces_n[-1], 41)
+        report = estimate_resolution(default_config, default_poscal, cal,
+                                     NoiseModel(), 42.5, 2.0, held_out_forces=forces)
+        transmission = position_transmission(default_config, 42.5)
+        totals = channel_intensities(default_config, np.full(forces.shape, 42.5),
+                                     forces).sum(axis=1)
+        errors, outside = [], set()
+        for force, total in zip(forces.tolist(), totals.tolist()):
+            try:
+                errors.append(abs(cal.invert(total / transmission) - force))
+            except (BelowThresholdError, SaturatedError) as exc:
+                outside.add(type(exc))
+        assert outside == {BelowThresholdError, SaturatedError} and errors
+        assert report.force_accuracy_n == float(np.mean(errors))

@@ -270,6 +270,20 @@ class TestDecode:
         assert not (tmp_path / "d").exists()
 
 
+    @pytest.mark.parametrize("key", ["forces_n", "normalized"])
+    def test_infinite_last_knot_exits_2(self, calibrated, key, tmp_path, capsys):
+        # the knots stay strictly increasing, so only a finiteness check stops it
+        readings, doc = calibrated
+        doc["force"][key][-1] = math.inf
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["decode", "--calibration", str(broken), "--readings", str(readings),
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert "knots must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
 class TestTrack:
     def test_zero_noise_exact_and_reproducible(self, twin_config_path, tmp_path):
         args = ["track", "--config", twin_config_path,
@@ -415,6 +429,20 @@ class TestBadInput:
         code = main([command, "--config", str(config), "--out", str(tmp_path / "o")] + argv)
         assert code == 2
         assert "bend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--snr-db"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_exits_2(self, command, flag, value, line_config_path,
+                                      twin_config_path, tmp_path, capsys):
+        argv = {
+            "simulate": ["--config", line_config_path, "--positions", "10", "--forces", "2"],
+            "track": ["--config", twin_config_path, "--generate", "circle:30:40:120:5"],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), flag, value] + argv) == 2
+        assert f"noise value must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_non_object_args_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

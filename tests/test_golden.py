@@ -2,8 +2,12 @@
 
 The sha256 values pin the exact artifacts, so any change to the order or
 precision of the forward model's arithmetic shows up here.  They were
-captured with numpy 2.4.6 (scipy-openblas 0.3.31, x86-64); another BLAS may
-round the channel integrals differently in the last bit.
+captured with numpy 2.4.6 on an x86-64 CPU with AVX-512.  They hold for
+that SIMD class of host, not for one BLAS: numpy picks its ``exp``,
+``log`` and ``arccos`` loops per CPU, and with its AVX-512 loops switched
+off (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL"``) those functions
+move by up to 1 ulp on a few percent of inputs and every hash here fails,
+while forcing other OpenBLAS kernels (``OPENBLAS_CORETYPE``) changes none.
 """
 
 import hashlib
