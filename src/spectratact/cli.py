@@ -296,8 +296,7 @@ def cmd_decode(args) -> int:
     if forcecal is not None and decoded_rows:
         # a decoded position means two lit channels, so every total is positive
         normalized = np.asarray(totals) / np.interp(positions, grid, factors)
-        below = normalized < forcecal.normalized[0]
-        above = normalized > forcecal.normalized[-1]
+        below, above = forcecal.out_of_range(normalized)
         forces = iter(forcecal.invert(normalized[~(below | above)]).tolist())
         for i, is_below, is_above in zip(decoded_rows, below.tolist(), above.tolist()):
             if is_below:

@@ -80,7 +80,9 @@ def decode_force(
     ``transmission`` maps position to the total-intensity transmission
     factor (see :func:`spectratact.sensor.make_transmission`); the
     reading's total is divided by it before inversion so that the
-    position dependence cancels.
+    position dependence cancels.  For many readings, one
+    :meth:`ForceCalibration.invert` call over all their normalized totals
+    is far cheaper than calling this once per reading.
     """
     total = reading.total()
     if reading.below_floor or total <= 0:

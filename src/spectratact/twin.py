@@ -257,7 +257,7 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
         rngs = None if noise is None else (substream(seed, i, j) for i in kept for j in joints)
         xs = [pair[j] for pair in positions for j in joints]
         values = _readings(sensor, xs, [assembly.indenter_force_n] * len(xs), noise, rngs)
-        # ChannelReading's check: an infinite noise sigma must not decode as a pose
+        # ChannelReading's check: an overflowing noise sigma must not decode as a pose
         if not np.isfinite(values).all():
             raise ValueError("channel intensities must be finite and nonnegative")
         names = sensor.bank.names

@@ -271,10 +271,12 @@ class TestDecode:
 
 
     @pytest.mark.parametrize("key", ["forces_n", "normalized"])
-    def test_infinite_last_knot_exits_2(self, calibrated, key, tmp_path, capsys):
-        # the knots stay strictly increasing, so only a finiteness check stops it
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_infinite_last_knot_exits_2(self, calibrated, key, value, tmp_path, capsys):
+        # an infinite last knot keeps the knots strictly increasing, so only
+        # a finiteness check stops it; a NaN one is named the same way
         readings, doc = calibrated
-        doc["force"][key][-1] = math.inf
+        doc["force"][key][-1] = value
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         code = main(["decode", "--calibration", str(broken), "--readings", str(readings),

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -256,12 +257,21 @@ class TestTrackErrors:
         assert report.n_samples == 15
         assert len(reconstructed) == 15 - report.dropped
 
-    def test_infinite_noise_rejected_like_per_sample_chain(self):
-        # the noise model refuses a non-finite value itself, in either mode,
-        # so neither the batched nor the per-sample chain can be handed one
-        for mode in ("absolute_sigma", "snr_db"):
-            with pytest.raises(ValueError, match="noise value must be finite"):
-                NoiseModel(mode, math.inf)
+    # the largest finite sigma passes the noise model but overflows to
+    # infinite intensities once a draw exceeds 1 in magnitude
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_noise_rejected_like_per_sample_chain(self, assembly, s_path):
+        noise = NoiseModel("absolute_sigma", sys.float_info.max)
+        with pytest.raises(ValueError, match="finite"):
+            track_per_sample(assembly, s_path, noise)
+        with pytest.raises(ValueError, match="finite"):
+            track(assembly, s_path, noise)
+
+    @pytest.mark.parametrize("mode", ["absolute_sigma", "snr_db"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_noise_value_rejected(self, mode, value):
+        with pytest.raises(ValueError, match="noise value must be finite"):
+            NoiseModel(mode, value)
 
     def test_unexpected_value_error_propagates(self, assembly, s_path, monkeypatch):
         def broken(*args):
