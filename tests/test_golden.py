@@ -1,4 +1,5 @@
-"""Byte-level golden outputs of the CLI and a per-row reference of ``sweep``.
+"""Byte-level golden outputs of the CLI and the workspace maps, and a per-row
+reference of ``sweep``.
 
 The sha256 values pin the exact artifacts, so any change to the order or
 precision of the forward model's arithmetic shows up here.  They were
@@ -20,6 +21,7 @@ import pytest
 from spectratact import NoiseModel, SensorConfig, sweep
 from spectratact.cli import main
 from spectratact.contact import bending_gain, coupled_fraction, strained_dye
+from spectratact.fivebar import FiveBarConfig, GridSpec, deviation_map, workspace_mask
 from spectratact.sensor import RELATIVE_INTENSITY_FLOOR
 from spectratact.spectral import attenuate, integrate_channels
 from spectratact.twin import TwinAssembly, encoder_sensor_config
@@ -53,6 +55,24 @@ GOLDEN = {
         "9d0b595e0ed1ae5d393a477d7c1769028b0e149d5dcc169ea17845edf9bac4f3",
     "reconstructed.csv":
         "0d9f8e01fe81ab7d545e9ccaec09f28b27034fd4b34abe2ee2d2251d134a72b5",
+}
+
+# a small grid over the map benchmark's box: about a third of it is
+# unreachable or on the lower assembly branch, and it reaches the fold
+MAP_GRID = GridSpec(-60.0, 140.0, 1.0, 200.0, 24, 24)
+MAPS = {
+    "deviation_map/jacobian": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8),
+    "deviation_map/monte_carlo": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8,
+                                                       method="monte_carlo"),
+    "workspace_mask": lambda: workspace_mask(FiveBarConfig(), MAP_GRID),
+}
+MAP_GOLDEN = {
+    "deviation_map/jacobian":
+        "550ffeb4205cf67575e3cc40e1566effe43fe0ca4796a89db1d632abae215f2f",
+    "deviation_map/monte_carlo":
+        "81e13665843ccdb48f1d3b4a9769176de497901a407421a277de53c853121c47",
+    "workspace_mask":
+        "31f57deb0d28058806f29fd20ebaed45717bdb19dd8c2505077e2c53eec759d8",
 }
 
 
@@ -101,6 +121,11 @@ def artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes(artifacts, name):
     assert sha256(artifacts[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MAP_GOLDEN))
+def test_map_bytes(name):
+    assert hashlib.sha256(MAPS[name]().tobytes()).hexdigest() == MAP_GOLDEN[name]
 
 
 def reference_sweep(config, positions, forces, noise, seed):

@@ -16,6 +16,7 @@ from spectratact import (
     generate_path,
     snr_db_for_angle_sigma,
     track,
+    working_branch,
     workspace_mask,
 )
 from spectratact import sensor
@@ -138,6 +139,30 @@ class TestGeneratePath:
         with pytest.raises(UnreachableError) as excinfo:
             generate_path("line", (40.0, 260.0), 10.0, 5, config=FIVEBAR)
         assert "sample 0" in str(excinfo.value)
+
+    @pytest.mark.parametrize("shape, center, scale", [
+        ("line", (40.0, 120.0), 60.0),
+        ("line", (40.0, 180.0), 80.0),
+        ("line", (-60.0, 100.0), 120.0),
+        ("line", (40.0, 40.0), 200.0),
+        ("circle", (40.0, 120.0), 40.0),
+        ("circle", (40.0, 150.0), 120.0),
+        ("circle", (100.0, 80.0), 150.0),
+        ("S", (40.0, 120.0), 40.0),
+        ("S", (40.0, 90.0), 160.0),
+        ("S", (-40.0, 140.0), 100.0),
+    ])
+    def test_first_offender_matches_per_sample_loop(self, shape, center, scale):
+        path = generate_path(shape, center, scale, 97)
+        offenders = [i for i, s in enumerate(path) if not working_branch(FIVEBAR, s.pose)]
+        if not offenders:
+            assert generate_path(shape, center, scale, 97, config=FIVEBAR) == path
+            return
+        pose = path[offenders[0]].pose
+        with pytest.raises(UnreachableError) as excinfo:
+            generate_path(shape, center, scale, 97, config=FIVEBAR)
+        assert str(excinfo.value) == (f"generated sample {offenders[0]} at ({pose.x_mm:g}, "
+                                      f"{pose.y_mm:g}) mm is not reachable on the working branch")
 
     def test_times_uniform_and_increasing(self):
         path = generate_path("line", (40.0, 120.0), 10.0, 11, duration_s=2.0)
