@@ -69,7 +69,6 @@ from .sensor import (
     Stimulus,
     SweepRow,
     channel_intensities,
-    make_transmission,
     measure_snr_db,
     position_transmission,
     simulate_reading,

@@ -26,7 +26,8 @@ from .errors import (
     SaturatedError,
     UnusableSampleError,
 )
-from .sensor import NoiseModel, SensorConfig, channel_intensities, position_transmission
+from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_transmission,
+                     transmission_factors)
 from .spectral import log_ratio
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
@@ -55,9 +56,6 @@ class PositionCalibration:
         lo, hi = self.span_mm
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DegenerateFitError(f"span_mm must be finite with lo < hi, got {self.span_mm}")
-
-    def predict_log_ratio(self, position_mm: float) -> float:
-        return self.slope * position_mm + self.intercept
 
     def position_for_log_ratio(self, value: float) -> float:
         return (value - self.intercept) / self.slope
@@ -241,13 +239,15 @@ class ForceCalibration:
         same bits as inverting its values one by one.  A scalar gives a
         float, an array an array of its shape.  A value below the first
         knot raises :class:`BelowThresholdError` (dead zone), above the
-        last knot :class:`SaturatedError`.
+        last knot :class:`SaturatedError`, and NaN ``ValueError``.
 
         Each step costs a few dozen numpy calls whatever the array size,
         so one call per value (≈1 ms each) is far slower than one call
         over all of them.
         """
         values = np.asarray(normalized_value, dtype=float)
+        if np.isnan(values).any():
+            raise ValueError("normalized intensity must not be NaN")
         below, above = self.out_of_range(values)
         if below.any():
             raise BelowThresholdError(f"normalized intensity {values[below][0]:g} "
@@ -302,35 +302,34 @@ def force_knot_schedule(
 
 def fit_force(
     samples,
-    transmission,
+    config: SensorConfig,
     known_position_mm: float | None = None,
     poscal: PositionCalibration | None = None,
 ) -> ForceCalibration:
     """Build the monotone force interpolant from (force, reading) samples.
 
-    Total intensities are divided by the position transmission factor
-    before knot construction, so the interpolant lives in coupled-fraction
-    units and transfers across press positions.  Positions come from
-    ``known_position_mm`` when the rig fixed them, otherwise each sample's
-    position is decoded through ``poscal``.  Replicated forces are
-    averaged into a single knot.
+    Each total intensity is divided by ``config``'s transmission factor at
+    the sample's position (one :func:`transmission_factors` call for all
+    samples) before knot construction, so the interpolant lives in
+    coupled-fraction units and transfers across press positions.
+    Positions come from ``known_position_mm`` when the rig fixed them,
+    otherwise each sample's position is decoded through ``poscal``.
+    Replicated forces are averaged into a single knot.
     """
     if known_position_mm is None and poscal is None:
         raise ValueError("need known_position_mm or a position calibration")
+    samples = list(samples)
+    if known_position_mm is not None:
+        positions = [float(known_position_mm)] * len(samples)
+    else:
+        positions = [poscal.position_for_log_ratio(log_ratio(
+            reading, poscal.numerator_ch, poscal.denominator_ch)) for _, reading in samples]
+    totals = np.array([reading.total() for _, reading in samples])
     grouped: dict[float, list[float]] = {}
-    for force, reading in samples:
-        if known_position_mm is not None:
-            position = float(known_position_mm)
-        else:
-            value = log_ratio(reading, poscal.numerator_ch, poscal.denominator_ch)
-            position = poscal.position_for_log_ratio(value)
-        grouped.setdefault(float(force), []).append(
-            reading.total() / float(transmission(position))
-        )
+    for (force, _), value in zip(samples, totals / transmission_factors(config, positions)):
+        grouped.setdefault(float(force), []).append(float(value))
     if len(grouped) < 3:
-        raise DegenerateFitError(
-            f"need at least 3 distinct forces, got {len(grouped)}"
-        )
+        raise DegenerateFitError(f"need at least 3 distinct forces, got {len(grouped)}")
     forces = np.array(sorted(grouped))
     normalized = np.array([np.mean(grouped[f]) for f in forces])
     return ForceCalibration(forces, normalized)

@@ -39,7 +39,6 @@ from .sensor import (
     ChannelReading,
     NoiseModel,
     SensorConfig,
-    make_transmission,
     sweep,
     transmission_factors,
 )
@@ -233,7 +232,7 @@ def cmd_calibrate(args) -> int:
     ]
     if candidates:
         position, group = max(candidates, key=lambda item: len(item[1]))
-        forcecal = fit_force(group, make_transmission(config), known_position_mm=position)
+        forcecal = fit_force(group, config, known_position_mm=position)
 
     doc = {"position": poscal.to_dict()}
     if forcecal is not None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .calibration import ForceCalibration, PositionCalibration
 from .errors import BelowFloorError, BelowThresholdError, NoContactError
-from .sensor import ChannelReading
+from .sensor import ChannelReading, SensorConfig, position_transmission
 from .spectral import log_ratio
 
 
@@ -57,8 +57,6 @@ def decode_position(reading: ChannelReading, poscal: PositionCalibration) -> Dec
         raise NoContactError("reading below intensity floor; no contact to decode")
     try:
         value = log_ratio(reading, poscal.numerator_ch, poscal.denominator_ch)
-    except NoContactError:
-        raise
     except BelowFloorError as exc:
         raise NoContactError(str(exc)) from exc
     raw = poscal.position_for_log_ratio(value)
@@ -73,21 +71,21 @@ def decode_force(
     reading: ChannelReading,
     position_mm: float,
     forcecal: ForceCalibration,
-    transmission,
+    config: SensorConfig,
 ) -> float:
     """Invert the monotone force interpolant at a known/decoded position.
 
-    ``transmission`` maps position to the total-intensity transmission
-    factor (see :func:`spectratact.sensor.make_transmission`); the
-    reading's total is divided by it before inversion so that the
-    position dependence cancels.  For many readings, one
-    :meth:`ForceCalibration.invert` call over all their normalized totals
-    is far cheaper than calling this once per reading.
+    The reading's total is divided by ``config``'s transmission factor at
+    ``position_mm`` (:func:`spectratact.sensor.position_transmission`)
+    before inversion, so that the position dependence cancels.  For many
+    readings, one :func:`~spectratact.sensor.transmission_factors` call
+    and one :meth:`ForceCalibration.invert` call over all their
+    normalized totals are far cheaper than calling this once per reading.
     """
     total = reading.total()
     if reading.below_floor or total <= 0:
         raise BelowThresholdError("reading below intensity floor: force in dead zone")
-    normalized = total / float(transmission(position_mm))
+    normalized = total / position_transmission(config, position_mm)
     return forcecal.invert(normalized)
 
 

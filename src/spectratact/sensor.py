@@ -290,11 +290,6 @@ def position_transmission(config: SensorConfig, position_mm: float) -> float:
     return float(transmission_factors(config, [position_mm])[0])
 
 
-def make_transmission(config: SensorConfig):
-    """Transmission factor as a callable of position, for decoders."""
-    return lambda position_mm: position_transmission(config, position_mm)
-
-
 def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarray:
     """Channel rows after noise (one draw per row from ``rngs``) and the floor."""
     values = channel_intensities(config, positions, forces)

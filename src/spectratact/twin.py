@@ -28,9 +28,9 @@ from .fivebar import (
     FiveBarConfig,
     JointAngles,
     TerminalPose,
+    _ik_batch,
     forward_kinematics,
     inverse_kinematics,
-    working_branch,
 )
 from .sensor import NoiseModel, SensorConfig, _readings, substream, sweep
 from .spectral import line_bank
@@ -201,7 +201,7 @@ def track(
         except KinematicError:
             continue
         t1, t2 = angles.theta1_rad, angles.theta2_rad
-        # working_branch's test: the pose lies above the elbow midpoint
+        # working_branch's test, scalar like the IK: the pose is above the elbow midpoint
         on_branch = on_branch or sample.pose.y_mm > 0.5 * (l * math.cos(t1) + l * math.cos(t2))
         p1 = enc1.position_for_angle(math.degrees(t1))
         p2 = enc2.position_for_angle(math.degrees(t2))
@@ -287,13 +287,15 @@ def generate_path(
 
     ``scale_mm`` is the full extent (line length, circle diameter, S
     height).  When a linkage config is given, every generated pose is
-    checked for reachability and the first offending sample is named.
+    checked by :func:`working_branch`'s test and the first offender named.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    if not scale_mm > 0:
-        raise ValueError("scale_mm must be > 0")
+    if not (scale_mm > 0 and math.isfinite(scale_mm)):
+        raise ValueError(f"scale_mm must be finite and > 0, got {scale_mm}")
     cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"center must be finite, got {center}")
     u = np.linspace(0.0, 1.0, int(n_samples))
     if shape == "line":
         xs = cx + (u - 0.5) * scale_mm
@@ -323,11 +325,8 @@ def generate_path(
         TrajectorySample(float(t), TerminalPose(float(x), float(y)))
         for t, x, y in zip(times, xs, ys)
     ]
-    if config is not None:
-        for i, sample in enumerate(path):
-            if not working_branch(config, sample.pose):
-                raise UnreachableError(
-                    f"generated sample {i} at ({sample.pose.x_mm:g}, "
-                    f"{sample.pose.y_mm:g}) mm is not reachable on the working branch"
-                )
+    if config is not None and not (keep := _ik_batch(config, xs, ys)[2]).all():
+        i = int(np.argmin(keep))  # the first False
+        raise UnreachableError(f"generated sample {i} at ({path[i].pose.x_mm:g}, "
+                               f"{path[i].pose.y_mm:g}) mm is not reachable on the working branch")
     return path

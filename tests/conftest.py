@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectratact import SensorConfig, fit_position, force_knot_schedule, fit_force, make_transmission, sweep
+from spectratact import SensorConfig, fit_position, force_knot_schedule, fit_force, sweep
 from spectratact.twin import encoder_sensor_config
 
 
@@ -26,7 +26,7 @@ def calibrate_force(config, position_mm=42.5, f_max=10.0, n_knots=21):
     rows = sweep(config, [position_mm], schedule)
     return fit_force(
         [(r.force_n, r.reading) for r in rows],
-        make_transmission(config),
+        config,
         known_position_mm=position_mm,
     )
 

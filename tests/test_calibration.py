@@ -22,12 +22,17 @@ from spectratact import (
     fit_force,
     fit_position,
     force_knot_schedule,
-    make_transmission,
     simulate_reading,
     sweep,
 )
 from spectratact.spectral import Spectrum, default_wavelength_grid, line_bank
-from spectratact.sensor import SensorConfig, channel_intensities, position_transmission
+from spectratact import calibration
+from spectratact.sensor import (
+    SensorConfig,
+    channel_intensities,
+    position_transmission,
+    transmission_factors,
+)
 
 from conftest import calibrate_force, calibrate_position
 
@@ -130,15 +135,13 @@ class TestFitForce:
                 assert default_forcecal.invert(float(value)) == pytest.approx(force, rel=1e-9)
 
     def test_between_knot_queries_within_one_percent(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         mids = 0.5 * (default_forcecal.forces_n[1:] + default_forcecal.forces_n[:-1])
         for force in mids:
             total = simulate_reading(default_config, Stimulus(42.5, float(force))).total()
-            decoded = default_forcecal.invert(total / transmission(42.5))
+            decoded = default_forcecal.invert(total / position_transmission(default_config, 42.5))
             assert decoded == pytest.approx(force, rel=0.01)
 
     def test_replicates_averaged(self, default_config):
-        transmission = make_transmission(default_config)
         schedule = force_knot_schedule(default_config.coupling.f_threshold_n, 10.0, 11)
         samples = []
         for force in schedule:
@@ -146,19 +149,18 @@ class TestFitForce:
             for tweak in (0.99, 1.01):
                 samples.append((float(force),
                                 ChannelReading(base.values * tweak, base.channel_names)))
-        cal = fit_force(samples, transmission, known_position_mm=42.5)
+        cal = fit_force(samples, default_config, known_position_mm=42.5)
         assert len(cal.forces_n) == 11
         base_cal = calibrate_force(default_config, n_knots=11)
         assert np.allclose(cal.normalized, base_cal.normalized, rtol=1e-9)
 
     def test_all_below_threshold_rejected(self, default_config):
-        transmission = make_transmission(default_config)
         samples = [
             (float(f), simulate_reading(default_config, Stimulus(42.5, float(f))))
             for f in (0.0, 0.02, 0.05, 0.08)
         ]
         with pytest.raises(NonMonotoneDataError):
-            fit_force(samples, transmission, known_position_mm=42.5)
+            fit_force(samples, default_config, known_position_mm=42.5)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneDataError):
@@ -173,27 +175,39 @@ class TestFitForce:
             ForceCalibration(np.array(forces), np.array(values))
 
     def test_too_few_forces(self, default_config):
-        transmission = make_transmission(default_config)
         samples = [
             (f, simulate_reading(default_config, Stimulus(42.5, f)))
             for f in (1.0, 2.0)
         ]
         with pytest.raises(DegenerateFitError):
-            fit_force(samples, transmission, known_position_mm=42.5)
+            fit_force(samples, default_config, known_position_mm=42.5)
 
     def test_decoded_positions_feed_normalization(self, line_config, line_poscal):
         # no known position: each sample's position is decoded from its ratio
-        transmission = make_transmission(line_config)
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
         samples = [
             (float(f), simulate_reading(line_config, Stimulus(30.0, float(f))))
             for f in schedule[1:]
         ]
-        cal = fit_force(samples, transmission, poscal=line_poscal)
+        cal = fit_force(samples, line_config, poscal=line_poscal)
         law = line_config.coupling
         for force in cal.forces_n[2::3]:
             expected = law.gain * (float(force) - law.f_threshold_n) ** law.exponent
             assert cal.evaluate(float(force)) == pytest.approx(expected, rel=1e-9)
+
+    def test_one_transmission_call_for_all_samples(self, line_config, line_poscal, monkeypatch):
+        calls = []
+
+        def counted(config, positions_mm):
+            calls.append(len(positions_mm))
+            return transmission_factors(config, positions_mm)
+
+        monkeypatch.setattr(calibration, "transmission_factors", counted)
+        schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
+        samples = [(float(f), simulate_reading(line_config, Stimulus(p, float(f))))
+                   for f in schedule[1:] for p in (20.0, 30.0)]
+        fit_force(samples, line_config, poscal=line_poscal)
+        assert calls == [len(samples)]
 
     def test_serialization_round_trip(self, default_forcecal):
         doc = json.loads(json.dumps(default_forcecal.to_dict()))
@@ -269,6 +283,14 @@ class TestPchipOracle:
             default_forcecal.invert(np.array([mid, lo - 0.1]))
         with pytest.raises(SaturatedError):
             default_forcecal.invert(np.array([mid, hi + 0.1]))
+
+    def test_nan_raises(self, default_forcecal):
+        # NaN is neither below nor above the knots, and would bisect to the first knot
+        mid = 0.5 * (default_forcecal.normalized[0] + default_forcecal.normalized[-1])
+        with pytest.raises(ValueError, match="NaN"):
+            default_forcecal.invert(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            default_forcecal.invert(np.array([mid, math.nan]))
 
 
 class TestEstimateResolution:

@@ -446,6 +446,14 @@ class TestBadInput:
         assert f"noise value must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("generate", ["line:10:nan:120:5", "line:inf:40:120:5"])
+    def test_non_finite_generated_path_exits_2(self, generate, twin_config_path, tmp_path,
+                                               capsys):
+        code = main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
+                     "--generate", generate])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_replay_non_object_args_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": "simulate", "args": [1]}))

@@ -15,7 +15,6 @@ from spectratact import (
     decode_joint_angle,
     decode_position,
     fit_position,
-    make_transmission,
     simulate_reading,
     sweep,
 )
@@ -65,45 +64,39 @@ class TestDecodePosition:
 
 class TestDecodeForce:
     def test_exact_at_knots(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         for force in default_forcecal.forces_n[1:]:
             reading = simulate_reading(default_config, Stimulus(42.5, float(force)))
-            decoded = decode_force(reading, 42.5, default_forcecal, transmission)
+            decoded = decode_force(reading, 42.5, default_forcecal, default_config)
             assert decoded == pytest.approx(force, rel=1e-9)
 
     def test_round_trip_at_two_newtons(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         reading = simulate_reading(default_config, Stimulus(42.5, 2.0))
-        decoded = decode_force(reading, 42.5, default_forcecal, transmission)
+        decoded = decode_force(reading, 42.5, default_forcecal, default_config)
         assert decoded == pytest.approx(2.0, rel=0.01)
 
     def test_transfers_across_positions(self, default_config, default_forcecal):
         # calibrated at 42.5 mm; decoding elsewhere leans on the transmission factor
-        transmission = make_transmission(default_config)
         for position in (10.0, 70.0):
             reading = simulate_reading(default_config, Stimulus(position, 3.0))
-            decoded = decode_force(reading, position, default_forcecal, transmission)
+            decoded = decode_force(reading, position, default_forcecal, default_config)
             assert decoded == pytest.approx(3.0, rel=0.01)
 
     def test_below_threshold_is_dead_zone_error(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         half = default_config.coupling.f_threshold_n / 2.0
         reading = simulate_reading(default_config, Stimulus(42.5, half))
         with pytest.raises(BelowThresholdError):
-            decode_force(reading, 42.5, default_forcecal, transmission)
+            decode_force(reading, 42.5, default_forcecal, default_config)
 
     def test_saturated_above_last_knot(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         reading = simulate_reading(default_config, Stimulus(42.5, 13.0))
         with pytest.raises(SaturatedError):
-            decode_force(reading, 42.5, default_forcecal, transmission)
+            decode_force(reading, 42.5, default_forcecal, default_config)
 
     def test_monotone_in_true_force(self, default_config, default_forcecal):
-        transmission = make_transmission(default_config)
         decoded = []
         for force in np.linspace(0.3, 9.5, 25):
             reading = simulate_reading(default_config, Stimulus(42.5, float(force)))
-            decoded.append(decode_force(reading, 42.5, default_forcecal, transmission))
+            decoded.append(decode_force(reading, 42.5, default_forcecal, default_config))
         assert np.all(np.diff(decoded) > 0)
 
 

@@ -380,6 +380,12 @@ class TestWorkingBranch:
         back = forward_kinematics(CONFIG, twin_angles)
         assert back.y_mm == pytest.approx(upper.y_mm, abs=1e-6)
 
+    @pytest.mark.parametrize("x", [120.0, CONFIG.d_mm - 120.0])
+    def test_false_at_exactly_full_extension(self, x):
+        # (120, 160) is exactly 2l from joint 1, (-40, 160) from joint 2
+        assert not reachable(CONFIG, x, 160.0)
+        assert not working_branch(CONFIG, TerminalPose(x, 160.0))
+
     def test_matches_independent_oracle_on_grid(self):
         from spectratact import working_branch
 

@@ -19,10 +19,10 @@ from spectratact import (
     working_branch,
     workspace_mask,
 )
-from spectratact import sensor
+from spectratact import sensor, twin
 from spectratact.decoder import JointEncoderModel, decode_joint_angle
 from spectratact.errors import KinematicError, NoContactError, OutOfSpanError
-from spectratact.fivebar import JointAngles, forward_kinematics, inverse_kinematics
+from spectratact.fivebar import JointAngles, _ik_batch, forward_kinematics, inverse_kinematics
 from spectratact.sensor import Stimulus, simulate_reading, substream
 from spectratact.twin import TrackingReport, TrajectorySample, TwinAssembly, encoder_sensor_config
 
@@ -164,11 +164,29 @@ class TestGeneratePath:
         assert str(excinfo.value) == (f"generated sample {offenders[0]} at ({pose.x_mm:g}, "
                                       f"{pose.y_mm:g}) mm is not reachable on the working branch")
 
+    def test_one_ik_call_per_path(self, monkeypatch):
+        calls = []
+
+        def counted(config, x, y):
+            calls.append(np.shape(x))
+            return _ik_batch(config, x, y)
+
+        monkeypatch.setattr(twin, "_ik_batch", counted)
+        generate_path("S", S_CENTER, 40.0, 200, config=FIVEBAR)
+        assert calls == [(200,)]
+
     def test_times_uniform_and_increasing(self):
         path = generate_path("line", (40.0, 120.0), 10.0, 11, duration_s=2.0)
         times = [s.t_s for s in path]
         assert times[0] == 0.0 and times[-1] == 2.0
         assert np.allclose(np.diff(times), 0.2)
+
+    @pytest.mark.parametrize("center, scale", [
+        ((math.nan, 120.0), 10.0), ((40.0, math.inf), 10.0), ((40.0, 120.0), math.inf),
+    ])
+    def test_non_finite_input_rejected(self, center, scale):
+        with pytest.raises(ValueError, match="must be finite"):
+            generate_path("line", center, scale, 5, config=FIVEBAR)
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
