@@ -454,6 +454,17 @@ class TestBadInput:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["generate", "trajectory"])
+    def test_negative_seed_exits_2(self, source, twin_config_path, tmp_path, capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t_s,x_mm,y_mm\n0.0,40.0,120.0\n")
+        argv = {"generate": ["--generate", "circle:40:40:125:50"],  # 100 (sample, joint) rows
+                "trajectory": ["--trajectory", str(traj)]}[source]  # 2 rows
+        code = main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
+                     "--angle-sigma-deg", "0.05", "--seed", "-1"] + argv)
+        assert code == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
+
     def test_replay_non_object_args_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": "simulate", "args": [1]}))

@@ -55,7 +55,12 @@ GOLDEN = {
         "9d0b595e0ed1ae5d393a477d7c1769028b0e149d5dcc169ea17845edf9bac4f3",
     "reconstructed.csv":
         "0d9f8e01fe81ab7d545e9ccaec09f28b27034fd4b34abe2ee2d2251d134a72b5",
+    "wide_seed/reconstructed.csv":
+        "824e92a376fe876cf7a974201920db7ff00fc12b5e55f5bbc453648bc63763b5",
 }
+# seeds of more than one 32-bit word: three for the noisy track, two for the map
+WIDE_TRACK_SEED = 2**70 + 11
+WIDE_MAP_SEED = 2**40 + 3
 
 # a small grid over the map benchmark's box: about a third of it is
 # unreachable or on the lower assembly branch, and it reaches the fold
@@ -64,6 +69,8 @@ MAPS = {
     "deviation_map/jacobian": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8),
     "deviation_map/monte_carlo": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8,
                                                        method="monte_carlo"),
+    "deviation_map/monte_carlo/wide_seed": lambda: deviation_map(
+        FiveBarConfig(), 0.1, MAP_GRID, seed=WIDE_MAP_SEED, method="monte_carlo"),
     "workspace_mask": lambda: workspace_mask(FiveBarConfig(), MAP_GRID),
 }
 MAP_GOLDEN = {
@@ -71,6 +78,8 @@ MAP_GOLDEN = {
         "550ffeb4205cf67575e3cc40e1566effe43fe0ca4796a89db1d632abae215f2f",
     "deviation_map/monte_carlo":
         "81e13665843ccdb48f1d3b4a9769176de497901a407421a277de53c853121c47",
+    "deviation_map/monte_carlo/wide_seed":
+        "bad65d94a08f4e9ddffda922096ae78dca8c21163f872ba9114bf5530df634e6",
     "workspace_mask":
         "31f57deb0d28058806f29fd20ebaed45717bdb19dd8c2505077e2c53eec759d8",
 }
@@ -110,6 +119,10 @@ def build_artifacts(root):
     run("track", "--config", str(twin_path), "--out", str(root / "track"),
         "--generate", "circle:40:40:125:50", "--angle-sigma-deg", "0.05", "--seed", "3")
     out["reconstructed.csv"] = root / "track" / "reconstructed.csv"
+    run("track", "--config", str(twin_path), "--out", str(root / "wide_seed"),
+        "--generate", "circle:40:40:125:50", "--angle-sigma-deg", "0.05",
+        "--seed", str(WIDE_TRACK_SEED))
+    out["wide_seed/reconstructed.csv"] = root / "wide_seed" / "reconstructed.csv"
     return out
 
 
