@@ -81,8 +81,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)  # floats as repr, so they parse back to the same value
     _atomic_write(path, buf.getvalue())
 
 

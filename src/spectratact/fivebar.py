@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import SingularError, UnreachableError
-from .sensor import substream
+from .sensor import substreams
 
 REACH_REL_TOL = 1e-9
 
@@ -294,7 +295,9 @@ def deviation_map(
 
     Jacobian method: sigma * Frobenius norm of the FK Jacobian.  Monte
     Carlo method: RMS radial deviation over ``n_trials`` perturbed angle
-    pairs, with a per-cell RNG substream derived from (seed, cell index).
+    pairs, with a per-cell RNG substream derived from (seed, cell index):
+    ``sensor.substreams`` builds the states of every kept cell once, and
+    cell i draws exactly what ``substream(seed, i)`` gives, chunk by chunk.
     Unreachable, singular or lower-assembly-mode cells are NaN, never
     raised.
     """
@@ -319,10 +322,12 @@ def deviation_map(
     t1, t2 = t1.ravel(), t2.ravel()
     cells = np.flatnonzero(keep.ravel() & base_ok)
     per_chunk = max(1, MC_CHUNK_POSES // n_trials)
+    # states for every kept cell at once, drawn chunk by chunk
+    rngs = substreams(seed, [(i,) for i in cells.tolist()])
     for start in range(0, cells.size, per_chunk):
         k = cells[start:start + per_chunk]
-        noise = np.stack([substream(seed, i).standard_normal((n_trials, 2))
-                          for i in k.tolist()]) * sigma_rad
+        noise = np.stack([rng.standard_normal((n_trials, 2))
+                          for rng in islice(rngs, k.size)]) * sigma_rad
         px, py, valid = _fk_batch(config, t1[k, None] + noise[..., 0],
                                   t2[k, None] + noise[..., 1])
         dev2 = np.where(valid, (px - base_x[k, None]) ** 2 + (py - base_y[k, None]) ** 2, 0.0)

@@ -32,7 +32,7 @@ from .fivebar import (
     forward_kinematics,
     inverse_kinematics,
 )
-from .sensor import NoiseModel, SensorConfig, _readings, substream, sweep
+from .sensor import NoiseModel, SensorConfig, _readings, substreams, sweep
 from .spectral import line_bank
 
 DEFAULT_INDENTER_FORCE_N = 2.0
@@ -177,7 +177,10 @@ def track(
     kept (sample, joint) row goes through one forward-model call per
     distinct sensor.  Row (i, joint) draws its noise from its own
     substream ``(seed, i, joint)``, so neither the batching nor the row
-    order changes a reading.  Decode, per sample: the position log-ratio
+    order changes a reading.  The draws come from ``sensor.substreams``
+    over the kept rows, which computes every row's generator state at
+    once when there are enough rows; each row still draws exactly what
+    ``substream(seed, i, joint)`` gives.  Decode, per sample: the position log-ratio
     and the encoder map back to angles, then FK to a pose.  Samples that
     are unreachable, off a sensor's span, without contact or past the FK
     limits are dropped and counted; they never abort the run.  A
@@ -253,8 +256,7 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
     decoded = [[], []]
     for sensor, joints in groups:
-        # built as the kernel draws: a list would hold every generator at once
-        rngs = None if noise is None else (substream(seed, i, j) for i in kept for j in joints)
+        rngs = None if noise is None else substreams(seed, [(i, j) for i in kept for j in joints])
         xs = [pair[j] for pair in positions for j in joints]
         values = _readings(sensor, xs, [assembly.indenter_force_n] * len(xs), noise, rngs)
         # ChannelReading's check: an overflowing noise sigma must not decode as a pose

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from spectratact import (
     ChannelReading,
@@ -21,7 +23,13 @@ from spectratact import (
     simulate_reading,
     sweep,
 )
-from spectratact.sensor import full_scale_intensity, substream
+from spectratact.sensor import (
+    SUBSTREAM_BATCH_MIN,
+    _pcg64_states,
+    full_scale_intensity,
+    substream,
+    substreams,
+)
 from spectratact.spectral import ChannelBank, Spectrum, default_wavelength_grid
 
 
@@ -135,6 +143,49 @@ class TestSubstream:
                 assert np.array_equal(draws(substream(seed, i, j)),
                                       draws(np.random.default_rng(grandchild)))
         assert np.array_equal(draws(substream(seed)), draws(np.random.default_rng(seed)))
+
+
+def seed_sequence_draws(seed, key, shape=3):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal(shape)
+
+
+# one, one, two, three and five uint32 words: a seed past four words mixes in after the pool
+WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
+WORD = stn.integers(0, 2**32 - 1)
+
+
+class TestSubstreams:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=stn.sampled_from(WIDE_SEEDS), arity=stn.integers(1, 3), data=stn.data())
+    def test_equals_seed_sequence(self, seed, arity, data):
+        n = data.draw(stn.sampled_from([1, SUBSTREAM_BATCH_MIN - 1, SUBSTREAM_BATCH_MIN,
+                                        2 * SUBSTREAM_BATCH_MIN + 3]))
+        keys = data.draw(stn.lists(stn.tuples(*[WORD] * arity), min_size=n, max_size=n))
+        got = [rng.standard_normal(3) for rng in substreams(seed, keys)]
+        assert len(got) == n
+        for draws, key in zip(got, keys):
+            assert np.array_equal(draws, seed_sequence_draws(seed, key))
+        # the array core itself, at one key
+        state = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[0])) \
+            .bit_generator.state["state"]
+        assert _pcg64_states(seed, np.array(keys[:1])) == [(state["state"], state["inc"])]
+
+    @pytest.mark.parametrize("keys", [
+        [()] * SUBSTREAM_BATCH_MIN,
+        [(i, 2**32 + i) for i in range(SUBSTREAM_BATCH_MIN)],
+        [(2**64 + i,) for i in range(SUBSTREAM_BATCH_MIN)],
+        [(i,) if i % 2 else (i, 1) for i in range(SUBSTREAM_BATCH_MIN)],
+    ], ids=["empty_key", "two_word_key", "wider_than_uint64", "mixed_arity"])
+    def test_per_key_cases_equal_seed_sequence(self, keys):
+        got = [rng.standard_normal(3) for rng in substreams(2**40 + 3, keys)]
+        assert len(got) == len(keys)
+        for draws, key in zip(got, keys):
+            assert np.array_equal(draws, seed_sequence_draws(2**40 + 3, key))
+
+    @pytest.mark.parametrize("n", [2, SUBSTREAM_BATCH_MIN])
+    def test_negative_seed_raises_numpys_error(self, n):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            list(substreams(-1, [(i, 0) for i in range(n)]))
 
 
 class TestMeasureSnr:
