@@ -322,7 +322,7 @@ def deviation_map(
     t1, t2 = t1.ravel(), t2.ravel()
     cells = np.flatnonzero(keep.ravel() & base_ok)
     per_chunk = max(1, MC_CHUNK_POSES // n_trials)
-    # states for every kept cell at once, drawn chunk by chunk
+    # one call over every kept cell: a chunk holds too few cells to batch their states
     rngs = substreams(seed, [(i,) for i in cells.tolist()])
     for start in range(0, cells.size, per_chunk):
         k = cells[start:start + per_chunk]

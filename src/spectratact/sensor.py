@@ -341,8 +341,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 # Fewest keys for which substreams() computes the states as arrays.  On a
 # 2-vCPU AVX-512 host the batched path cost ~125 us for one key and ~4.3 us
-# per key at 2000 keys, the per-key path 16-25 us per key: even at 8-12
-# keys, a clear win from about 24.
+# per key at 2000 keys, the per-key path 16-25 us per key: the two broke
+# even at 8-12 keys, and from 24 the batched path wins clearly.
 SUBSTREAM_BATCH_MIN = 24
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hash and mix
@@ -355,13 +355,17 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _hash_consts(init: int, mult: int, n: int) -> tuple[int, ...]:
     """``init * mult**k mod 2**32`` for k < n: the hash constants do not depend on the data."""
     consts = [init]
     for _ in range(n - 1):
         consts.append(consts[-1] * mult & _M32)
     return tuple(consts)
+
+
+# generate_state's constants for its eight output words
+_OUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1), dtype=np.uint64)
 
 
 def _hashmix(value, xor, mult):
@@ -379,7 +383,7 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _pcg64_states(seed: int, words: np.ndarray) -> list[tuple[int, int]]:
+def _pcg64_states(seed: int, words: np.ndarray) -> Iterator[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(seed, spawn_key=row))`` per row.
 
     ``seed`` is a non-negative int and ``words`` an (n, arity >= 1) array
@@ -391,12 +395,8 @@ def _pcg64_states(seed: int, words: np.ndarray) -> list[tuple[int, int]]:
     PCG64's ``set_seed`` (O'Neill 2014) runs in Python ints: state 0,
     ``inc = (initseq << 1) | 1``, one step, add ``initstate``, one step.
     """
-    run = []
-    while True:  # numpy's little-endian uint32 words of the seed; 0 is one word
-        run.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
+    # the seed's uint32 words, low word first (0 is one word)
+    run = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     run += [0] * (_POOL - len(run))
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(run) + words.shape[1]) + 1)
     calls = iter(zip(consts, consts[1:]))  # hashmix call i: consts[i] and consts[i + 1]
@@ -410,13 +410,12 @@ def _pcg64_states(seed: int, words: np.ndarray) -> list[tuple[int, int]]:
     for word in tail + np.hsplit(words.astype(np.uint64), words.shape[1]):
         xor, mult = np.array([next(calls) for _ in range(_POOL)], dtype=np.uint64).T
         pool = _mix(pool, _hashmix(word, xor, mult))
-    out = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1), dtype=np.uint64)
-    state = _hashmix(np.tile(pool, 2), out[:-1], out[1:])
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (state[:, ::2] | state[:, 1::2] << 32).tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
-    return states
+    state = _hashmix(np.tile(pool, 2), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+    state = state[:, ::2] | state[:, 1::2] << 32
+    for start in range(0, len(state), CHUNK_ROWS):  # Python ints for a block of rows at a time
+        for s_hi, s_lo, i_hi, i_lo in state[start:start + CHUNK_ROWS].tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
 
 
 def substreams(seed: int, keys) -> Iterator[np.random.Generator]:

@@ -180,8 +180,8 @@ def track(
     order changes a reading.  The draws come from ``sensor.substreams``
     over the kept rows, which computes every row's generator state at
     once when there are enough rows; each row still draws exactly what
-    ``substream(seed, i, joint)`` gives.  Decode, per sample: the position log-ratio
-    and the encoder map back to angles, then FK to a pose.  Samples that
+    ``substream(seed, i, joint)`` gives.  Decode, per sample: the position
+    log-ratio and the encoder map back to angles, then FK to a pose.  Samples that
     are unreachable, off a sensor's span, without contact or past the FK
     limits are dropped and counted; they never abort the run.  A
     trajectory with no pose on the working branch is rejected.

@@ -168,7 +168,7 @@ class TestSubstreams:
         # the array core itself, at one key
         state = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[0])) \
             .bit_generator.state["state"]
-        assert _pcg64_states(seed, np.array(keys[:1])) == [(state["state"], state["inc"])]
+        assert list(_pcg64_states(seed, np.array(keys[:1]))) == [(state["state"], state["inc"])]
 
     @pytest.mark.parametrize("keys", [
         [()] * SUBSTREAM_BATCH_MIN,
