@@ -405,9 +405,10 @@ def _pcg64_states(seed: int, words: np.ndarray) -> Iterator[tuple[int, int]]:
         for dst in range(_POOL):
             if dst != src:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    tail = [np.full((1, 1), w, dtype=np.uint64) for w in run[_POOL:]]
+    for w in run[_POOL:]:  # a seed of more than four words
+        pool = [_mix(p, _hashmix(w, *next(calls))) for p in pool]
     pool = np.array(pool, dtype=np.uint64)
-    for word in tail + np.hsplit(words.astype(np.uint64), words.shape[1]):
+    for word in np.hsplit(words.astype(np.uint64), words.shape[1]):
         xor, mult = np.array([next(calls) for _ in range(_POOL)], dtype=np.uint64).T
         pool = _mix(pool, _hashmix(word, xor, mult))
     state = _hashmix(np.tile(pool, 2), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])

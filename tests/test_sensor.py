@@ -165,6 +165,9 @@ class TestSubstreams:
         assert len(got) == n
         for draws, key in zip(got, keys):
             assert np.array_equal(draws, seed_sequence_draws(seed, key))
+        # the batched path yields one reused Generator, the per-key path one each
+        yielded = list(substreams(seed, keys))
+        assert len({id(rng) for rng in yielded}) == (1 if n >= SUBSTREAM_BATCH_MIN else n)
         # the array core itself, at one key
         state = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[0])) \
             .bit_generator.state["state"]
