@@ -13,6 +13,7 @@ does not import scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,7 @@ from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_tra
 from .spectral import log_ratio
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
+SLOPE_FLOOR_ULPS = 16  # PositionCalibration's floor on the log-ratio change across the span
 
 
 def _like(query, result: np.ndarray):
@@ -40,7 +42,15 @@ def _like(query, result: np.ndarray):
 
 @dataclass(frozen=True)
 class PositionCalibration:
-    """Affine log-ratio model: log_ratio = slope * position + intercept."""
+    """Affine log-ratio model: log_ratio = slope * position + intercept.
+
+    The model must carry a position signal above rounding: the log-ratio
+    change across the span, |slope| * (hi - lo), has to exceed
+    ``SLOPE_FLOOR_ULPS`` rounding units of a log ratio near the
+    intercept, eps * max(1, |intercept|) (a log of a ratio rounded to
+    relative eps is off by about eps, and the log itself by eps * |log|).
+    Below that floor every decoded position would be rounding noise.
+    """
 
     slope: float
     intercept: float
@@ -53,9 +63,17 @@ class PositionCalibration:
     def __post_init__(self):
         if not (math.isfinite(self.slope) and self.slope != 0):
             raise DegenerateFitError(f"slope must be finite and nonzero, got {self.slope}")
+        if not math.isfinite(self.intercept):
+            raise DegenerateFitError(f"intercept must be finite, got {self.intercept}")
         lo, hi = self.span_mm
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DegenerateFitError(f"span_mm must be finite with lo < hi, got {self.span_mm}")
+        floor = SLOPE_FLOOR_ULPS * sys.float_info.epsilon * max(1.0, abs(self.intercept))
+        if not abs(self.slope) * (hi - lo) > floor:
+            raise DegenerateFitError(
+                f"slope {self.slope} /mm changes the log ratio by "
+                f"{abs(self.slope) * (hi - lo):g} across the span, not above the rounding "
+                f"floor {floor:g}: no position signal")
 
     def position_for_log_ratio(self, value: float) -> float:
         return (value - self.intercept) / self.slope

@@ -17,20 +17,21 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
 from .calibration import ForceCalibration, PositionCalibration, fit_force, fit_position
-from .decoder import decode_position
+from .decoder import _decode_positions
 from .errors import (
     DegenerateFitError,
     KinematicError,
-    NoContactError,
     NonMonotoneDataError,
     UnsupportedRegimeError,
     UnusableSampleError,
@@ -132,7 +133,10 @@ def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
         raise CliError(f"file not found: {path}")
     with fh:
         reader = csv.reader(fh)
-        return next(reader, None), list(reader)
+        try:
+            return next(reader, None), list(reader)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise CliError(f"{path}: line {reader.line_num}: {exc}")
 
 
 def _load_config(path: str) -> SensorConfig:
@@ -182,56 +186,86 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_samples_csv(path: str):
-    """Per row of a sweep-format CSV, (position, force, reading) or None if unparsable."""
+def _float_column(raws, col: int):
+    """Field ``col`` of every row as a float, and the rows where it is missing or not a float.
+
+    Those rows read NaN.  The conversion runs in C over the whole column;
+    a failed row only appends a NaN and resumes after it.
+    """
+    fields = map(float, map(itemgetter(col), raws))
+    values, bad = [], []
+    while True:
+        try:
+            values.extend(fields)
+            return values, bad
+        except (IndexError, ValueError):
+            bad.append(len(values))
+            values.append(math.nan)
+
+
+def _read_samples(path: str):
+    """A sweep-format CSV as columns: ``(names, channels, position, force, parsed)``.
+
+    ``names`` are the channel names (the ``ch_*`` columns, empty for an
+    empty file), ``channels`` an (n, channels) float array, ``position``
+    and ``force`` float columns or None when the header lacks them.  A
+    row is unparsed when a field it needs is short or not a float, or a
+    channel is negative or not finite (:class:`ChannelReading`'s check);
+    ``parsed`` is False there and every value of the row is NaN.
+    """
     header, raws = _read_csv(path)
     if header is None:
-        return []
+        return (), np.empty((0, 0)), None, None, np.zeros(0, dtype=bool)
     channel_cols = [i for i, name in enumerate(header) if name.startswith("ch_")]
     if not channel_cols:
         raise CliError(f"{path}: no ch_* columns in header {header}")
-    names = tuple(header[i][3:] for i in channel_cols)
     col = {name: i for i, name in enumerate(header)}
-    return [_parse_sample_row(raw, col, channel_cols, names) for raw in raws]
-
-
-def _parse_sample_row(raw, col, channel_cols, names):
-    try:
-        position = float(raw[col["position_mm"]]) if "position_mm" in col else None
-        force = float(raw[col["force_n"]]) if "force_n" in col else None
-        reading = ChannelReading([float(raw[i]) for i in channel_cols], names)
-        return position, force, reading
-    except (IndexError, ValueError):
-        return None
+    stimulus = [name for name in ("position_mm", "force_n") if name in col]
+    columns, unparsed = [], []
+    for i in [col[name] for name in stimulus] + channel_cols:
+        values, bad = _float_column(raws, i)
+        columns.append(values)
+        unparsed += bad
+    table = np.array(columns, dtype=float).T
+    channels = table[:, len(stimulus):]
+    parsed = ((channels >= 0) & (channels < np.inf)).all(axis=1)
+    parsed[unparsed] = False
+    table[~parsed] = np.nan
+    stimulus_columns = dict(zip(stimulus, table.T))
+    return (tuple(header[i][3:] for i in channel_cols), np.ascontiguousarray(channels),
+            stimulus_columns.get("position_mm"), stimulus_columns.get("force_n"), parsed)
 
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    rows = _read_samples_csv(args.samples)
-    parsed = [p for p in rows if p is not None]
-    if len(parsed) != len(rows):
-        bad = [i for i, p in enumerate(rows) if p is None]
-        raise CliError(f"{args.samples}: unparsable rows at {bad}", EXIT_DEGENERATE)
+    names, channels, position, force, parsed = _read_samples(args.samples)
+    if not parsed.all():
+        raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
+                       EXIT_DEGENERATE)
+
+    def reading(i: int) -> ChannelReading:
+        return ChannelReading(channels[i], names)
+
     # dead-zone rows are expected in force sweeps; they cannot feed the
     # position fit but stay available as the zero knot of the force fit
-    dead = sum(1 for _, _, r in parsed if r.below_floor)
-    position_samples = [(p, f, r) for p, f, r in parsed
-                        if p is not None and not r.below_floor]
-    poscal = fit_position([(p, r) for p, _, r in position_samples],
+    lit = channels.any(axis=1)
+    dead = int(np.count_nonzero(~lit))
+    fit_rows = [] if position is None else np.flatnonzero(lit).tolist()
+    poscal = fit_position([(position[i], reading(i)) for i in fit_rows],
                           args.numerator, args.denominator)
 
     forcecal = None
-    by_position: dict[float, list] = {}
-    for p, f, r in parsed:
-        if p is not None and f is not None:
-            by_position.setdefault(p, []).append((f, r))
-    candidates = [
-        (p, group) for p, group in by_position.items()
-        if len({f for f, _ in group}) >= 3
-    ]
-    if candidates:
-        position, group = max(candidates, key=lambda item: len(item[1]))
-        forcecal = fit_force(group, config, known_position_mm=position)
+    if position is not None and force is not None:
+        forces = force.tolist()
+        by_position: dict[float, list[int]] = {}
+        for i, p in enumerate(position.tolist()):
+            by_position.setdefault(p, []).append(i)
+        candidates = [(p, rows) for p, rows in by_position.items()
+                      if len({forces[i] for i in rows}) >= 3]
+        if candidates:
+            p, rows = max(candidates, key=lambda item: len(item[1]))
+            forcecal = fit_force([(forces[i], reading(i)) for i in rows], config,
+                                 known_position_mm=p)
 
     doc = {"position": poscal.to_dict()}
     if forcecal is not None:
@@ -251,6 +285,21 @@ def cmd_calibrate(args) -> int:
         summary += f", skipped {dead} dead-zone row(s) in the position fit"
     print(summary)
     return EXIT_OK
+
+
+# decoded.csv flags by code: 0/1 from the parse, 2/3 from position, 4/5 from force
+_DECODE_FLAGS = np.array(["corrupt_row", "no_contact", "ok", "out_of_span",
+                          "below_threshold", "saturated"], dtype=object)
+
+
+def _ratio_column(names, channels, name: str, path: str) -> np.ndarray:
+    """The column of channel ``name``; an empty file (no header, no rows) needs none."""
+    if name in names:
+        return channels[:, names.index(name)]
+    if names:
+        raise CliError(f"{path}: no ch_{name} column for the calibration's ratio "
+                       f"channel {name!r}")
+    return np.empty(0)
 
 
 def cmd_decode(args) -> int:
@@ -273,40 +322,31 @@ def cmd_decode(args) -> int:
         raise CliError(f"invalid calibration {args.calibration}: "
                        f"transmission factors must be finite and positive")
 
-    # position per row (math.log rounds unlike np.log); force for every
-    # decoded row at once, in the file's row order
-    out_rows, decoded_rows, positions, totals = [], [], [], []
-    for parsed in _read_samples_csv(args.readings):
-        if parsed is None:
-            out_rows.append(["", "", "corrupt_row"])
-            continue
-        _, _, reading = parsed
-        try:
-            decoded = decode_position(reading, poscal)
-        except NoContactError:
-            out_rows.append(["", "", "no_contact"])
-            continue
-        decoded_rows.append(len(out_rows))
-        positions.append(decoded.position_mm)
-        totals.append(reading.total())
-        out_rows.append([repr(decoded.position_mm), "",
-                         "out_of_span" if decoded.out_of_span else "ok"])
-    if forcecal is not None and decoded_rows:
-        # a decoded position means two lit channels, so every total is positive
-        normalized = np.asarray(totals) / np.interp(positions, grid, factors)
+    names, channels, _, _, parsed = _read_samples(args.readings)
+    num, den = (_ratio_column(names, channels, name, args.readings)
+                for name in (poscal.numerator_ch, poscal.denominator_ch))
+    # unparsed rows are NaN, so the kernel leaves them unlit
+    lit, position, _, out_of_span = _decode_positions(num, den, poscal)
+    rows = np.flatnonzero(lit)
+    code = parsed.astype(int)
+    code[rows] = 2 + out_of_span
+    table = np.full((parsed.size, 3), "", dtype=object)
+    table[rows, 0] = position
+    if forcecal is not None and rows.size:
+        # a total past the float range reads inf, so its row is saturated
+        with np.errstate(over="ignore"):
+            totals = channels[rows].sum(axis=1)
+        normalized = totals / np.interp(position, grid, factors)
         below, above = forcecal.out_of_range(normalized)
-        forces = iter(forcecal.invert(normalized[~(below | above)]).tolist())
-        for i, is_below, is_above in zip(decoded_rows, below.tolist(), above.tolist()):
-            if is_below:
-                out_rows[i][2] = "below_threshold"
-            elif is_above:
-                out_rows[i][2] = "saturated"
-            else:
-                out_rows[i][1] = repr(next(forces))
+        code[rows[below]] = 4
+        code[rows[above]] = 5
+        inside = ~(below | above)
+        table[rows[inside], 1] = forcecal.invert(normalized[inside])
+    table[:, 2] = _DECODE_FLAGS[code]
     _write_csv(os.path.join(args.out, "decoded.csv"),
-               ["position_mm", "force_n", "flag"], out_rows)
+               ["position_mm", "force_n", "flag"], table.tolist())
     _write_manifest(args)
-    print(f"decode: wrote {len(out_rows)} rows to {os.path.join(args.out, 'decoded.csv')}")
+    print(f"decode: wrote {len(table)} rows to {os.path.join(args.out, 'decoded.csv')}")
     return EXIT_OK
 
 

@@ -1,13 +1,25 @@
-"""Inverting readings into position, force and joint angle."""
+"""Inverting readings into position, force and joint angle.
+
+Position has one array kernel, :func:`_decode_positions`: on the columns
+of the calibration's ratio channels it finds the lit rows (both channels
+positive), inverts the affine log-ratio model x = (log - intercept) /
+slope, clamps x into the calibrated span and flags estimates beyond the
+span by more than 3 * residual_std / |slope|.  :func:`decode_position`
+is that kernel on one reading.  The log is ``math.log`` per element,
+not ``np.log``: the two round differently on about 0.04% of inputs, and
+the pinned artifacts hold ``math.log``'s values.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import ForceCalibration, PositionCalibration
-from .errors import BelowFloorError, BelowThresholdError, NoContactError
+from .errors import BelowThresholdError, NoContactError
 from .sensor import ChannelReading, SensorConfig, position_transmission
-from .spectral import log_ratio
 
 
 @dataclass(frozen=True)
@@ -51,20 +63,42 @@ class DecodedPosition:
     out_of_span: bool
 
 
-def decode_position(reading: ChannelReading, poscal: PositionCalibration) -> DecodedPosition:
-    """Invert the affine log-ratio model: x = (log_ratio - intercept) / slope."""
-    if reading.below_floor:
-        raise NoContactError("reading below intensity floor; no contact to decode")
-    try:
-        value = log_ratio(reading, poscal.numerator_ch, poscal.denominator_ch)
-    except BelowFloorError as exc:
-        raise NoContactError(str(exc)) from exc
-    raw = poscal.position_for_log_ratio(value)
+def _decode_positions(num, den, poscal: PositionCalibration):
+    """Position decode of numerator/denominator channel columns.
+
+    Returns ``(lit, position_mm, raw_mm, out_of_span)``: ``lit`` marks the
+    rows whose two channels are both positive (the rest, NaN included,
+    have no contact to decode); the other three hold one value per lit
+    row, as :class:`DecodedPosition` describes.  A ratio that underflows
+    to 0 decodes like one that overflows to inf: an infinite raw
+    estimate, clamped and flagged out of span.
+    """
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    lit = (num > 0) & (den > 0)
+    with np.errstate(over="ignore"):
+        ratios = (num[lit] / den[lit]).tolist()
+        log = np.array([math.log(r) if r else -math.inf for r in ratios], dtype=float)
+        raw = (log - poscal.intercept) / poscal.slope
     lo, hi = poscal.span_mm
-    clamped = min(max(raw, lo), hi)
+    # min(max(raw, lo), hi) as Python computes it, so a -0.0 estimate stays -0.0
+    above_lo = np.where(lo > raw, lo, raw)
+    position = np.where(hi < above_lo, hi, above_lo)
     slack = 3.0 * poscal.residual_std / abs(poscal.slope)
-    out_of_span = raw < lo - slack or raw > hi + slack
-    return DecodedPosition(position_mm=clamped, raw_mm=raw, out_of_span=out_of_span)
+    return lit, position, raw, (raw < lo - slack) | (raw > hi + slack)
+
+
+def decode_position(reading: ChannelReading, poscal: PositionCalibration) -> DecodedPosition:
+    """Invert the affine log-ratio model: x = (log_ratio - intercept) / slope.
+
+    :func:`_decode_positions` on one reading; a ratio channel at or below
+    zero raises :class:`NoContactError`.
+    """
+    num, den = reading.channel(poscal.numerator_ch), reading.channel(poscal.denominator_ch)
+    lit, position, raw, out_of_span = _decode_positions([num], [den], poscal)
+    if not lit[0]:
+        raise NoContactError(f"no contact to decode: {poscal.numerator_ch}={num:g}, "
+                             f"{poscal.denominator_ch}={den:g}")
+    return DecodedPosition(float(position[0]), float(raw[0]), bool(out_of_span[0]))
 
 
 def decode_force(

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spectratact import (
 )
 from spectratact.spectral import Spectrum, default_wavelength_grid, line_bank
 from spectratact import calibration
+from spectratact.calibration import SLOPE_FLOOR_ULPS
 from spectratact.sensor import (
     SensorConfig,
     channel_intensities,
@@ -54,6 +56,23 @@ class TestPositionCalibration:
         doc = dict(line_poscal.to_dict(), span_mm=list(span))
         with pytest.raises(DegenerateFitError, match="span_mm"):
             PositionCalibration.from_dict(doc)
+
+    @pytest.mark.parametrize("intercept", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intercept_rejected(self, line_poscal, intercept):
+        doc = dict(line_poscal.to_dict(), intercept=intercept)
+        with pytest.raises(DegenerateFitError, match="intercept"):
+            PositionCalibration.from_dict(doc)
+
+    def test_slope_floor_is_relative_to_the_log_ratio_rounding(self, line_poscal):
+        # the log-ratio change across the span against SLOPE_FLOOR_ULPS
+        # rounding units of eps * max(1, |intercept|)
+        lo, hi = line_poscal.span_mm
+        for intercept in (0.0, -0.5, 40.0):
+            floor = SLOPE_FLOOR_ULPS * sys.float_info.epsilon * max(1.0, abs(intercept))
+            doc = dict(line_poscal.to_dict(), intercept=intercept)
+            with pytest.raises(DegenerateFitError, match="slope"):
+                PositionCalibration.from_dict(dict(doc, slope=-0.9 * floor / (hi - lo)))
+            PositionCalibration.from_dict(dict(doc, slope=-1.1 * floor / (hi - lo)))
 
 
 class TestFitPosition:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +351,52 @@ class TestSweepDesign:
                      "--out", str(tmp_path / "d"), "--lengths", "250",
                      "--concentrations", "1.0"])
         assert code == 2
+
+
+class TestSlopeFloor:
+    """A position fit whose slope is rounding noise does not load (exit 3, or 2 on decode)."""
+
+    def test_zero_dye_design_point_exits_3(self, band_config_path, tmp_path, capsys):
+        code = main(["sweep-design", "--config", band_config_path, "--out", str(tmp_path / "d"),
+                     "--lengths", "85", "--concentrations", "0"])
+        assert code == 3
+        assert "slope" in capsys.readouterr().err
+
+    def test_tiny_dye_still_fits(self, band_config_path, tmp_path):
+        out = tmp_path / "d"
+        assert main(["sweep-design", "--config", band_config_path, "--out", str(out),
+                     "--lengths", "85", "--concentrations", "1e-12"]) == 0
+        _, rows = csv_rows(out / "design.csv")
+        assert float(rows[0][2]) == pytest.approx(-1.35e-13, rel=0.01)
+        assert float(rows[0][4]) > 1.0 - 1e-8
+
+    def test_zero_dye_calibrate_exits_3(self, tmp_path, capsys):
+        config = SensorConfig.default()
+        path = tmp_path / "clear.json"
+        path.write_text(json.dumps(replace(config, dye=config.dye.with_concentration(0.0))
+                                   .to_dict()))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(sim),
+                     "--positions", "0:85:18", "--forces", "2"]) == 0
+        code = main(["calibrate", "--config", str(path), "--out", str(tmp_path / "cal"),
+                     "--samples", str(sim / "sweep.csv")])
+        assert code == 3
+        assert "slope" in capsys.readouterr().err
+
+    def test_decode_of_a_floor_slope_exits_2(self, line_config_path, tmp_path, capsys):
+        sim, cal = tmp_path / "sim", tmp_path / "cal"
+        assert main(["simulate", "--config", line_config_path, "--out", str(sim),
+                     "--positions", "10,40,70", "--forces", "2"]) == 0
+        assert main(["calibrate", "--config", line_config_path, "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        doc = json.loads(read(cal / "calibration.json"))
+        doc["position"]["slope"] = -1.5627977236758838e-19  # sweep-design's zero-dye fit
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["decode", "--calibration", str(broken),
+                     "--readings", str(sim / "sweep.csv"), "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert "slope" in capsys.readouterr().err
 
 
 class TestReplay:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from spectratact import (
     simulate_reading,
     sweep,
 )
+
+from spectratact.decoder import _decode_positions
 
 from conftest import calibrate_position
 
@@ -60,6 +63,39 @@ class TestDecodePosition:
         reading = simulate_reading(default_config, Stimulus(42.5, 2.0))
         decoded = decode_position(reading, default_poscal)
         assert decoded.position_mm == pytest.approx(42.5, abs=1.0)
+
+
+    def test_kernel_equals_closed_form_per_row(self, line_poscal):
+        # math.log, Python's min/max clamp and the 3-sigma slack, row by row
+        rng = np.random.default_rng(7)
+        num = np.concatenate([rng.uniform(0.0, 2.0, 300), [0.0, 1.0, math.nan, 5e-324, 1e300]])
+        den = np.concatenate([rng.uniform(0.0, 2.0, 300), [1.0, 0.0, 1.0, 1e300, 5e-324]])
+        lit, position, raw, out_of_span = _decode_positions(num, den, line_poscal)
+        lo, hi = line_poscal.span_mm
+        slack = 3.0 * line_poscal.residual_std / abs(line_poscal.slope)
+        expected = []
+        for n, d in zip(num.tolist(), den.tolist()):
+            if n > 0 and d > 0:
+                log = math.log(n / d) if n / d else -math.inf
+                x = (log - line_poscal.intercept) / line_poscal.slope
+                expected.append((min(max(x, lo), hi), x, x < lo - slack or x > hi + slack))
+        assert lit.tolist() == [n > 0 and d > 0 for n, d in zip(num, den)]
+        assert list(zip(position.tolist(), raw.tolist(), out_of_span.tolist())) == expected
+        assert out_of_span.any() and not out_of_span.all()
+
+    def test_zero_and_infinite_ratio_clamp_out_of_span(self, line_poscal):
+        # an underflowed ratio (log 0) decodes like an overflowed one (log inf)
+        lo, hi = line_poscal.span_mm
+        for b, r in ((5e-324, 1e300), (1e300, 5e-324)):
+            decoded = decode_position(ChannelReading([b, r], ("B", "R")), line_poscal)
+            assert decoded.out_of_span and math.isinf(decoded.raw_mm)
+            assert decoded.position_mm in (lo, hi)
+
+    def test_negative_zero_estimate_keeps_its_sign(self, line_poscal):
+        # min(max(-0.0, 0.0), hi) is -0.0 in Python, and the kernel agrees
+        poscal = replace(line_poscal, intercept=math.log(2.0), span_mm=(0.0, 85.0))
+        decoded = decode_position(ChannelReading([2.0, 1.0], ("B", "R")), poscal)
+        assert decoded.position_mm == 0.0 and math.copysign(1.0, decoded.position_mm) == -1.0
 
 
 class TestDecodeForce:
