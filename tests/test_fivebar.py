@@ -348,10 +348,12 @@ class TestDeviationMap:
                 checked += expected
         assert checked > 0.5 * grid.nx * grid.ny
 
-    # 50 trials go many cells to a batch, 3000 one cell per batch.  At 25
-    # deg some trials fall past reach, and a few cells near the workspace
-    # edge fall below the half-valid threshold.
-    @pytest.mark.parametrize("n_trials, sigma_deg", [(50, 25.0), (3000, 3.0)])
+    # The 62 kept cells split into chunks of MC_CHUNK_POSES // n_trials
+    # cells; 400 and 500 trials leave a partial last chunk.  At 25 deg
+    # some trials fall past reach, and a few cells near the workspace edge
+    # fall below the half-valid threshold.
+    @pytest.mark.parametrize("n_trials, sigma_deg",
+                             [(50, 25.0), (400, 3.0), (500, 25.0), (3000, 3.0)])
     def test_monte_carlo_matches_per_cell_reference(self, n_trials, sigma_deg):
         grid = GridSpec(-60.0, 140.0, 1.0, 200.0, 11, 9)
         out = deviation_map(CONFIG, sigma_deg, grid, seed=4, method="monte_carlo",

@@ -65,12 +65,20 @@ WIDE_MAP_SEED = 2**40 + 3
 # a small grid over the map benchmark's box: about a third of it is
 # unreachable or on the lower assembly branch, and it reaches the fold
 MAP_GRID = GridSpec(-60.0, 140.0, 1.0, 200.0, 24, 24)
+# the benchmark's full 80x80 box, many cells to a Monte Carlo chunk and a
+# partial last one; and a coarse grid whose trial count exceeds a chunk
+MAP_BOX = GridSpec(-60.0, 140.0, 1.0, 200.0, 80, 80)
+MAP_COARSE = GridSpec(-60.0, 140.0, 1.0, 200.0, 6, 6)
 MAPS = {
     "deviation_map/jacobian": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8),
     "deviation_map/monte_carlo": lambda: deviation_map(FiveBarConfig(), 0.1, MAP_GRID, seed=8,
                                                        method="monte_carlo"),
     "deviation_map/monte_carlo/wide_seed": lambda: deviation_map(
         FiveBarConfig(), 0.1, MAP_GRID, seed=WIDE_MAP_SEED, method="monte_carlo"),
+    "deviation_map/monte_carlo/80x80": lambda: deviation_map(
+        FiveBarConfig(), 0.1, MAP_BOX, seed=8, method="monte_carlo"),
+    "deviation_map/monte_carlo/10000_trials": lambda: deviation_map(
+        FiveBarConfig(), 0.1, MAP_COARSE, seed=8, method="monte_carlo", n_trials=10000),
     "workspace_mask": lambda: workspace_mask(FiveBarConfig(), MAP_GRID),
 }
 MAP_GOLDEN = {
@@ -80,6 +88,10 @@ MAP_GOLDEN = {
         "81e13665843ccdb48f1d3b4a9769176de497901a407421a277de53c853121c47",
     "deviation_map/monte_carlo/wide_seed":
         "bad65d94a08f4e9ddffda922096ae78dca8c21163f872ba9114bf5530df634e6",
+    "deviation_map/monte_carlo/80x80":
+        "532297bb70107fac90de285b23d8c8b045dce18560d319789594b3c674dca261",
+    "deviation_map/monte_carlo/10000_trials":
+        "9fb5ca63d7f3729d0a91f2c697959f13cc72cd43bc7501c66eb1784efe74121e",
     "workspace_mask":
         "31f57deb0d28058806f29fd20ebaed45717bdb19dd8c2505077e2c53eec759d8",
 }
