@@ -12,17 +12,22 @@ predicate functions go through them.  ``inverse_kinematics`` and
 ``forward_kinematics`` stay scalar ``math`` for ``track``: on the array
 kernels its one-sample p50 rose 46% (61 to 89 us, 2-vCPU AVX-512 host)
 and its poses moved in the last bits (numpy rounds unlike ``math``).
+
+``_fk_batch`` returns a ``valid`` mask and leaves x and y unspecified
+where it is False; its callers read coordinates only where it is set.
+The Monte Carlo ``deviation_map`` draws each chunk's trials into one
+reused buffer and runs ``_fk_batch`` on ``MC_CHUNK_POSES`` perturbed
+poses at a time, a size chosen by measurement (see there).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .errors import SingularError, UnreachableError
+from .errors import SingularError, UnreachableError, _require_object
 from .sensor import substreams
 
 REACH_REL_TOL = 1e-9
@@ -48,6 +53,7 @@ class FiveBarConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FiveBarConfig":
+        _require_object(doc, "fivebar")
         return cls(float(doc.get("d_mm", 80.0)), float(doc.get("l_mm", 100.0)))
 
 
@@ -126,30 +132,53 @@ def forward_kinematics(config: FiveBarConfig, angles: JointAngles) -> TerminalPo
 
 
 def _fk_batch(config: FiveBarConfig, theta1, theta2):
-    """Vectorized elbow-up forward kinematics.
+    """Vectorized elbow-up forward kinematics: (x, y, valid).
 
-    Returns (x, y, valid); invalid entries (no intersection or coincident
-    elbows) carry NaN coordinates.
+    ``valid`` is False where the elbow circles do not intersect or the
+    elbows coincide; x and y are unspecified there, and every caller reads
+    them only where ``valid`` is set.  The arithmetic is
+    :func:`forward_kinematics` term for term in numpy, in place on a few
+    temporaries.
     """
     l, d = config.l_mm, config.d_mm
     t1 = np.asarray(theta1, dtype=float)
     t2 = np.asarray(theta2, dtype=float)
-    e1x, e1y = l * np.sin(t1), l * np.cos(t1)
-    e2x, e2y = d - l * np.sin(t2), l * np.cos(t2)
+    e1x, e1y = np.sin(t1), np.cos(t1)
+    e2x, e2y = np.sin(t2), np.cos(t2)
+    e1x *= l
+    e1y *= l
+    e2x *= l
+    np.subtract(d, e2x, out=e2x)
+    e2y *= l
     dx, dy = e2x - e1x, e2y - e1y
     q = np.hypot(dx, dy)
     valid = (q > REACH_REL_TOL * l) & (q <= 2.0 * l * (1.0 + REACH_REL_TOL))
-    q_safe = np.where(valid, q, 1.0)
-    h = np.sqrt(np.maximum(l * l - 0.25 * q_safe * q_safe, 0.0))
-    mx, my = 0.5 * (e1x + e2x), 0.5 * (e1y + e2y)
-    nx, ny = -dy / q_safe, dx / q_safe
-    ya, yb = my + h * ny, my - h * ny
-    up = ya >= yb
-    x = np.where(up, mx + h * nx, mx - h * nx)
-    y = np.where(up, ya, yb)
-    x = np.where(valid, x, np.nan)
-    y = np.where(valid, y, np.nan)
-    return x, y, valid
+    np.copyto(q, 1.0, where=~valid)
+    h = q * 0.25
+    h *= q
+    np.subtract(l * l, h, out=h)
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    # the branches sit at the chord midpoint m = (e1 + e2) / 2, plus or
+    # minus h times the unit normal (-dy, dx) / q
+    mx, my = e1x, e1y
+    mx += e2x
+    mx *= 0.5
+    my += e2y
+    my *= 0.5
+    hnx = np.negative(dy, out=dy)
+    hnx /= q
+    hnx *= h
+    hny = dx
+    hny /= q
+    hny *= h
+    ya, yb = np.add(my, hny, out=e2y), np.subtract(my, hny, out=my)
+    xa, xb = np.add(mx, hnx, out=e2x), np.subtract(mx, hnx, out=mx)
+    # elbow-up: keep the intersection with the larger y
+    down = ya < yb
+    np.copyto(xa, xb, where=down)
+    np.copyto(ya, yb, where=down)
+    return xa, ya, valid
 
 
 def _reach(config: FiveBarConfig, x, y, margin: float = 0.0):
@@ -280,7 +309,11 @@ def fk_jacobian(config: FiveBarConfig, angles: JointAngles) -> np.ndarray:
     return np.array([[a2[1] * b1, -a1[1] * b2], [-a2[0] * b1, a1[0] * b2]]) / det
 
 
-MC_CHUNK_POSES = 2048  # perturbed poses per FK batch (whole cells), bounds temporaries
+# Perturbed poses per FK batch, in whole cells.  One 80x80 map of the
+# benchmark box at 300 trials took 241/232/207/222 ms (medians of 20
+# interleaved calls, 2-vCPU AVX-512 host) at 2048/4096/8192/16384 poses,
+# with tracemalloc peaks of 1.55/1.58/1.75/2.68 MB.
+MC_CHUNK_POSES = 8192
 
 
 def deviation_map(
@@ -298,13 +331,18 @@ def deviation_map(
     pairs, with a per-cell RNG substream derived from (seed, cell index):
     ``sensor.substreams`` builds the states of every kept cell once, and
     cell i draws exactly what ``substream(seed, i)`` gives, chunk by chunk.
+    A chunk holds ``MC_CHUNK_POSES // n_trials`` cells (at least one); their
+    trials are drawn straight into one reused (cells, n_trials, 2) buffer
+    and scaled in place, and the FK and the RMS reduction run in place on
+    the chunk's temporaries.  ``n_trials`` must be an int >= 1.
     Unreachable, singular or lower-assembly-mode cells are NaN, never
     raised.
     """
     if not (angle_sigma_deg >= 0 and math.isfinite(angle_sigma_deg)):
         raise ValueError(f"angle_sigma_deg must be finite and >= 0, got {angle_sigma_deg}")
-    if not n_trials >= 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) \
+            or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     if method not in ("jacobian", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     sigma_rad = math.radians(angle_sigma_deg)
@@ -324,14 +362,22 @@ def deviation_map(
     per_chunk = max(1, MC_CHUNK_POSES // n_trials)
     # one call over every kept cell: a chunk holds too few cells to batch their states
     rngs = substreams(seed, [(i,) for i in cells.tolist()])
+    draws = np.empty((min(per_chunk, cells.size), n_trials, 2))
     for start in range(0, cells.size, per_chunk):
         k = cells[start:start + per_chunk]
-        noise = np.stack([rng.standard_normal((n_trials, 2))
-                          for rng in islice(rngs, k.size)]) * sigma_rad
+        noise = draws[:k.size]
+        for row, rng in zip(noise, rngs):
+            rng.standard_normal(out=row)
+        noise *= sigma_rad
         px, py, valid = _fk_batch(config, t1[k, None] + noise[..., 0],
                                   t2[k, None] + noise[..., 1])
-        dev2 = np.where(valid, (px - base_x[k, None]) ** 2 + (py - base_y[k, None]) ** 2, 0.0)
-        n_valid = valid.sum(axis=1)
-        rms = np.sqrt(dev2.sum(axis=1) / np.maximum(n_valid, 1))
+        px -= base_x[k, None]
+        px *= px
+        py -= base_y[k, None]
+        py *= py
+        px += py
+        np.copyto(px, 0.0, where=~valid)
+        n_valid = np.count_nonzero(valid, axis=1)
+        rms = np.sqrt(px.sum(axis=1) / np.maximum(n_valid, 1))
         out.flat[k] = np.where(n_valid >= n_trials / 2, rms, np.nan)
     return out

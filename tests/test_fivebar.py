@@ -325,7 +325,7 @@ class TestDeviationMap:
         with pytest.raises(ValueError, match="angle_sigma_deg"):
             deviation_map(CONFIG, sigma, self.GRID)
 
-    @pytest.mark.parametrize("n_trials", [0, -5])
+    @pytest.mark.parametrize("n_trials", [0, -5, 300.0, 2.5, True])
     def test_rejects_bad_trial_count(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             deviation_map(CONFIG, 0.04, self.GRID, method="monte_carlo", n_trials=n_trials)
