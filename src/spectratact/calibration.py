@@ -102,8 +102,7 @@ class PositionCalibration:
         )
 
 
-def _ratio_channels(reading, numerator_ch, denominator_ch):
-    names = reading.channel_names
+def _ratio_channels(names, numerator_ch, denominator_ch):
     num = numerator_ch if numerator_ch is not None else names[0]
     den = denominator_ch if denominator_ch is not None else names[-1]
     if num == den:
@@ -129,7 +128,7 @@ def fit_position(
     positions, ratios, dead_rows = [], [], []
     for i, (position, reading) in enumerate(samples):
         if num is None:
-            num, den = _ratio_channels(reading, numerator_ch, denominator_ch)
+            num, den = _ratio_channels(reading.channel_names, numerator_ch, denominator_ch)
         try:
             ratios.append(log_ratio(reading, num, den))
         except BelowFloorError:

@@ -27,7 +27,13 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .calibration import ForceCalibration, PositionCalibration, fit_force, fit_position
+from .calibration import (
+    ForceCalibration,
+    PositionCalibration,
+    _ratio_channels,
+    fit_force,
+    fit_position,
+)
 from .decoder import _decode_positions
 from .errors import (
     DegenerateFitError,
@@ -246,11 +252,22 @@ def cmd_calibrate(args) -> int:
     def reading(i: int) -> ChannelReading:
         return ChannelReading(channels[i], names)
 
-    # dead-zone rows are expected in force sweeps; they cannot feed the
-    # position fit but stay available as the zero knot of the force fit
-    lit = channels.any(axis=1)
-    dead = int(np.count_nonzero(~lit))
-    fit_rows = [] if position is None else np.flatnonzero(lit).tolist()
+    # The position fit reads only the rows decode can read (both ratio
+    # channels positive, as in decoder._decode_positions) that were pressed
+    # past the contact threshold; below it a reading is noise alone.  Force
+    # sweeps hold such rows, and they stay available to the force fit.
+    fit_rows, skipped = [], {}
+    if position is not None:
+        num, den = (_ratio_column(names, channels, name, args.samples)
+                    for name in _ratio_channels(names, args.numerator, args.denominator))
+        lit = (num > 0) & (den > 0)
+        pressed = np.ones(lit.size, dtype=bool) if force is None \
+            else force > config.coupling.f_threshold_n
+        dead = ~channels.any(axis=1)
+        skipped = {"at or below the contact threshold": ~pressed,
+                   "in the dead zone": pressed & dead,
+                   "with a ratio channel at zero": pressed & ~dead & ~lit}
+        fit_rows = np.flatnonzero(pressed & lit).tolist()
     poscal = fit_position([(position[i], reading(i)) for i in fit_rows],
                           args.numerator, args.denominator)
 
@@ -281,8 +298,10 @@ def cmd_calibrate(args) -> int:
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
-    if dead:
-        summary += f", skipped {dead} dead-zone row(s) in the position fit"
+    counts = {reason: np.count_nonzero(rows) for reason, rows in skipped.items()}
+    if any(counts.values()):
+        summary += ", position fit skipped " + ", ".join(
+            f"{n} row(s) {reason}" for reason, n in counts.items() if n)
     print(summary)
     return EXIT_OK
 

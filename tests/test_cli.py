@@ -104,10 +104,10 @@ class TestSimulate:
 
 
 class TestCalibrate:
-    def run_pipeline(self, config_path, tmp_path, positions="0:85:86", forces="2"):
+    def run_pipeline(self, config_path, tmp_path, positions="0:85:86", forces="2", noise=()):
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", config_path, "--out", str(sim),
-                     "--positions", positions, "--forces", forces]) == 0
+                     "--positions", positions, "--forces", forces, *noise]) == 0
         cal = tmp_path / "cal"
         code = main(["calibrate", "--config", config_path, "--out", str(cal),
                      "--samples", str(sim / "sweep.csv")])
@@ -147,6 +147,17 @@ class TestCalibrate:
         assert code == 0
         doc = json.loads(read(cal / "calibration.json"))
         assert "force" in doc and len(doc["force"]["forces_n"]) == 9
+
+    def test_noisy_force_sweep_fits_the_readable_rows(self, band_config_path, tmp_path, capsys):
+        # absolute noise lights channels of rows at the 0.1 N contact
+        # threshold, and clamps ch_B to 0 at the far end of loaded rows
+        code, cal, _ = self.run_pipeline(band_config_path, tmp_path, positions="0:85:40",
+                                         forces="0.1,0.5,1,3,8",
+                                         noise=("--noise-sigma", "0.5", "--seed", "9"))
+        assert code == 0
+        assert math.isfinite(json.loads(read(cal / "calibration.json"))["position"]["slope"])
+        assert ("skipped 40 row(s) at or below the contact threshold, "
+                "47 row(s) with a ratio channel at zero") in capsys.readouterr().out
 
     def test_two_rows_exit_3(self, line_config_path, tmp_path):
         code, _, _ = self.run_pipeline(line_config_path, tmp_path, positions="10,10")
@@ -535,3 +546,4 @@ class TestBadInput:
                      + flag)
             assert excinfo.value.code == 2
         assert not (tmp_path / "o").exists()
+
