@@ -149,7 +149,7 @@ def _load_config(path: str) -> SensorConfig:
     doc = _load_json(path)
     try:
         return SensorConfig.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"invalid sensor config {path}: {exc}")
 
 
@@ -329,7 +329,7 @@ def cmd_decode(args) -> int:
         trans_doc = doc["transmission"]
         grid = np.asarray(trans_doc["positions_mm"], dtype=float)
         factors = np.asarray(trans_doc["factors"], dtype=float)
-    except (KeyError, TypeError, ValueError, DegenerateFitError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateFitError) as exc:
         raise CliError(f"invalid calibration {args.calibration}: {exc}")
     # force decoding divides by the interpolated factor: NaN would flag
     # garbage "ok", zero would divide by zero
@@ -393,7 +393,7 @@ def cmd_track(args) -> int:
     doc = _load_json(args.config)
     try:
         assembly = TwinAssembly.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"invalid twin config {args.config}: {exc}")
     if args.trajectory is not None:
         trajectory = _read_trajectory_csv(args.trajectory)

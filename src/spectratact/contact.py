@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, _require_object
 from .spectral import DyeProfile
 
 # Normalization point for the default power law: half of the available
@@ -61,6 +61,7 @@ class CouplingLaw:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CouplingLaw":
+        _require_object(doc, "coupling")
         return cls(
             float(doc.get("f_threshold_n", _DEFAULT_THRESHOLD_N)),
             float(doc.get("gain", _DEFAULT_GAIN)),
@@ -86,6 +87,7 @@ class PerturbationState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PerturbationState":
+        _require_object(doc, "perturbation")
         return cls(float(doc.get("strain", 0.0)), float(doc.get("bend_deg", 0.0)))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ForceCalibration, PositionCalibration
-from .errors import BelowThresholdError, NoContactError
+from .errors import BelowThresholdError, NoContactError, _require_object
 from .sensor import ChannelReading, SensorConfig, position_transmission
 
 
@@ -46,6 +46,7 @@ class JointEncoderModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JointEncoderModel":
+        _require_object(doc, "encoder")
         return cls(float(doc.get("arc_gain_mm_per_deg", 0.5)),
                    float(doc.get("offset_mm", 42.5)))
 

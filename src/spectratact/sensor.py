@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
-from .errors import OutOfSpanError, UndefinedSnrError
+from .errors import OutOfSpanError, UndefinedSnrError, _require_object
 from .spectral import (
     ChannelBank,
     DyeProfile,
@@ -119,6 +119,7 @@ class SensorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SensorConfig":
+        _require_object(doc, "sensor")
         defaults = cls.default()
         return cls(
             length_mm=float(doc.get("length_mm", 85.0)),

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -6,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as stn
 
 from spectratact import SensorConfig
 from spectratact.cli import main
@@ -547,3 +550,57 @@ class TestBadInput:
             assert excinfo.value.code == 2
         assert not (tmp_path / "o").exists()
 
+
+TWIN_KEYS = ("fivebar", "sensors", "sensor", "encoders", "indenter_force_n")
+TWIN_DOC = TwinAssembly().to_dict()
+DELETE = object()
+json_values = stn.recursive(
+    stn.none() | stn.booleans() | stn.integers() | stn.floats() | stn.text(max_size=4)
+    | stn.sampled_from([10**400, -10**400]),  # past the float range
+    lambda inner: stn.lists(inner, max_size=3)
+    | stn.dictionaries(stn.sampled_from(TWIN_KEYS) | stn.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@stn.composite
+def edited_twin_docs(draw):
+    """The default twin config with up to three values, at any depth, replaced or deleted."""
+    doc = copy.deepcopy(TWIN_DOC)
+    for _ in range(draw(stn.integers(1, 3))):
+        node = doc
+        while True:
+            key = draw(stn.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(stn.booleans()):
+                node = node[key]
+                continue
+            value = draw(json_values | stn.just(DELETE))
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = value
+            break
+        if not doc:
+            break
+    return doc
+
+
+class TestTrackConfigProperty:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=json_values
+           | stn.fixed_dictionaries({}, optional={k: json_values for k in TWIN_KEYS})
+           | edited_twin_docs())
+    # each of these escaped main as AttributeError or OverflowError
+    @example(doc={"fivebar": None})
+    @example(doc={"sensor": [1]})
+    @example(doc={"sensor": {"coupling": 0.5}})
+    @example(doc={"sensor": {"perturbation": []}})
+    @example(doc={"encoders": ["x", "y"]})
+    @example(doc={"indenter_force_n": 10**400})
+    def test_any_json_config_exits_cleanly(self, tmp_path, doc):
+        config = tmp_path / "twin.json"
+        config.write_text(json.dumps(doc))
+        code = main(["track", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--generate", "circle:20:40:125:5"])
+        assert code in (0, 2, 3, 4)
