@@ -263,10 +263,8 @@ def cmd_calibrate(args) -> int:
         lit = (num > 0) & (den > 0)
         pressed = np.ones(lit.size, dtype=bool) if force is None \
             else force > config.coupling.f_threshold_n
-        dead = ~channels.any(axis=1)
         skipped = {"at or below the contact threshold": ~pressed,
-                   "in the dead zone": pressed & dead,
-                   "with a ratio channel at zero": pressed & ~dead & ~lit}
+                   "with a ratio channel at zero": pressed & ~lit}
         fit_rows = np.flatnonzero(pressed & lit).tolist()
     poscal = fit_position([(position[i], reading(i)) for i in fit_rows],
                           args.numerator, args.denominator)

@@ -533,6 +533,20 @@ class TestBadInput:
                      "--out", str(tmp_path / "o")]) == 2
         assert "'args' must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {"length_mm": 10**400}),
+        ("decode", {"position": {"slope": 10**400}}),
+    ])
+    def test_number_past_float_range_exits_2(self, command, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "simulate": ["--config", str(path), "--positions", "10", "--forces", "2"],
+            "decode": ["--calibration", str(path), "--readings", str(path)],
+        }[command]
+        assert main([command, "--out", str(tmp_path / "o")] + argv) == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_twin_with_one_sensor_exits_2(self, tmp_path, capsys):
         config = tmp_path / "twin.json"
         config.write_text(json.dumps({"sensors": [encoder_sensor_config().to_dict()]}))
