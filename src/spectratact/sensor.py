@@ -74,6 +74,11 @@ class SensorConfig:
             )
         if not self.clear_loss_per_mm >= 0:
             raise ValueError("clear_loss_per_mm must be >= 0")
+        # the deepest Beer-Lambert exponent c * max(k) * L, in Python floats
+        # (which overflow to inf silently), must be finite
+        deepest = self.dye.concentration_scale * float(self.dye.decay_per_mm.max(initial=0.0))
+        if not deepest * self.length_mm < math.inf:
+            raise ValueError("dye concentration_scale * decay_per_mm * length_mm must be finite")
         if not np.array_equal(self.source.wavelengths_nm, self.dye.wavelengths_nm) or \
            not np.array_equal(self.source.wavelengths_nm, self.bank.wavelengths_nm):
             raise ValueError("source, dye and bank must share one wavelength grid")

@@ -612,6 +612,10 @@ class TestTrackConfigProperty:
     @example(doc={"sensor": {"perturbation": []}})
     @example(doc={"encoders": ["x", "y"]})
     @example(doc={"indenter_force_n": 10**400})
+    # the dye exponent overflowed: numpy RuntimeWarnings, NaN intensities
+    @example(doc={"sensor": {**TWIN_DOC["sensors"][0],
+                             "dye": {**TWIN_DOC["sensors"][0]["dye"],
+                                     "concentration_scale": 1e308}}})
     def test_any_json_config_exits_cleanly(self, tmp_path, doc):
         config = tmp_path / "twin.json"
         config.write_text(json.dumps(doc))
