@@ -136,9 +136,8 @@ def _fk_batch(config: FiveBarConfig, theta1, theta2):
 
     ``valid`` is False where the elbow circles do not intersect or the
     elbows coincide; x and y are unspecified there, and every caller reads
-    them only where ``valid`` is set.  The arithmetic is
-    :func:`forward_kinematics` term for term in numpy, in place on a few
-    temporaries.
+    them only where ``valid`` is set.  The arithmetic runs in place on a
+    few temporaries.
     """
     l, d = config.l_mm, config.d_mm
     t1 = np.asarray(theta1, dtype=float)
