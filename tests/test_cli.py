@@ -360,6 +360,13 @@ class TestSweepDesign:
         assert len(rows) == 1
         assert float(rows[0][0]) == 100.0
 
+    def test_grid_reaching_the_dead_zone_exits_3(self, band_config_path, tmp_path, capsys):
+        # at 200 mm the far end of the default sensor reads zero on its blue channel
+        code = main(["sweep-design", "--config", band_config_path, "--out", str(tmp_path / "d"),
+                     "--lengths", "30,40,50,200", "--concentrations", "0.25,0.5,1"])
+        assert code == 3
+        assert "dead-zone" in capsys.readouterr().err
+
     def test_length_outside_bounds_exits_2(self, line_config_path, tmp_path):
         code = main(["sweep-design", "--config", line_config_path,
                      "--out", str(tmp_path / "d"), "--lengths", "250",

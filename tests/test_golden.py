@@ -57,6 +57,8 @@ GOLDEN = {
         "0d9f8e01fe81ab7d545e9ccaec09f28b27034fd4b34abe2ee2d2251d134a72b5",
     "wide_seed/reconstructed.csv":
         "824e92a376fe876cf7a974201920db7ff00fc12b5e55f5bbc453648bc63763b5",
+    "design.csv":
+        "bc91a47903ca3332aa793a4fb61169d840595d766b0f4f20816809cca3a2eeb3",
 }
 # seeds of more than one 32-bit word: three for the noisy track, two for the map
 WIDE_TRACK_SEED = 2**70 + 11
@@ -135,6 +137,9 @@ def build_artifacts(root):
         "--generate", "circle:40:40:125:50", "--angle-sigma-deg", "0.05",
         "--seed", str(WIDE_TRACK_SEED))
     out["wide_seed/reconstructed.csv"] = root / "wide_seed" / "reconstructed.csv"
+    run("sweep-design", "--config", config, "--out", str(root / "design"),
+        "--lengths", "30,40,50", "--concentrations", "0.25,0.5,1")
+    out["design.csv"] = root / "design" / "design.csv"
     return out
 
 
