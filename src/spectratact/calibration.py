@@ -29,7 +29,7 @@ from .errors import (
 )
 from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_transmission,
                      transmission_factors)
-from .spectral import log_ratio
+from .spectral import log_ratios
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
 SLOPE_FLOOR_ULPS = 16  # PositionCalibration's floor on the log-ratio change across the span
@@ -110,37 +110,37 @@ def _ratio_channels(names, numerator_ch, denominator_ch):
     return num, den
 
 
+def _ratio_pair(values: np.ndarray, names, num: str, den: str):
+    """Columns of channels ``num`` and ``den`` of ``values`` (last axis: channels)."""
+    return values[..., names.index(num)], values[..., names.index(den)]
+
+
 def fit_position(
-    samples,
+    names,
+    channels,
+    positions_mm,
     numerator_ch: str | None = None,
     denominator_ch: str | None = None,
 ) -> PositionCalibration:
     """Least-squares affine fit of log-ratio against position.
 
-    ``samples`` is an iterable of (position_mm, ChannelReading).  By
-    default the ratio is first channel over last channel (B over R for
-    the stock bank, the pair with the largest decay contrast).
+    ``channels`` holds one reading per row of ``positions_mm``, its
+    columns in the order of ``names``.  By default the ratio is first
+    channel over last channel (B over R for the stock bank, the pair with
+    the largest decay contrast).  Dead-zone rows and rows whose ratio
+    leaves the float range raise :class:`UnusableSampleError` naming them.
     """
-    samples = list(samples)
-    if len(samples) < 3:
-        raise DegenerateFitError(f"need at least 3 samples, got {len(samples)}")
-    num = den = None
-    positions, ratios, dead_rows = [], [], []
-    for i, (position, reading) in enumerate(samples):
-        if num is None:
-            num, den = _ratio_channels(reading.channel_names, numerator_ch, denominator_ch)
-        try:
-            ratios.append(log_ratio(reading, num, den))
-        except BelowFloorError:
-            dead_rows.append(i)
-            continue
-        positions.append(float(position))
-    if dead_rows:
-        raise UnusableSampleError(
-            f"{len(dead_rows)} dead-zone sample(s) at rows {dead_rows}", rows=dead_rows
-        )
-    x = np.asarray(positions)
-    y = np.asarray(ratios)
+    x = np.asarray(positions_mm, dtype=float)
+    if x.size < 3:
+        raise DegenerateFitError(f"need at least 3 samples, got {x.size}")
+    num, den = _ratio_channels(names, numerator_ch, denominator_ch)
+    lit, y = log_ratios(*_ratio_pair(np.asarray(channels, dtype=float), names, num, den))
+    usable = lit.copy()
+    usable[lit] = np.isfinite(y)
+    if not usable.all():
+        rows = np.flatnonzero(~usable).tolist()
+        raise UnusableSampleError(f"{len(rows)} sample(s) in the dead zone or with a {num}/{den} "
+                                  f"ratio past the float range at rows {rows}", rows=rows)
     if np.unique(x).size < 2:
         raise DegenerateFitError("all samples share one position; fit is rank-deficient")
     xc = x - x.mean()
@@ -318,33 +318,39 @@ def force_knot_schedule(
 
 
 def fit_force(
-    samples,
+    names,
+    channels,
+    forces_n,
     config: SensorConfig,
     known_position_mm: float | None = None,
     poscal: PositionCalibration | None = None,
 ) -> ForceCalibration:
-    """Build the monotone force interpolant from (force, reading) samples.
+    """Build the monotone force interpolant from the readings of ``forces_n``.
 
-    Each total intensity is divided by ``config``'s transmission factor at
-    the sample's position (one :func:`transmission_factors` call for all
-    samples) before knot construction, so the interpolant lives in
-    coupled-fraction units and transfers across press positions.
-    Positions come from ``known_position_mm`` when the rig fixed them,
-    otherwise each sample's position is decoded through ``poscal``.
-    Replicated forces are averaged into a single knot.
+    ``names`` and ``channels`` are as in :func:`fit_position`.  Each total
+    intensity is divided by ``config``'s transmission factor at the row's
+    position (one :func:`transmission_factors` call for all rows) before
+    knot construction, so the interpolant lives in coupled-fraction units
+    and transfers across press positions.  Positions come from
+    ``known_position_mm`` when the rig fixed them, otherwise each row's
+    position is decoded through ``poscal`` (:class:`BelowFloorError` for
+    a dead-zone row).  Replicated forces are averaged into a single knot.
     """
     if known_position_mm is None and poscal is None:
         raise ValueError("need known_position_mm or a position calibration")
-    samples = list(samples)
+    channels, forces = np.asarray(channels, dtype=float), np.asarray(forces_n, dtype=float)
     if known_position_mm is not None:
-        positions = [float(known_position_mm)] * len(samples)
+        positions = np.full(forces.size, float(known_position_mm))
     else:
-        positions = [poscal.position_for_log_ratio(log_ratio(
-            reading, poscal.numerator_ch, poscal.denominator_ch)) for _, reading in samples]
-    totals = np.array([reading.total() for _, reading in samples])
+        lit, log = log_ratios(*_ratio_pair(channels, names, poscal.numerator_ch,
+                                           poscal.denominator_ch))
+        if not lit.all():
+            raise BelowFloorError(f"no position to decode at rows {np.flatnonzero(~lit).tolist()}")
+        positions = poscal.position_for_log_ratio(log)
+    normalized = channels.sum(axis=1) / transmission_factors(config, positions)
     grouped: dict[float, list[float]] = {}
-    for (force, _), value in zip(samples, totals / transmission_factors(config, positions)):
-        grouped.setdefault(float(force), []).append(float(value))
+    for force, value in zip(forces.tolist(), normalized.tolist()):
+        grouped.setdefault(force, []).append(value)
     if len(grouped) < 3:
         raise DegenerateFitError(f"need at least 3 distinct forces, got {len(grouped)}")
     forces = np.array(sorted(grouped))
@@ -376,13 +382,6 @@ class ResolutionReport:
         }
 
 
-def _ratio_pair(config: SensorConfig, poscal: PositionCalibration, values: np.ndarray):
-    """Numerator and denominator channels of ``values`` (last axis: channels)."""
-    names = config.bank.names
-    return (values[..., names.index(poscal.numerator_ch)],
-            values[..., names.index(poscal.denominator_ch)])
-
-
 def estimate_resolution(
     config: SensorConfig,
     poscal: PositionCalibration,
@@ -400,12 +399,13 @@ def estimate_resolution(
     absolute decode residual on noise-free held-out grids, i.e. pure
     model bias, independent of the noise level.
     """
+    ratio = (config.bank.names, poscal.numerator_ch, poscal.denominator_ch)
     values = channel_intensities(config, [position_mm], [force_n])[0]
     sigma = noise.sigma_vector(values)
-    num, den = _ratio_pair(config, poscal, values)
+    num, den = _ratio_pair(values, *ratio)
     if num <= 0 or den <= 0:
         raise DegenerateFitError("operating point lies in the dead zone")
-    s_num, s_den = _ratio_pair(config, poscal, sigma)
+    s_num, s_den = _ratio_pair(sigma, *ratio)
     spatial_resolution = math.hypot(s_num / num, s_den / den) / abs(poscal.slope)
 
     sigma_total = float(np.sqrt(np.sum(sigma ** 2)))
@@ -419,10 +419,10 @@ def estimate_resolution(
         lo, hi = poscal.span_mm
         held_out_positions = np.linspace(lo, hi, 33)[1:-1]
     xs = np.asarray(held_out_positions, dtype=float)
-    num, den = _ratio_pair(config, poscal,
-                           channel_intensities(config, xs, np.full(xs.shape, force_n)))
-    decoded = poscal.position_for_log_ratio(np.log(num / den))
-    spatial_accuracy = float(np.mean(np.abs(decoded - xs)))
+    lit, log = log_ratios(*_ratio_pair(
+        channel_intensities(config, xs, np.full(xs.shape, force_n)), *ratio))
+    decoded = poscal.position_for_log_ratio(log)
+    spatial_accuracy = float(np.mean(np.abs(decoded - xs[lit])))
 
     if held_out_forces is None:
         held_out_forces = 0.5 * (forcecal.forces_n[1:] + forcecal.forces_n[:-1])

@@ -42,14 +42,9 @@ from .errors import (
     UnsupportedRegimeError,
     UnusableSampleError,
 )
-from .sensor import (
-    ChannelReading,
-    NoiseModel,
-    SensorConfig,
-    sweep,
-    transmission_factors,
-)
-from .twin import TrajectorySample, TwinAssembly, generate_path, snr_db_for_angle_sigma, track
+from .sensor import NoiseModel, SensorConfig, sweep, transmission_factors
+from .twin import (TrajectorySample, TwinAssembly, calibrate_encoder, generate_path,
+                   snr_db_for_angle_sigma, track)
 from .fivebar import TerminalPose
 
 EXIT_OK = 0
@@ -249,12 +244,9 @@ def cmd_calibrate(args) -> int:
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
                        EXIT_DEGENERATE)
 
-    def reading(i: int) -> ChannelReading:
-        return ChannelReading(channels[i], names)
-
     # The position fit reads only the rows decode can read (both ratio
-    # channels positive, as in decoder._decode_positions) that were pressed
-    # past the contact threshold; below it a reading is noise alone.  Force
+    # channels positive, as in spectral.log_ratios) that were pressed past
+    # the contact threshold; below it a reading is noise alone.  Force
     # sweeps hold such rows, and they stay available to the force fit.
     fit_rows, skipped = [], {}
     if position is not None:
@@ -265,8 +257,9 @@ def cmd_calibrate(args) -> int:
             else force > config.coupling.f_threshold_n
         skipped = {"at or below the contact threshold": ~pressed,
                    "with a ratio channel at zero": pressed & ~lit}
-        fit_rows = np.flatnonzero(pressed & lit).tolist()
-    poscal = fit_position([(position[i], reading(i)) for i in fit_rows],
+        fit_rows = np.flatnonzero(pressed & lit)
+    poscal = fit_position(names, channels[fit_rows],
+                          [] if position is None else position[fit_rows],
                           args.numerator, args.denominator)
 
     forcecal = None
@@ -279,7 +272,7 @@ def cmd_calibrate(args) -> int:
                       if len({forces[i] for i in rows}) >= 3]
         if candidates:
             p, rows = max(candidates, key=lambda item: len(item[1]))
-            forcecal = fit_force([(forces[i], reading(i)) for i in rows], config,
+            forcecal = fit_force(names, channels[rows], force[rows], config,
                                  known_position_mm=p)
 
     doc = {"position": poscal.to_dict()}
@@ -429,9 +422,8 @@ def cmd_sweep_design(args) -> int:
                                   dye=config.dye.with_concentration(conc))
             except ValueError as exc:
                 raise CliError(f"design point length={length} conc={conc}: {exc}")
-            positions = np.linspace(0.0, length, max(int(round(length)) + 1, 3))
-            rows = sweep(variant, positions, [args.probe_force])
-            poscal = fit_position([(r.position_mm, r.reading) for r in rows])
+            poscal = calibrate_encoder(variant, args.probe_force,
+                                       max(int(round(length)) + 1, 3))
             out_rows.append([length, conc, poscal.slope, poscal.intercept,
                              poscal.r_squared])
     _write_csv(

@@ -5,14 +5,11 @@ of the calibration's ratio channels it finds the lit rows (both channels
 positive), inverts the affine log-ratio model x = (log - intercept) /
 slope, clamps x into the calibrated span and flags estimates beyond the
 span by more than 3 * residual_std / |slope|.  :func:`decode_position`
-is that kernel on one reading.  The log is ``math.log`` per element,
-not ``np.log``: the two round differently on about 0.04% of inputs, and
-the pinned artifacts hold ``math.log``'s values.
+is that kernel on one reading.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +17,7 @@ import numpy as np
 from .calibration import ForceCalibration, PositionCalibration
 from .errors import BelowThresholdError, NoContactError, _require_object
 from .sensor import ChannelReading, SensorConfig, position_transmission
+from .spectral import log_ratios
 
 
 @dataclass(frozen=True)
@@ -67,18 +65,14 @@ class DecodedPosition:
 def _decode_positions(num, den, poscal: PositionCalibration):
     """Position decode of numerator/denominator channel columns.
 
-    Returns ``(lit, position_mm, raw_mm, out_of_span)``: ``lit`` marks the
-    rows whose two channels are both positive (the rest, NaN included,
-    have no contact to decode); the other three hold one value per lit
-    row, as :class:`DecodedPosition` describes.  A ratio that underflows
-    to 0 decodes like one that overflows to inf: an infinite raw
+    Returns ``(lit, position_mm, raw_mm, out_of_span)``: ``lit`` as
+    :func:`log_ratios` gives it (unlit rows have no contact to decode),
+    the other three one value per lit row, as :class:`DecodedPosition`
+    describes.  A ratio past the float range decodes to an infinite raw
     estimate, clamped and flagged out of span.
     """
-    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    lit = (num > 0) & (den > 0)
+    lit, log = log_ratios(num, den)
     with np.errstate(over="ignore"):
-        ratios = (num[lit] / den[lit]).tolist()
-        log = np.array([math.log(r) if r else -math.inf for r in ratios], dtype=float)
         raw = (log - poscal.intercept) / poscal.slope
     lo, hi = poscal.span_mm
     # min(max(raw, lo), hi) as Python computes it, so a -0.0 estimate stays -0.0

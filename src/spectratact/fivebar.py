@@ -328,8 +328,9 @@ def deviation_map(
     Jacobian method: sigma * Frobenius norm of the FK Jacobian.  Monte
     Carlo method: RMS radial deviation over ``n_trials`` perturbed angle
     pairs, with a per-cell RNG substream derived from (seed, cell index):
-    ``sensor.substreams`` builds the states of every kept cell once, and
-    cell i draws exactly what ``substream(seed, i)`` gives, chunk by chunk.
+    ``sensor.substreams`` computes the seed words of every kept cell at
+    once and gives each cell its own Generator, which draws exactly what
+    ``substream(seed, i)`` gives.
     A chunk holds ``MC_CHUNK_POSES // n_trials`` cells (at least one); their
     trials are drawn straight into one reused (cells, n_trials, 2) buffer
     and scaled in place, and the FK and the RMS reduction run in place on

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
 from .errors import OutOfSpanError, UndefinedSnrError, _require_object
@@ -345,20 +346,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-# Fewest keys for which substreams() computes the states as arrays.  On a
-# 2-vCPU AVX-512 host the batched path cost ~125 us for one key and ~4.3 us
-# per key at 2000 keys, the per-key path 16-25 us per key: the two broke
-# even at 8-12 keys, and from 24 the batched path wins clearly.
+# Fewest keys for which substreams() computes the seed words as arrays.  On
+# a 2-vCPU AVX-512 host, building Generators and drawing two normals each
+# took 88/236 us at 2/24 keys and 5.5 us per key at 2000 batched, 41/441 us
+# and 18-26 us per key one by one: even at 4-8 keys.  At 24, a one-sample
+# track (2 keys) stays per key and large batches are batched.
 SUBSTREAM_BATCH_MIN = 24
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hash and mix
-# constants, pool size 4; and PCG64's 128-bit LCG multiplier.
+# constants, and pool size 4.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _M32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
 
 
 @lru_cache(maxsize=16)
@@ -389,17 +389,15 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _pcg64_states(seed: int, words: np.ndarray) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(seed, spawn_key=row))`` per row.
+def _seed_words(seed: int, words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` per row, as an (n, 4) array.
 
     ``seed`` is a non-negative int and ``words`` an (n, arity >= 1) array
     of key words in [0, 2**32).  numpy's entropy is the seed's uint32
     words, zero-padded to the pool size, then the key words.  The pool
     that the seed's words make is the same for every key, so it is built
     once in Python ints; each key word then mixes in as uint64 array ops
-    over all keys at once, and ``generate_state(4, uint64)`` follows.
-    PCG64's ``set_seed`` (O'Neill 2014) runs in Python ints: state 0,
-    ``inc = (initseq << 1) | 1``, one step, add ``initstate``, one step.
+    over all keys at once, and ``generate_state`` follows.
     """
     # the seed's uint32 words, low word first (0 is one word)
     run = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -418,38 +416,38 @@ def _pcg64_states(seed: int, words: np.ndarray) -> Iterator[tuple[int, int]]:
         xor, mult = np.array([next(calls) for _ in range(_POOL)], dtype=np.uint64).T
         pool = _mix(pool, _hashmix(word, xor, mult))
     state = _hashmix(np.tile(pool, 2), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
-    state = state[:, ::2] | state[:, 1::2] << 32
-    for start in range(0, len(state), CHUNK_ROWS):  # Python ints for a block of rows at a time
-        for s_hi, s_lo, i_hi, i_lo in state[start:start + CHUNK_ROWS].tolist():
-            inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+    return state[:, ::2] | state[:, 1::2] << 32
+
+
+class _SeedWords(ISeedSequence):
+    """One row of :func:`_seed_words` for ``PCG64``, whose C code then runs ``set_seed``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 reads the buffer as four uint64 words unchecked: refuse any other request
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only PCG64's 4 uint64 words are known, not {n_words} {dtype}")
+        return self.words
 
 
 def substreams(seed: int, keys) -> Iterator[np.random.Generator]:
     """For each key, a Generator positioned exactly as ``substream(seed, *key)``.
 
-    The batched path reseeds **one** reused Generator per key, so each
-    yielded Generator must be consumed before the iterator advances.  It
-    is taken for at least ``SUBSTREAM_BATCH_MIN`` keys of one arity >= 1,
-    every word in [0, 2**32), and a non-negative int seed.  Otherwise each
-    key gets its own ``substream``, where numpy raises on a negative seed.
+    For at least ``SUBSTREAM_BATCH_MIN`` keys of one arity >= 1, every
+    word in [0, 2**32), and a non-negative int seed, the seed words of
+    every key are computed at once as arrays.  Otherwise each key gets
+    its own ``substream``, where numpy raises on a negative seed.
     """
     keys = list(keys)
     if (len(keys) >= SUBSTREAM_BATCH_MIN and isinstance(seed, (int, np.integer)) and seed >= 0
             and len({len(key) for key in keys}) == 1 and keys[0]):
         words = np.array(keys)
         if words.dtype.kind in "iu" and words.min() >= 0 and words.max() <= _M32:
-            return _reseeded(_pcg64_states(int(seed), words))
+            return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
+                    for row in _seed_words(int(seed), words))
     return (substream(seed, *key) for key in keys)
-
-
-def _reseeded(states) -> Iterator[np.random.Generator]:
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
-        yield rng
 
 
 def rng_substreams(seed: int, n: int) -> list[np.random.Generator]:

@@ -32,7 +32,7 @@ from .fivebar import (
     forward_kinematics,
     inverse_kinematics,
 )
-from .sensor import NoiseModel, SensorConfig, _readings, substreams, sweep
+from .sensor import NoiseModel, SensorConfig, _readings, substreams
 from .spectral import line_bank
 
 DEFAULT_INDENTER_FORCE_N = 2.0
@@ -80,8 +80,9 @@ def calibrate_encoder(
     n_points: int = 86,
 ) -> PositionCalibration:
     """Noise-free position calibration over the sensor's full span."""
-    rows = sweep(sensor, np.linspace(0.0, sensor.length_mm, n_points), [force_n])
-    return fit_position([(r.position_mm, r.reading) for r in rows])
+    positions = np.linspace(0.0, sensor.length_mm, n_points)
+    values = _readings(sensor, positions, np.full(n_points, force_n), None, None)
+    return fit_position(sensor.bank.names, values, positions)
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ def track(
     distinct sensor.  Row (i, joint) draws its noise from its own
     substream ``(seed, i, joint)``, so neither the batching nor the row
     order changes a reading.  The draws come from ``sensor.substreams``
-    over the kept rows, which computes every row's generator state at
-    once when there are enough rows; each row still draws exactly what
+    over the kept rows, which computes every row's seed words at once when
+    there are enough rows; each row's own Generator draws exactly what
     ``substream(seed, i, joint)`` gives.  Decode, per sample: the position
     log-ratio and the encoder map back to angles, then FK to a pose.  Samples that
     are unreachable, off a sensor's span, without contact or past the FK
@@ -250,7 +251,9 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     sensor object go through a single call on interleaved (sample, joint)
     rows.  Decoding is :func:`decode_joint_angle`'s arithmetic on the
     ratio's two channel columns, with ``math.log``, whose rounding
-    ``np.log`` does not share.
+    ``np.log`` does not share.  It stays scalar: on a one-sample ``track``
+    the fixed numpy cost of ``decoder._decode_positions`` raised the median
+    step time by 40-75 us, from about 105 us to 150-180 us.
     """
     s1, s2 = assembly.sensors
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]

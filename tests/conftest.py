@@ -16,16 +16,24 @@ def line_config():
     return encoder_sensor_config()
 
 
+def columns(samples):
+    """``(x, ChannelReading)`` pairs as the ``(names, channels, x)`` columns the fits take."""
+    samples = list(samples)
+    names = samples[0][1].channel_names if samples else ()
+    channels = np.array([reading.values for _, reading in samples]).reshape(-1, len(names))
+    return names, channels, np.array([float(x) for x, _ in samples])
+
+
 def calibrate_position(config, force_n=2.0, n=86):
     rows = sweep(config, np.linspace(0.0, config.length_mm, n), [force_n])
-    return fit_position([(r.position_mm, r.reading) for r in rows])
+    return fit_position(*columns((r.position_mm, r.reading) for r in rows))
 
 
 def calibrate_force(config, position_mm=42.5, f_max=10.0, n_knots=21):
     schedule = force_knot_schedule(config.coupling.f_threshold_n, f_max, n_knots)
     rows = sweep(config, [position_mm], schedule)
     return fit_force(
-        [(r.force_n, r.reading) for r in rows],
+        *columns((r.force_n, r.reading) for r in rows),
         config,
         known_position_mm=position_mm,
     )

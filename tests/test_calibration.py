@@ -36,7 +36,7 @@ from spectratact.sensor import (
     transmission_factors,
 )
 
-from conftest import calibrate_force, calibrate_position
+from conftest import calibrate_force, calibrate_position, columns
 
 
 def reading(b, r):
@@ -84,7 +84,7 @@ class TestFitPosition:
             source=source, bank=line_bank([("B", 450.0), ("R", 650.0)])
         )
         rows = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
-        cal = fit_position([(r.position_mm, r.reading) for r in rows])
+        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
         k = config.dye.decay_per_mm
         k_b = k[np.searchsorted(grid, 450.0)]
         k_r = k[np.searchsorted(grid, 650.0)]
@@ -97,7 +97,7 @@ class TestFitPosition:
     def test_mixed_forces_share_one_line(self, line_config):
         # force cancels in the ratio, so a force-varying sweep calibrates too
         rows = sweep(line_config, np.linspace(5.0, 80.0, 16), [0.5, 2.0, 8.0])
-        cal = fit_position([(r.position_mm, r.reading) for r in rows])
+        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
         assert cal.r_squared > 1.0 - 1e-9
 
     def test_doubling_concentration_doubles_slope(self, line_config):
@@ -107,7 +107,7 @@ class TestFitPosition:
                 dye=line_config.dye.with_concentration(scale),
             )
             rows = sweep(config, np.linspace(0.0, 85.0, 18), [2.0])
-            return fit_position([(r.position_mm, r.reading) for r in rows]).slope
+            return fit_position(*columns((r.position_mm, r.reading) for r in rows)).slope
 
         assert slope_for(2.0) == pytest.approx(2.0 * slope_for(1.0), rel=1e-9)
 
@@ -117,22 +117,22 @@ class TestFitPosition:
         samples.insert(2, (40.0, reading(0.0, 0.0)))
         samples.append((80.0, reading(0.0, 1.0)))
         with pytest.raises(UnusableSampleError) as excinfo:
-            fit_position(samples)
+            fit_position(*columns(samples))
         assert excinfo.value.rows == (2, 6)
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateFitError):
-            fit_position([(10.0, reading(1.0, 1.0)), (10.0, reading(1.0, 1.0))])
+            fit_position(*columns([(10.0, reading(1.0, 1.0)), (10.0, reading(1.0, 1.0))]))
 
     def test_rank_deficient_positions(self):
         samples = [(25.0, reading(1.0 + i, 2.0)) for i in range(5)]
         with pytest.raises(DegenerateFitError):
-            fit_position(samples)
+            fit_position(*columns(samples))
 
     def test_r_squared_definition_and_bounds(self, default_config):
         rows = sweep(default_config, np.linspace(0.0, 85.0, 40), [2.0],
                      NoiseModel("snr_db", 25.0), seed=3)
-        cal = fit_position([(r.position_mm, r.reading) for r in rows])
+        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
         x = np.array([r.position_mm for r in rows])
         y = np.array([math.log(r.reading["B"] / r.reading["R"]) for r in rows])
         ss_res = np.sum((y - (cal.slope * x + cal.intercept)) ** 2)
@@ -168,7 +168,7 @@ class TestFitForce:
             for tweak in (0.99, 1.01):
                 samples.append((float(force),
                                 ChannelReading(base.values * tweak, base.channel_names)))
-        cal = fit_force(samples, default_config, known_position_mm=42.5)
+        cal = fit_force(*columns(samples), default_config, known_position_mm=42.5)
         assert len(cal.forces_n) == 11
         base_cal = calibrate_force(default_config, n_knots=11)
         assert np.allclose(cal.normalized, base_cal.normalized, rtol=1e-9)
@@ -179,7 +179,7 @@ class TestFitForce:
             for f in (0.0, 0.02, 0.05, 0.08)
         ]
         with pytest.raises(NonMonotoneDataError):
-            fit_force(samples, default_config, known_position_mm=42.5)
+            fit_force(*columns(samples), default_config, known_position_mm=42.5)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneDataError):
@@ -199,7 +199,7 @@ class TestFitForce:
             for f in (1.0, 2.0)
         ]
         with pytest.raises(DegenerateFitError):
-            fit_force(samples, default_config, known_position_mm=42.5)
+            fit_force(*columns(samples), default_config, known_position_mm=42.5)
 
     def test_decoded_positions_feed_normalization(self, line_config, line_poscal):
         # no known position: each sample's position is decoded from its ratio
@@ -208,7 +208,7 @@ class TestFitForce:
             (float(f), simulate_reading(line_config, Stimulus(30.0, float(f))))
             for f in schedule[1:]
         ]
-        cal = fit_force(samples, line_config, poscal=line_poscal)
+        cal = fit_force(*columns(samples), line_config, poscal=line_poscal)
         law = line_config.coupling
         for force in cal.forces_n[2::3]:
             expected = law.gain * (float(force) - law.f_threshold_n) ** law.exponent
@@ -225,7 +225,7 @@ class TestFitForce:
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
         samples = [(float(f), simulate_reading(line_config, Stimulus(p, float(f))))
                    for f in schedule[1:] for p in (20.0, 30.0)]
-        fit_force(samples, line_config, poscal=line_poscal)
+        fit_force(*columns(samples), line_config, poscal=line_poscal)
         assert calls == [len(samples)]
 
     def test_serialization_round_trip(self, default_forcecal):

@@ -365,7 +365,7 @@ class TestSweepDesign:
         code = main(["sweep-design", "--config", band_config_path, "--out", str(tmp_path / "d"),
                      "--lengths", "30,40,50,200", "--concentrations", "0.25,0.5,1"])
         assert code == 3
-        assert "dead-zone" in capsys.readouterr().err
+        assert "in the dead zone" in capsys.readouterr().err
 
     def test_length_outside_bounds_exits_2(self, line_config_path, tmp_path):
         code = main(["sweep-design", "--config", line_config_path,
@@ -553,6 +553,17 @@ class TestBadInput:
         }[command]
         assert main([command, "--out", str(tmp_path / "o")] + argv) == 2
         assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b, r", [("1e-300", "1e30"), ("1e30", "1e-300")],
+                             ids=["underflow", "overflow"])
+    def test_ratio_past_float_range_exits_3(self, b, r, band_config_path, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"position_mm,force_n,ch_B,ch_G,ch_R\n10,2,{b},1,{r}\n"
+                           "20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n")
+        code = main(["calibrate", "--config", band_config_path, "--out", str(tmp_path / "o"),
+                     "--samples", str(samples)])
+        assert code == 3
+        assert "B/R ratio past the float range at rows [0]" in capsys.readouterr().err
 
     def test_twin_with_one_sensor_exits_2(self, tmp_path, capsys):
         config = tmp_path / "twin.json"

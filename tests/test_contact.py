@@ -16,6 +16,8 @@ from spectratact import (
 )
 from spectratact.twin import encoder_sensor_config
 
+from conftest import columns
+
 
 class TestCoupledFraction:
     def test_zero_force(self):
@@ -81,7 +83,7 @@ class TestStrainedDye:
         def slope_at(strain):
             config = line_config.with_perturbation(PerturbationState(strain=strain))
             rows = sweep(config, np.linspace(0.0, 80.0, 9), [2.0])
-            return fit_position([(r.position_mm, r.reading) for r in rows]).slope
+            return fit_position(*columns((r.position_mm, r.reading) for r in rows)).slope
 
         base = slope_at(0.0)
         assert slope_at(0.25) == pytest.approx(0.8 * base, rel=1e-9)
@@ -90,7 +92,7 @@ class TestStrainedDye:
         for strain in (0.1, 0.25):
             config = line_config.with_perturbation(PerturbationState(strain=strain))
             rows = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
-            cal = fit_position([(r.position_mm, r.reading) for r in rows])
+            cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
             assert cal.r_squared > 1.0 - 1e-9
 
     def test_compression_limit(self):

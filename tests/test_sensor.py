@@ -25,7 +25,8 @@ from spectratact import (
 )
 from spectratact.sensor import (
     SUBSTREAM_BATCH_MIN,
-    _pcg64_states,
+    _SeedWords,
+    _seed_words,
     full_scale_intensity,
     substream,
     substreams,
@@ -165,13 +166,24 @@ class TestSubstreams:
         assert len(got) == n
         for draws, key in zip(got, keys):
             assert np.array_equal(draws, seed_sequence_draws(seed, key))
-        # the batched path yields one reused Generator, the per-key path one each
+        # every yielded Generator is independent: drawn in reverse order, each still matches
         yielded = list(substreams(seed, keys))
-        assert len({id(rng) for rng in yielded}) == (1 if n >= SUBSTREAM_BATCH_MIN else n)
-        # the array core itself, at one key
-        state = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[0])) \
-            .bit_generator.state["state"]
-        assert list(_pcg64_states(seed, np.array(keys[:1]))) == [(state["state"], state["inc"])]
+        for rng, key in reversed(list(zip(yielded, keys))):
+            assert np.array_equal(rng.standard_normal(3), seed_sequence_draws(seed, key))
+        # the array core itself
+        words = _seed_words(seed, np.array(keys))
+        assert words.shape == (n, 4) and words.dtype == np.uint64 and words.flags.c_contiguous
+        for row, key in zip(words, keys):
+            expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
+    def test_seed_words_refuse_any_other_request(self, n_words, dtype):
+        # PCG64 would read past a shorter buffer without an error
+        seed_words = _SeedWords(_seed_words(7, np.array([(1,)]))[0])
+        with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
+            seed_words.generate_state(n_words, dtype)
+        assert seed_words.generate_state(4, np.uint64).shape == (4,)
 
     @pytest.mark.parametrize("keys", [
         [()] * SUBSTREAM_BATCH_MIN,

@@ -22,6 +22,7 @@ from spectratact import (
     line_bank,
     log_ratio,
 )
+from spectratact.spectral import log_ratios
 
 GRID = default_wavelength_grid()
 
@@ -128,6 +129,13 @@ class TestLogRatio:
         value = log_ratio({"B": reading[0], "R": reading[1]}, "B", "R")
         expected = (k_r - k_b) * x + math.log(2.0 / 0.5)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_columns_mark_unlit_rows_and_keep_math_log(self):
+        num = [2.0, 0.0, math.nan, 1e-300, 1e300, 3.0]
+        den = [3.0, 1.0, 1.0, 1e30, 1e-30, -1.0]
+        lit, log = log_ratios(num, den)
+        assert lit.tolist() == [True, False, False, True, True, False]
+        assert log.tolist() == [math.log(2.0 / 3.0), -math.inf, math.inf]
 
     def test_zero_numerator_raises(self):
         with pytest.raises(BelowFloorError):
