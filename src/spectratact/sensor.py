@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
 from .errors import OutOfSpanError, UndefinedSnrError, _require_object
@@ -419,8 +418,12 @@ def _seed_words(seed: int, words: np.ndarray) -> np.ndarray:
     return state[:, ::2] | state[:, 1::2] << 32
 
 
-class _SeedWords(ISeedSequence):
-    """One row of :func:`_seed_words` for ``PCG64``, whose C code then runs ``set_seed``."""
+class _SeedWords:
+    """One row of :func:`_seed_words` for ``PCG64``, whose C code then runs ``set_seed``.
+
+    ``substreams`` registers it as a numpy ``ISeedSequence`` when it first
+    needs one, so importing this module does not import ``numpy.random``.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -445,6 +448,7 @@ def substreams(seed: int, keys) -> Iterator[np.random.Generator]:
             and len({len(key) for key in keys}) == 1 and keys[0]):
         words = np.array(keys)
         if words.dtype.kind in "iu" and words.min() >= 0 and words.max() <= _M32:
+            np.random.bit_generator.ISeedSequence.register(_SeedWords)
             return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
                     for row in _seed_words(int(seed), words))
     return (substream(seed, *key) for key in keys)
