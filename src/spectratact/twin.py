@@ -253,7 +253,7 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     ratio's two channel columns, with ``math.log``, whose rounding
     ``np.log`` does not share.  It stays scalar: on a one-sample ``track``
     the fixed numpy cost of ``decoder._decode_positions`` raised the median
-    step time by 40-75 us, from about 105 us to 150-180 us.
+    step time by 40-80 us (about 40-75%).
     """
     s1, s2 = assembly.sensors
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
