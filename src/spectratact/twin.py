@@ -192,7 +192,9 @@ def track(
         raise ValueError("trajectory is empty")
     times = [s.t_s for s in samples]
     if any(not b > a for a, b in zip(times, times[1:])):
-        raise ValueError("trajectory times must be strictly increasing")
+        i = next(i for i in range(1, len(times)) if not times[i] > times[i - 1])
+        raise ValueError(f"trajectory times must be strictly increasing: sample {i} at "
+                         f"{times[i]!r} s follows {times[i - 1]!r} s")
 
     fivebar, l = assembly.fivebar, assembly.fivebar.l_mm
     (enc1, enc2), (s1, s2) = assembly.encoders, assembly.sensors
@@ -200,6 +202,10 @@ def track(
     positions: list[tuple[float, float]] = []
     on_branch = False
     for i, sample in enumerate(samples):
+        t, x, y = sample.t_s, sample.pose.x_mm, sample.pose.y_mm
+        if t != t or x != x or y != y:  # a NaN pose is neither reachable nor unreachable
+            raise ValueError(f"trajectory sample {i} is not a number: t={t!r} s, "
+                             f"pose ({x!r}, {y!r}) mm")
         try:
             angles = inverse_kinematics(fivebar, sample.pose)
         except KinematicError:

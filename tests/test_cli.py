@@ -334,6 +334,18 @@ class TestTrack:
         _, rec = csv_rows(out / "reconstructed.csv")
         assert len(rec) == 5
 
+    @pytest.mark.parametrize("row", ["1.0,nan,120.0", "1.0,41.0,nan"])
+    def test_nan_coordinate_exits_2_naming_the_sample(self, row, twin_config_path, tmp_path,
+                                                      capsys):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"t_s,x_mm,y_mm\n0.0,40.0,120.0\n{row}\n2.0,42.0,120.0\n")
+        out = tmp_path / "out"
+        code = main(["track", "--config", twin_config_path, "--trajectory", str(traj),
+                     "--out", str(out)])
+        assert code == 2
+        assert "trajectory sample 1 " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_trajectory_exits_4(self, twin_config_path, tmp_path):
         traj = tmp_path / "traj.csv"
         traj.write_text("t_s,x_mm,y_mm\n0.0,40.0,500.0\n1.0,41.0,500.0\n")

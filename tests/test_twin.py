@@ -277,8 +277,30 @@ class TestTrackErrors:
             TrajectorySample(math.nan, TerminalPose(41.0, 120.0)),
             TrajectorySample(2.0, TerminalPose(42.0, 120.0)),
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 1 "):
             track(assembly, samples)
+        with pytest.raises(ValueError, match="sample 0 "):
+            track(assembly, samples[1:2])
+
+    # a NaN is neither reachable nor unreachable: it must not reach the IK
+    @pytest.mark.parametrize("x, y", [(math.nan, 120.0), (41.0, math.nan),
+                                      (math.inf, math.nan), (math.nan, -5.0)])
+    def test_nan_coordinate_rejected_naming_the_sample(self, assembly, x, y):
+        samples = [TrajectorySample(0.0, TerminalPose(40.0, 120.0)),
+                   TrajectorySample(1.0, TerminalPose(x, y)),
+                   TrajectorySample(2.0, TerminalPose(42.0, 120.0))]
+        with pytest.raises(ValueError, match="sample 1 "):
+            track(assembly, samples)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 120.0), (-math.inf, 120.0),
+                                      (41.0, math.inf), (41.0, -math.inf)])
+    def test_infinite_coordinate_dropped_as_unreachable(self, assembly, x, y):
+        samples = [TrajectorySample(0.0, TerminalPose(40.0, 120.0)),
+                   TrajectorySample(1.0, TerminalPose(x, y)),
+                   TrajectorySample(2.0, TerminalPose(42.0, 120.0))]
+        reconstructed, report = track(assembly, samples)
+        assert report.dropped == 1
+        assert [s.t_s for s in reconstructed] == [0.0, 2.0]
 
     def test_fully_unreachable_rejected(self, assembly):
         samples = [
