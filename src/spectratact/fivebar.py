@@ -8,10 +8,14 @@ the elbow-up branch (circle intersection with the larger y).
 
 Array kernels: ``_reach`` (reach test), ``_ik_batch`` (joint angles with
 the reach and branch mask) and ``_fk_batch``; the grid, path and
-predicate functions go through them.  ``inverse_kinematics`` and
-``forward_kinematics`` stay scalar ``math`` for ``track``: on the array
-kernels its one-sample p50 rose 46% (61 to 89 us, 2-vCPU AVX-512 host)
-and its poses moved in the last bits (numpy rounds unlike ``math``).
+predicate functions go through them.  Scalar kernels: ``_ik`` and
+``_fk`` map plain floats to plain floats with ``math``;
+``inverse_kinematics`` and ``forward_kinematics`` wrap them in
+``JointAngles`` and ``TerminalPose``, and ``twin.track`` calls them
+directly, so a replayed sample builds no angle object.  They stay scalar
+for ``track``: on the array kernels its one-sample p50 rose 46% (61 to
+89 us, 2-vCPU AVX-512 host) and its poses moved in the last bits (numpy
+rounds unlike ``math``).
 
 ``_fk_batch`` returns a ``valid`` mask and leaves x and y unspecified
 where it is False; its callers read coordinates only where it is set.
@@ -73,46 +77,51 @@ class TerminalPose:
     y_mm: float
 
 
-def inverse_kinematics(config: FiveBarConfig, pose: TerminalPose) -> JointAngles:
-    """Joint angles reaching a terminal pose on the working branch.
+def _ik(config: FiveBarConfig, x: float, y: float) -> tuple[float, float]:
+    """Joint angles (theta1, theta2) in radians reaching (x, y) on the working branch.
 
     theta_i = pi/2 - atan2(y, xi) - acos(ri / 2l) with x1 = x, x2 = d - x;
     acos arguments within REACH_REL_TOL of 1 are clamped, beyond that the
-    pose is unreachable.  Scalar for ``track`` (see the module docstring).
+    pose is unreachable.  A NaN coordinate gives NaN angles, which
+    :class:`JointAngles` rejects.
     """
-    x, y, d, l = pose.x_mm, pose.y_mm, config.d_mm, config.l_mm
+    d, l = config.d_mm, config.l_mm
     if y <= 0:
         raise UnreachableError(f"pose y={y} mm outside the working half-plane (y > 0)")
     r1 = math.hypot(x, y)
     r2 = math.hypot(d - x, y)
     if r1 == 0 or r2 == 0:
         raise SingularError("pose coincides with a base joint")
-    angles = []
-    for r, xi in ((r1, x), (r2, d - x)):
-        ratio = r / (2.0 * l)
-        if ratio > 1.0 + REACH_REL_TOL:
-            raise UnreachableError(
-                f"pose ({x:g}, {y:g}) mm beyond reach: distance {r:g} > 2l = {2 * l:g}"
-            )
-        angles.append(math.pi / 2 - math.atan2(y, xi) - math.acos(min(ratio, 1.0)))
-    return JointAngles(angles[0], angles[1])
+    ratio1, ratio2 = r1 / (2.0 * l), r2 / (2.0 * l)
+    if ratio1 > 1.0 + REACH_REL_TOL or ratio2 > 1.0 + REACH_REL_TOL:
+        r = r1 if ratio1 > 1.0 + REACH_REL_TOL else r2
+        raise UnreachableError(
+            f"pose ({x:g}, {y:g}) mm beyond reach: distance {r:g} > 2l = {2 * l:g}"
+        )
+    return (math.pi / 2 - math.atan2(y, x) - math.acos(min(ratio1, 1.0)),
+            math.pi / 2 - math.atan2(y, d - x) - math.acos(min(ratio2, 1.0)))
 
 
-def _elbows(config: FiveBarConfig, angles: JointAngles):
+def inverse_kinematics(config: FiveBarConfig, pose: TerminalPose) -> JointAngles:
+    """Joint angles reaching a terminal pose on the working branch (see :func:`_ik`)."""
+    return JointAngles(*_ik(config, pose.x_mm, pose.y_mm))
+
+
+def _elbows(config: FiveBarConfig, theta1: float, theta2: float):
     l, d = config.l_mm, config.d_mm
-    e1 = (l * math.sin(angles.theta1_rad), l * math.cos(angles.theta1_rad))
-    e2 = (d - l * math.sin(angles.theta2_rad), l * math.cos(angles.theta2_rad))
+    e1 = (l * math.sin(theta1), l * math.cos(theta1))
+    e2 = (d - l * math.sin(theta2), l * math.cos(theta2))
     return e1, e2
 
 
-def forward_kinematics(config: FiveBarConfig, angles: JointAngles) -> TerminalPose:
-    """Terminal pose for joint angles, elbow-up branch.
+def _fk(config: FiveBarConfig, theta1: float, theta2: float) -> tuple[float, float]:
+    """Terminal (x, y) for joint angles in radians, elbow-up branch.
 
     Intersects the two circles of radius l around the elbow points and
-    keeps the intersection with the larger y (scalar for ``track``).
+    keeps the intersection with the larger y; on a tie, the first one.
     """
     l = config.l_mm
-    (e1x, e1y), (e2x, e2y) = _elbows(config, angles)
+    (e1x, e1y), (e2x, e2y) = _elbows(config, theta1, theta2)
     dx, dy = e2x - e1x, e2y - e1y
     q = math.hypot(dx, dy)
     if q <= REACH_REL_TOL * l:
@@ -126,9 +135,13 @@ def forward_kinematics(config: FiveBarConfig, angles: JointAngles) -> TerminalPo
     mx, my = 0.5 * (e1x + e2x), 0.5 * (e1y + e2y)
     # unit normal to the elbow chord; +/- h along it gives the two branches
     nx, ny = -dy / q, dx / q
-    cand = ((mx + h * nx, my + h * ny), (mx - h * nx, my - h * ny))
-    x, y = max(cand, key=lambda p: p[1])
-    return TerminalPose(x, y)
+    xa, ya, xb, yb = mx + h * nx, my + h * ny, mx - h * nx, my - h * ny
+    return (xb, yb) if yb > ya else (xa, ya)  # max()'s rule: the second only if higher
+
+
+def forward_kinematics(config: FiveBarConfig, angles: JointAngles) -> TerminalPose:
+    """Terminal pose for joint angles, elbow-up branch (see :func:`_fk`)."""
+    return TerminalPose(*_fk(config, angles.theta1_rad, angles.theta2_rad))
 
 
 def _fk_batch(config: FiveBarConfig, theta1, theta2):
@@ -262,7 +275,7 @@ def elbow_separation_ratio(config: FiveBarConfig, pose: TerminalPose) -> float:
     colinear); first-order error propagation is trustworthy well below it.
     """
     angles = inverse_kinematics(config, pose)
-    (e1x, e1y), (e2x, e2y) = _elbows(config, angles)
+    (e1x, e1y), (e2x, e2y) = _elbows(config, angles.theta1_rad, angles.theta2_rad)
     return math.hypot(e2x - e1x, e2y - e1y) / (2.0 * config.l_mm)
 
 

@@ -267,13 +267,16 @@ def channel_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndar
 
     Returns an array of shape (rows, channels): the coupled fraction times
     the clear-path loss times the bank integrals of the filtered source.
+    The coupled fraction is computed once per distinct force, in the order
+    forces first appear, so the first invalid force is the one named.
     """
     clear, integrals = _filtered(config, positions_mm)
     forces = np.asarray(forces_n, dtype=float).reshape(-1).tolist()
     if len(forces) != len(clear):
         raise ValueError("positions and forces lengths differ")
     law = config.coupling
-    scale = np.array([coupled_fraction(law, f) * c for f, c in zip(forces, clear)])
+    fraction = {f: coupled_fraction(law, f) for f in dict.fromkeys(forces)}
+    scale = np.array([fraction[f] * c for f, c in zip(forces, clear)])
     return scale[:, None] * integrals * config._optics.gain
 
 
@@ -301,8 +304,10 @@ def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarra
     """Channel rows after noise (one draw per row from ``rngs``) and the floor."""
     values = channel_intensities(config, positions, forces)
     if noise is not None:
-        draws = np.array([rng.standard_normal(values.shape[1]) for rng in rngs])
-        noisy = values + draws.reshape(values.shape) * noise.sigma_vector(values)
+        draws = np.empty_like(values)
+        for row, rng in zip(draws, rngs, strict=True):
+            rng.standard_normal(out=row)
+        noisy = values + draws * noise.sigma_vector(values)
         values = np.maximum(noisy, 0.0)
     return np.where(values < config._optics.floor, 0.0, values)
 

@@ -24,14 +24,7 @@ import numpy as np
 from .calibration import PositionCalibration, fit_position
 from .decoder import JointEncoderModel
 from .errors import KinematicError, UnreachableError
-from .fivebar import (
-    FiveBarConfig,
-    JointAngles,
-    TerminalPose,
-    _ik_batch,
-    forward_kinematics,
-    inverse_kinematics,
-)
+from .fivebar import FiveBarConfig, TerminalPose, _fk, _ik, _ik_batch
 from .sensor import NoiseModel, SensorConfig, _readings, substreams
 from .spectral import line_bank
 
@@ -185,7 +178,15 @@ def track(
     log-ratio and the encoder map back to angles, then FK to a pose.  Samples that
     are unreachable, off a sensor's span, without contact or past the FK
     limits are dropped and counted; they never abort the run.  A
-    trajectory with no pose on the working branch is rejected.
+    trajectory with no pose on the working branch is rejected, and so is a
+    sample with a NaN time or coordinate.
+
+    The kinematics call ``fivebar._ik`` and ``_fk`` on plain floats, the
+    scalar ``math`` code behind ``inverse_kinematics`` and
+    ``forward_kinematics``, so a sample builds no ``JointAngles`` and only
+    its reconstructed ``TerminalPose``.  They stay scalar because the
+    array kernels round unlike ``math`` and cost more at one sample (see
+    the ``fivebar`` docstring).
     """
     samples = list(trajectory)
     if not samples:
@@ -207,12 +208,11 @@ def track(
             raise ValueError(f"trajectory sample {i} is not a number: t={t!r} s, "
                              f"pose ({x!r}, {y!r}) mm")
         try:
-            angles = inverse_kinematics(fivebar, sample.pose)
+            t1, t2 = _ik(fivebar, x, y)
         except KinematicError:
             continue
-        t1, t2 = angles.theta1_rad, angles.theta2_rad
         # working_branch's test, scalar like the IK: the pose is above the elbow midpoint
-        on_branch = on_branch or sample.pose.y_mm > 0.5 * (l * math.cos(t1) + l * math.cos(t2))
+        on_branch = on_branch or y > 0.5 * (l * math.cos(t1) + l * math.cos(t2))
         p1 = enc1.position_for_angle(math.degrees(t1))
         p2 = enc2.position_for_angle(math.degrees(t2))
         if 0 <= p1 <= s1.length_mm and 0 <= p2 <= s2.length_mm:
@@ -227,14 +227,12 @@ def track(
         if deg1 is None or deg2 is None:
             continue
         try:
-            pose_hat = forward_kinematics(
-                fivebar, JointAngles(math.radians(deg1), math.radians(deg2)))
+            x, y = _fk(fivebar, math.radians(deg1), math.radians(deg2))
         except KinematicError:
             continue
         sample = samples[i]
-        reconstructed.append(TrajectorySample(sample.t_s, pose_hat))
-        errors.append(math.hypot(pose_hat.x_mm - sample.pose.x_mm,
-                                 pose_hat.y_mm - sample.pose.y_mm))
+        reconstructed.append(TrajectorySample(sample.t_s, TerminalPose(x, y)))
+        errors.append(math.hypot(x - sample.pose.x_mm, y - sample.pose.y_mm))
     if errors:
         rms = float(np.sqrt(np.mean(np.square(errors))))
         max_err = max(errors)
@@ -255,15 +253,18 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
 
     One forward-model call per distinct sensor: joints that share one
     sensor object go through a single call on interleaved (sample, joint)
-    rows.  Decoding is :func:`decode_joint_angle`'s arithmetic on the
-    ratio's two channel columns, with ``math.log``, whose rounding
-    ``np.log`` does not share.  It stays scalar: on a one-sample ``track``
-    the fixed numpy cost of ``decoder._decode_positions`` raised the median
-    step time by 40-80 us (about 40-75%).
+    rows.  Each row decodes inline with the operations, in order, of
+    ``PositionCalibration.position_for_log_ratio``, the span clamp and
+    ``JointEncoderModel.angle_for_position``:
+    ``(min(max((log(num / den) - b) / m, lo), hi) - offset) / gain``, with
+    ``math.log``, whose rounding ``np.log`` does not share.  It stays
+    scalar: on a one-sample ``track`` the fixed numpy cost of
+    ``decoder._decode_positions`` raised the median step time by 40-80 us
+    (about 40-75%).
     """
     s1, s2 = assembly.sensors
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
-    decoded = [[], []]
+    decoded = [None, None]  # each joint's list, set by its sensor group
     for sensor, joints in groups:
         rngs = None if noise is None else substreams(seed, [(i, j) for i in kept for j in joints])
         xs = [pair[j] for pair in positions for j in joints]
@@ -275,14 +276,14 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
         for k, j in enumerate(joints):
             rows = values[k::len(joints)]
             encoder, poscal = assembly.encoders[j], assembly.calibrations[j]
-            lo, hi = poscal.span_mm
-            for num, den in zip(rows[:, names.index(poscal.numerator_ch)].tolist(),
-                                rows[:, names.index(poscal.denominator_ch)].tolist()):
-                if num <= 0 or den <= 0:
-                    decoded[j].append(None)
-                    continue
-                raw = poscal.position_for_log_ratio(math.log(num / den))
-                decoded[j].append(encoder.angle_for_position(min(max(raw, lo), hi)))
+            b, m, (lo, hi) = poscal.intercept, poscal.slope, poscal.span_mm
+            offset, gain = encoder.offset_mm, encoder.arc_gain_mm_per_deg
+            decoded[j] = [
+                None if num <= 0 or den <= 0
+                else (min(max((math.log(num / den) - b) / m, lo), hi) - offset) / gain
+                for num, den in zip(rows[:, names.index(poscal.numerator_ch)].tolist(),
+                                    rows[:, names.index(poscal.denominator_ch)].tolist())
+            ]
     return decoded
 
 

@@ -377,7 +377,9 @@ class TestSweepDesign:
         code = main(["sweep-design", "--config", band_config_path, "--out", str(tmp_path / "d"),
                      "--lengths", "30,40,50,200", "--concentrations", "0.25,0.5,1"])
         assert code == 3
-        assert "in the dead zone" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "in the dead zone" in err
+        assert "design point length=200.0 conc=1.0: " in err
 
     def test_length_outside_bounds_exits_2(self, line_config_path, tmp_path):
         code = main(["sweep-design", "--config", line_config_path,
@@ -461,6 +463,26 @@ class TestReplay:
                      "--samples", str(sim / "sweep.csv")]) == 0
         return {"band": band_config_path, "twin": twin_config_path,
                 "sim": str(sim / "sweep.csv"), "cal": str(cal / "calibration.json")}
+
+    def test_each_call_parses_its_own_options(self, band_config_path, tmp_path):
+        # main reuses one parser; no option of one call may leak into the next
+        base = ["simulate", "--config", band_config_path, "--positions", "0:85:7",
+                "--forces", "2", "--seed", "3"]
+        runs = {"snr": ["--snr-db", "30"], "sigma": ["--noise-sigma", "0.2"], "none": []}
+        for name, noise in runs.items():
+            assert main(base + noise + ["--out", str(tmp_path / name)]) == 0
+        args = {name: json.loads(read(tmp_path / name / "manifest.json"))["args"]
+                for name in runs}
+        assert [(args[n]["snr_db"], args[n]["noise_sigma"]) for n in runs] == \
+            [(30.0, None), (None, 0.2), (None, None)]
+        sweeps = {name: read(tmp_path / name / "sweep.csv") for name in runs}
+        assert len(set(sweeps.values())) == 3
+        for name in ("none", "sigma", "snr"):  # replay re-enters main
+            again = tmp_path / f"{name}_again"
+            assert main(["replay", "--manifest", str(tmp_path / name / "manifest.json"),
+                         "--out", str(again)]) == 0
+            assert read(again / "sweep.csv") == sweeps[name]
+            assert json.loads(read(again / "manifest.json"))["args"] == args[name]
 
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_replay_reproduces_every_file(self, command, inputs, tmp_path):
@@ -576,6 +598,17 @@ class TestBadInput:
                      "--samples", str(samples)])
         assert code == 3
         assert "B/R ratio past the float range at rows [0]" in capsys.readouterr().err
+
+    def test_unusable_row_named_as_a_csv_row(self, band_config_path, tmp_path, capsys):
+        # the first row is below the contact threshold, so the fit skips it
+        samples = tmp_path / "samples.csv"
+        samples.write_text("position_mm,force_n,ch_B,ch_G,ch_R\n5,0,0,0,0\n"
+                           "10,2,1e-300,1,1e30\n20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n")
+        code = main(["calibrate", "--config", band_config_path, "--out", str(tmp_path / "o"),
+                     "--samples", str(samples)])
+        assert code == 3
+        assert "1 sample(s) in the dead zone or with a B/R ratio past the float range " \
+            "at rows [1]" in capsys.readouterr().err
 
     def test_twin_with_one_sensor_exits_2(self, tmp_path, capsys):
         config = tmp_path / "twin.json"

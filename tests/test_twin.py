@@ -355,12 +355,15 @@ NOISES = {
 
 
 class TestTrackMatchesPerSampleChain:
+    # the first 1, 11 and 12 samples of the S path are 2, 22 and 24 rows on a
+    # shared sensor: both sides of sensor.SUBSTREAM_BATCH_MIN
     @pytest.mark.parametrize("noise", sorted(NOISES))
     @pytest.mark.parametrize("sensors", ["shared", "distinct"])
-    @pytest.mark.parametrize("path", ["s_path", "mixed_path"])
+    @pytest.mark.parametrize("path", ["s_path", "mixed_path", 1, 11, 12])
     def test_bit_identical(self, noise, sensors, path, request):
         twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
-        samples = request.getfixturevalue(path)
+        samples = request.getfixturevalue(path) if isinstance(path, str) \
+            else request.getfixturevalue("s_path")[:path]
         reconstructed, report = track(twin_, samples, NOISES[noise], seed=11)
         expected, expected_report, _ = track_per_sample(twin_, samples, NOISES[noise], seed=11)
         assert reconstructed == expected
@@ -402,6 +405,31 @@ class TestTrackBatching:
         monkeypatch.setattr(sensor, "channel_intensities", counting)
         track(twin_, s_path[:n], NoiseModel("snr_db", 40.0), seed=3)
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("run, calls", [
+        # one indenter force per sensor
+        ("track_shared", [2.0]), ("track_distinct", [2.0, 2.0]),
+        # 4 positions x 3 forces, then 2 x 2 with a repeated force
+        ("sweep", [0.5, 2.0, 8.0]), ("sweep_repeated", [2.0, 0.5]),
+    ])
+    def test_coupled_fraction_once_per_force(self, run, calls, assembly, distinct, s_path,
+                                             monkeypatch):
+        counted = []
+        law = sensor.coupled_fraction
+
+        def counting(coupling, force_n):
+            counted.append(force_n)
+            return law(coupling, force_n)
+
+        monkeypatch.setattr(sensor, "coupled_fraction", counting)
+        if run.startswith("track"):
+            track(assembly if run == "track_shared" else distinct, s_path,
+                  NoiseModel("snr_db", 40.0), seed=3)
+        else:
+            forces = [0.5, 2.0, 8.0] if run == "sweep" else [2.0, 0.5, 2.0]
+            sensor.sweep(encoder_sensor_config(), [10.0, 40.0, 70.0, 80.0][:len(forces) + 1],
+                         forces, NoiseModel("snr_db", 40.0), seed=1)
+        assert counted == calls
 
 
 class TestAssembly:
