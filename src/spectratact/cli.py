@@ -263,11 +263,10 @@ def cmd_calibrate(args) -> int:
         poscal = fit_position(names, channels[fit_rows],
                               [] if position is None else position[fit_rows],
                               args.numerator, args.denominator)
-    except UnusableSampleError as exc:
-        # fit_position numbers the rows it was given: name them as data rows of the CSV
+    except UnusableSampleError as exc:  # name data rows of the CSV, not of the fitted subset
         rows = fit_rows[list(exc.rows)].tolist()
-        problem = str(exc).rpartition(" at rows ")[0]
-        raise UnusableSampleError(f"{problem} at rows {rows}", rows) from None
+        raise UnusableSampleError(f"{str(exc).rpartition(' at rows ')[0]} at rows {rows}",
+                                  rows) from None
 
     forcecal = None
     if position is not None and force is not None:
@@ -428,13 +427,12 @@ def cmd_sweep_design(args) -> int:
             try:
                 variant = replace(config, length_mm=length,
                                   dye=config.dye.with_concentration(conc))
-            except ValueError as exc:
-                raise CliError(f"{point}: {exc}")
-            try:
                 poscal = calibrate_encoder(variant, args.probe_force,
                                            max(int(round(length)) + 1, 3))
             except _DEGENERATE_ERRORS as exc:
                 raise CliError(f"degenerate data: {point}: {exc}", EXIT_DEGENERATE) from None
+            except ValueError as exc:
+                raise CliError(f"{point}: {exc}")
             out_rows.append([length, conc, poscal.slope, poscal.intercept,
                              poscal.r_squared])
     _write_csv(
@@ -491,6 +489,7 @@ def _add_noise(parser: argparse.ArgumentParser):
     return group
 
 
+@functools.cache  # one parser per process: building it took 0.9-1.7 ms per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectratact",
@@ -548,12 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built on the first call and reused: building it cost 0.9-1.7 ms per call.
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -8,14 +8,10 @@ the elbow-up branch (circle intersection with the larger y).
 
 Array kernels: ``_reach`` (reach test), ``_ik_batch`` (joint angles with
 the reach and branch mask) and ``_fk_batch``; the grid, path and
-predicate functions go through them.  Scalar kernels: ``_ik`` and
-``_fk`` map plain floats to plain floats with ``math``;
-``inverse_kinematics`` and ``forward_kinematics`` wrap them in
-``JointAngles`` and ``TerminalPose``, and ``twin.track`` calls them
-directly, so a replayed sample builds no angle object.  They stay scalar
-for ``track``: on the array kernels its one-sample p50 rose 46% (61 to
-89 us, 2-vCPU AVX-512 host) and its poses moved in the last bits (numpy
-rounds unlike ``math``).
+predicate functions go through them.  ``_ik`` and ``_fk`` (behind ``inverse_kinematics``
+and ``forward_kinematics``) stay scalar ``math`` on plain floats for ``track``: on the
+array kernels its one-sample p50 rose 46% (61 to 89 us, 2-vCPU AVX-512 host) and its
+poses moved in the last bits (numpy rounds unlike ``math``).
 
 ``_fk_batch`` returns a ``valid`` mask and leaves x and y unspecified
 where it is False; its callers read coordinates only where it is set.

@@ -267,8 +267,7 @@ def channel_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndar
 
     Returns an array of shape (rows, channels): the coupled fraction times
     the clear-path loss times the bank integrals of the filtered source.
-    The coupled fraction is computed once per distinct force, in the order
-    forces first appear, so the first invalid force is the one named.
+    The coupling law runs once per distinct force, first-seen first.
     """
     clear, integrals = _filtered(config, positions_mm)
     forces = np.asarray(forces_n, dtype=float).reshape(-1).tolist()

@@ -179,24 +179,12 @@ def track(
     are unreachable, off a sensor's span, without contact or past the FK
     limits are dropped and counted; they never abort the run.  A
     trajectory with no pose on the working branch is rejected, and so is a
-    sample with a NaN time or coordinate.
-
-    The kinematics call ``fivebar._ik`` and ``_fk`` on plain floats, the
-    scalar ``math`` code behind ``inverse_kinematics`` and
-    ``forward_kinematics``, so a sample builds no ``JointAngles`` and only
-    its reconstructed ``TerminalPose``.  They stay scalar because the
-    array kernels round unlike ``math`` and cost more at one sample (see
-    the ``fivebar`` docstring).
+    sample with a NaN time or coordinate.  IK and FK run as ``fivebar._ik``
+    and ``_fk``, scalar ``math`` on plain floats (the ``fivebar`` docstring says why).
     """
     samples = list(trajectory)
     if not samples:
         raise ValueError("trajectory is empty")
-    times = [s.t_s for s in samples]
-    if any(not b > a for a, b in zip(times, times[1:])):
-        i = next(i for i in range(1, len(times)) if not times[i] > times[i - 1])
-        raise ValueError(f"trajectory times must be strictly increasing: sample {i} at "
-                         f"{times[i]!r} s follows {times[i - 1]!r} s")
-
     fivebar, l = assembly.fivebar, assembly.fivebar.l_mm
     (enc1, enc2), (s1, s2) = assembly.encoders, assembly.sensors
     kept: list[int] = []
@@ -205,8 +193,9 @@ def track(
     for i, sample in enumerate(samples):
         t, x, y = sample.t_s, sample.pose.x_mm, sample.pose.y_mm
         if t != t or x != x or y != y:  # a NaN pose is neither reachable nor unreachable
-            raise ValueError(f"trajectory sample {i} is not a number: t={t!r} s, "
-                             f"pose ({x!r}, {y!r}) mm")
+            raise ValueError(f"trajectory sample {i} has a NaN time or coordinate")
+        if i and not t > samples[i - 1].t_s:
+            raise ValueError(f"trajectory times must be strictly increasing at sample {i}")
         try:
             t1, t2 = _ik(fivebar, x, y)
         except KinematicError:
@@ -253,14 +242,11 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
 
     One forward-model call per distinct sensor: joints that share one
     sensor object go through a single call on interleaved (sample, joint)
-    rows.  Each row decodes inline with the operations, in order, of
-    ``PositionCalibration.position_for_log_ratio``, the span clamp and
-    ``JointEncoderModel.angle_for_position``:
-    ``(min(max((log(num / den) - b) / m, lo), hi) - offset) / gain``, with
+    rows.  Each row decodes inline as ``position_for_log_ratio``, the span
+    clamp and ``angle_for_position`` do, operation for operation, with
     ``math.log``, whose rounding ``np.log`` does not share.  It stays
     scalar: on a one-sample ``track`` the fixed numpy cost of
-    ``decoder._decode_positions`` raised the median step time by 40-80 us
-    (about 40-75%).
+    ``decoder._decode_positions`` raised the median step time by 40-80 us.
     """
     s1, s2 = assembly.sensors
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
