@@ -132,7 +132,7 @@ def _fk(config: FiveBarConfig, theta1: float, theta2: float) -> tuple[float, flo
     # unit normal to the elbow chord; +/- h along it gives the two branches
     nx, ny = -dy / q, dx / q
     xa, ya, xb, yb = mx + h * nx, my + h * ny, mx - h * nx, my - h * ny
-    return (xb, yb) if yb > ya else (xa, ya)  # max()'s rule: the second only if higher
+    return (xb, yb) if yb > ya else (xa, ya)  # max()'s rule, NaN included
 
 
 def forward_kinematics(config: FiveBarConfig, angles: JointAngles) -> TerminalPose:

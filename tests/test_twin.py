@@ -407,13 +407,10 @@ class TestTrackBatching:
         assert len(counted) == calls
 
     @pytest.mark.parametrize("run, calls", [
-        # one indenter force per sensor
-        ("track_shared", [2.0]), ("track_distinct", [2.0, 2.0]),
-        # 4 positions x 3 forces, then 2 x 2 with a repeated force
-        ("sweep", [0.5, 2.0, 8.0]), ("sweep_repeated", [2.0, 0.5]),
-    ])
-    def test_coupled_fraction_once_per_force(self, run, calls, assembly, distinct, s_path,
-                                             monkeypatch):
+        ("shared", [2.0]), ("distinct", [2.0, 2.0]),  # track: one indenter force per sensor
+        ((0.5, 2.0, 8.0), [0.5, 2.0, 8.0]), ((2.0, 0.5, 2.0), [2.0, 0.5]),  # sweep: forces
+    ], ids=["track_shared", "track_distinct", "sweep", "sweep_repeated_force"])
+    def test_coupled_fraction_once_per_force(self, run, calls, s_path, monkeypatch, request):
         counted = []
         law = sensor.coupled_fraction
 
@@ -422,13 +419,12 @@ class TestTrackBatching:
             return law(coupling, force_n)
 
         monkeypatch.setattr(sensor, "coupled_fraction", counting)
-        if run.startswith("track"):
-            track(assembly if run == "track_shared" else distinct, s_path,
-                  NoiseModel("snr_db", 40.0), seed=3)
+        noise = NoiseModel("snr_db", 40.0)
+        if isinstance(run, str):
+            twin_ = request.getfixturevalue("assembly" if run == "shared" else "distinct")
+            track(twin_, s_path, noise, seed=3)
         else:
-            forces = [0.5, 2.0, 8.0] if run == "sweep" else [2.0, 0.5, 2.0]
-            sensor.sweep(encoder_sensor_config(), [10.0, 40.0, 70.0, 80.0][:len(forces) + 1],
-                         forces, NoiseModel("snr_db", 40.0), seed=1)
+            sensor.sweep(encoder_sensor_config(), [10.0, 40.0, 70.0, 80.0], run, noise, seed=1)
         assert counted == calls
 
 
