@@ -6,10 +6,14 @@
 
 on arbitrary grids, banks and perturbations, and every row of a batch
 must equal the same row computed on its own, across the chunk
-boundaries of the kernel.
+boundaries of the kernel.  On the stock banks it must also equal, bit for
+bit, the same arithmetic run on every wavelength sample of the grid.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
@@ -23,7 +27,9 @@ from spectratact import (
     boxcar_channel,
     line_channel,
 )
+from spectratact.contact import bending_gain, coupled_fraction, strained_dye
 from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_factors
+from spectratact.twin import encoder_sensor_config
 
 REL_TOL = 1e-12
 ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
@@ -112,3 +118,44 @@ def test_rows_independent_of_batch(config, seed):
     for i in (0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS, n - 1):
         alone = channel_intensities(config, positions[i:i + 1], forces[i:i + 1])
         assert np.array_equal(batch[i], alone[0])
+
+
+def full_width(config, positions, forces):
+    """The kernel's arithmetic on every wavelength sample of the grid.
+
+    Each row is the stacked matmul of the full response matrix with the
+    filtered source, in blocks of ``CHUNK_ROWS``, times the clear-path loss
+    in ``math``, the coupled fraction and the bending gain, as
+    ``channel_intensities`` and ``transmission_factors`` order them.
+    """
+    dye = strained_dye(config.dye, config.perturbation.strain)
+    neg_decay = -dye.concentration_scale * dye.decay_per_mm
+    widths = np.gradient(config.source.wavelengths_nm)
+    responses = config.bank.responses
+    integrals = np.empty((positions.size, responses.shape[0]))
+    for start in range(0, positions.size, CHUNK_ROWS):
+        block = positions[start:start + CHUNK_ROWS, None]
+        filtered = (config.source.intensities * np.exp(neg_decay * block)) * widths
+        integrals[start:start + block.shape[0]] = np.matmul(responses, filtered[:, :, None])[:, :, 0]
+    clear = [math.exp(-config.clear_loss_per_mm * p) for p in positions.tolist()]
+    fraction = [coupled_fraction(config.coupling, f) for f in forces.tolist()]
+    scale = np.array([f * c for f, c in zip(fraction, clear)])
+    gain = bending_gain(config.perturbation)
+    return scale[:, None] * integrals * gain, np.array(clear) * integrals.sum(axis=1) * gain
+
+
+# The kernel integrates only the samples that line channels read; a sum with
+# one nonzero term rounds alike in any order, so those rows keep their bits.
+# Multi-sample channels keep every sample: dropping their zero columns lets
+# BLAS regroup the sum, which moves bits.
+@pytest.mark.parametrize("config", [
+    encoder_sensor_config(),
+    SensorConfig.default(),
+    SensorConfig.default(bank=ChannelBank((boxcar_channel("G", 500.0, 600.0),))),
+], ids=["encoder_line_bank", "default_bank", "g_only_boxcar"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bits_equal_full_width_arithmetic(config, seed):
+    positions, forces = stimuli(config, 2 * CHUNK_ROWS + 3, seed)
+    expected_channels, expected_transmission = full_width(config, positions, forces)
+    assert np.array_equal(channel_intensities(config, positions, forces), expected_channels)
+    assert np.array_equal(transmission_factors(config, positions), expected_transmission)
