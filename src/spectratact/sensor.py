@@ -43,12 +43,17 @@ CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class _Optics:
-    """Per-config constants of the forward model, computed once per config."""
+    """Per-config constants of the forward model, computed once per config.
 
-    source: np.ndarray      # source intensity per wavelength sample
-    neg_decay: np.ndarray   # -c * k of the strained dye, per mm
-    widths: np.ndarray      # rectangle-rule sample widths
-    responses: np.ndarray   # (channels, wavelengths)
+    The four arrays cover the wavelength samples that ``_filtered``
+    integrates: every sample of the grid, or for a bank of line channels
+    only the samples they read.
+    """
+
+    source: np.ndarray      # source intensity per kept sample
+    neg_decay: np.ndarray   # -c * k of the strained dye per kept sample, per mm
+    widths: np.ndarray      # rectangle-rule widths of the kept samples
+    responses: np.ndarray   # (channels, kept samples)
     gain: float             # bending gain
     full_scale: float       # total of the unattenuated source through the bank
     floor: float            # readings below this are clamped to zero
@@ -98,11 +103,14 @@ class SensorConfig:
     def _optics(self) -> _Optics:
         dye = strained_dye(self.dye, self.perturbation.strain)
         full_scale = float(integrate_channels(self.source, self.bank).sum())
+        responses = self.bank.responses
+        line_bank = (np.count_nonzero(responses, axis=1) == 1).all()
+        keep = np.flatnonzero(responses.any(axis=0)) if line_bank else slice(None)
         return _Optics(
-            source=self.source.intensities,
-            neg_decay=-dye.concentration_scale * dye.decay_per_mm,
-            widths=_sample_widths(self.source.wavelengths_nm),
-            responses=self.bank.responses,
+            source=self.source.intensities[keep],
+            neg_decay=(-dye.concentration_scale * dye.decay_per_mm)[keep],
+            widths=_sample_widths(self.source.wavelengths_nm)[keep],
+            responses=responses[:, keep],
             gain=bending_gain(self.perturbation),
             full_scale=full_scale,
             floor=RELATIVE_INTENSITY_FLOOR * full_scale,
@@ -243,6 +251,14 @@ def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarr
     would round differently.  The clear-path loss stays in ``math``, whose
     ``exp`` rounds differently from ``np.exp``.  Rows go in blocks of
     ``CHUNK_ROWS`` to bound the (rows x wavelengths) intermediates.
+
+    It integrates the samples that ``config._optics`` keeps.  When every
+    channel reads a single sample, those are the read samples only (2 of
+    301 for the joint encoder's B/R bank): each integral is then a sum with
+    one nonzero term, which rounds alike in any order and with any number
+    of zero terms, so the rows keep their bits.  Any other bank keeps every
+    sample, since dropping the zero columns of a multi-sample channel lets
+    BLAS regroup its sum.
     """
     x = np.asarray(positions_mm, dtype=float).reshape(-1)
     outside = ~((x >= 0) & (x <= config.length_mm))
@@ -351,9 +367,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 # Fewest keys for which substreams() computes the seed words as arrays.  On
 # a 2-vCPU AVX-512 host, building Generators and drawing two normals each
-# took 88/236 us at 2/24 keys and 5.5 us per key at 2000 batched, 41/441 us
-# and 18-26 us per key one by one: even at 4-8 keys.  At 24, a one-sample
-# track (2 keys) stays per key and large batches are batched.
+# took 69/129 us at 2/24 keys and 2.8 us per key at 2000 batched, 27/304 us
+# and 13-15 us per key one by one: even between 4 and 8 keys.  At 24, a
+# one-sample track (2 keys) stays per key and large batches are batched.
 SUBSTREAM_BATCH_MIN = 24
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hash and mix
@@ -425,8 +441,8 @@ def _seed_words(seed: int, words: np.ndarray) -> np.ndarray:
 class _SeedWords:
     """One row of :func:`_seed_words` for ``PCG64``, whose C code then runs ``set_seed``.
 
-    ``substreams`` registers it as a numpy ``ISeedSequence`` when it first
-    needs one, so importing this module does not import ``numpy.random``.
+    ``PCG64`` takes only an ``ISeedSequence``; :func:`_pcg64_seed_type`
+    builds the subclass that ``substreams`` hands it.
     """
 
     def __init__(self, words: np.ndarray):
@@ -439,21 +455,33 @@ class _SeedWords:
         return self.words
 
 
+@lru_cache(maxsize=None)
+def _pcg64_seed_type() -> type:
+    """:class:`_SeedWords` as a real ``ISeedSequence`` (no ABCMeta virtual-subclass lookup
+    per ``PCG64``), built on first use so that importing does not load ``numpy.random``."""
+    class SeedWords(_SeedWords, np.random.bit_generator.ISeedSequence):
+        pass
+
+    return SeedWords
+
+
 def substreams(seed: int, keys) -> Iterator[np.random.Generator]:
     """For each key, a Generator positioned exactly as ``substream(seed, *key)``.
 
     For at least ``SUBSTREAM_BATCH_MIN`` keys of one arity >= 1, every
     word in [0, 2**32), and a non-negative int seed, the seed words of
-    every key are computed at once as arrays.  Otherwise each key gets
-    its own ``substream``, where numpy raises on a negative seed.
+    every key are computed at once as arrays, and each Generator's
+    ``PCG64`` is seeded from its row through a :func:`_pcg64_seed_type`
+    instance.  Otherwise each key gets its own ``substream``, where numpy
+    raises on a negative seed.
     """
     keys = list(keys)
     if (len(keys) >= SUBSTREAM_BATCH_MIN and isinstance(seed, (int, np.integer)) and seed >= 0
             and len({len(key) for key in keys}) == 1 and keys[0]):
         words = np.array(keys)
         if words.dtype.kind in "iu" and words.min() >= 0 and words.max() <= _M32:
-            np.random.bit_generator.ISeedSequence.register(_SeedWords)
-            return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            seed_type = _pcg64_seed_type()
+            return (np.random.Generator(np.random.PCG64(seed_type(row)))
                     for row in _seed_words(int(seed), words))
     return (substream(seed, *key) for key in keys)
 

@@ -6,22 +6,28 @@ process that runs the CLI.  numpy loads ``numpy.random`` lazily, and the
 commands that draw no noise never need it (about 14 ms per process).
 """
 
+import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import spectratact
+from spectratact import SensorConfig
+from spectratact.twin import TwinAssembly
 
 
-def loaded(package: str) -> str:
-    """Modules of ``package`` that importing the package and its CLI loads, as printed."""
-    probe = ("import spectratact, spectratact.cli, sys; "
+def loaded(package: str, run: str = "") -> str:
+    """Modules of ``package`` loaded once the package and its CLI are imported and the
+    statements ``run`` ran, as printed on the last line."""
+    probe = (f"import spectratact, spectratact.cli, sys; {run}"
              f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(spectratact.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
-    return done.stdout.strip()
+    return done.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -29,5 +35,17 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_numpy_random():
-    # sensor.substreams registers its seed-word type with numpy.random on first use
+    # sensor.substreams builds its numpy.random seed type on first use, not at import
     assert loaded("numpy.random") == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_noise_free_cli_run_loads_no_numpy_random(command, tmp_path):
+    config = tmp_path / "config.json"
+    doc = TwinAssembly() if command == "track" else SensorConfig.default()
+    config.write_text(json.dumps(doc.to_dict()))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o"), *{
+        "simulate": ["--positions", "0:85:18", "--forces", "0.1,2,10"],  # 54 rows
+        "track": ["--generate", "circle:30:40:120:50"],  # 100 (sample, joint) rows
+    }[command]]
+    assert loaded("numpy.random", f"assert spectratact.cli.main({argv!r}) == 0; ") == "[]"

@@ -150,6 +150,12 @@ def seed_sequence_draws(seed, key, shape=3):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal(shape)
 
 
+def batched_seed_type():
+    """The type of seed object that ``substreams`` hands ``PCG64`` at ``SUBSTREAM_BATCH_MIN`` keys."""
+    rng = next(iter(substreams(7, [(i,) for i in range(SUBSTREAM_BATCH_MIN)])))
+    return type(rng.bit_generator.seed_seq)
+
+
 # one, one, two, three and five uint32 words: a seed past four words mixes in after the pool
 WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 WORD = stn.integers(0, 2**32 - 1)
@@ -180,10 +186,17 @@ class TestSubstreams:
     @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
     def test_seed_words_refuse_any_other_request(self, n_words, dtype):
         # PCG64 would read past a shorter buffer without an error
-        seed_words = _SeedWords(_seed_words(7, np.array([(1,)]))[0])
-        with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
-            seed_words.generate_state(n_words, dtype)
-        assert seed_words.generate_state(4, np.uint64).shape == (4,)
+        for seed_type in (_SeedWords, batched_seed_type()):
+            seed_words = seed_type(_seed_words(7, np.array([(1,)]))[0])
+            with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
+                seed_words.generate_state(n_words, dtype)
+            assert seed_words.generate_state(4, np.uint64).shape == (4,)
+
+    def test_batched_seed_type_is_a_real_iseedsequence(self):
+        # a real subclass, not a registered virtual one: PCG64's isinstance check stays cheap
+        from numpy.random.bit_generator import ISeedSequence
+        assert {ISeedSequence, _SeedWords} <= set(batched_seed_type().__mro__)
+        assert not issubclass(_SeedWords, ISeedSequence)
 
     @pytest.mark.parametrize("keys", [
         [()] * SUBSTREAM_BATCH_MIN,
