@@ -154,10 +154,14 @@ def _parse_value_list(spec: str, name: str) -> list[float]:
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
-        return [float(v) for v in spec.split(",") if v != ""]
+            values = [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+        else:
+            values = [float(v) for v in spec.split(",") if v != ""]
     except ValueError as exc:
         raise CliError(f"cannot parse {name} spec {spec!r}: {exc}")
+    if not values:
+        raise CliError(f"{name} spec {spec!r} gives no values")
+    return values
 
 
 def _noise_from_args(args) -> NoiseModel | None:
@@ -395,9 +399,13 @@ def cmd_track(args) -> int:
     if args.trajectory is not None:
         trajectory = _read_trajectory_csv(args.trajectory)
     else:
-        shape, scale, cx, cy, n = args.generate.split(":")
-        trajectory = generate_path(shape, (float(cx), float(cy)), float(scale),
-                                   int(n), config=assembly.fivebar)
+        try:
+            shape, scale, cx, cy, n = args.generate.split(":")
+            scale, center, n = float(scale), (float(cx), float(cy)), int(n)
+        except ValueError as exc:
+            raise CliError(f"cannot parse --generate spec {args.generate!r} "
+                           f"(shape:scale:cx:cy:n): {exc}") from None
+        trajectory = generate_path(shape, center, scale, n, config=assembly.fivebar)
     noise = _noise_from_args(args)
     if args.angle_sigma_deg is not None:
         snr = snr_db_for_angle_sigma(assembly.calibrations[0], assembly.encoders[0],

@@ -556,6 +556,51 @@ class TestBadInput:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generate, detail", [
+        ("circle:30", "not enough values to unpack (expected 5, got 2)"),
+        ("circle:30:40:120:25:1", "too many values to unpack (expected 5)"),
+        ("circle:40:40:125:1e3", "invalid literal for int()"),
+        ("circle:forty:40:125:50", "could not convert string to float: 'forty'"),
+    ])
+    def test_malformed_generate_spec_exits_2(self, generate, detail, twin_config_path,
+                                             tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["track", "--config", twin_config_path, "--out", str(out),
+                     "--generate", generate])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--generate spec {generate!r} (shape:scale:cx:cy:n): {detail}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generate, message", [
+        ("circle:30:40:120:1", "need at least 2 samples"),
+        ("square:30:40:120:5", "unknown path shape 'square'"),
+    ])
+    def test_generate_path_keeps_its_messages(self, generate, message, twin_config_path,
+                                              tmp_path, capsys):
+        code = main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
+                     "--generate", generate])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "--generate spec" not in err
+
+    @pytest.mark.parametrize("command, option, spec", [
+        ("simulate", "--positions", "0:85:0"),
+        ("simulate", "--forces", ""),
+        ("sweep-design", "--lengths", ""),
+        ("sweep-design", "--concentrations", ","),
+    ])
+    def test_empty_value_list_exits_2(self, command, option, spec, line_config_path,
+                                      tmp_path, capsys):
+        values = {"simulate": {"--positions": "10", "--forces": "2"},
+                  "sweep-design": {"--lengths": "85", "--concentrations": "1"}}[command]
+        values[option] = spec
+        out = tmp_path / "o"
+        argv = [arg for pair in values.items() for arg in pair]
+        assert main([command, "--config", line_config_path, "--out", str(out)] + argv) == 2
+        assert f"{option} spec {spec!r} gives no values" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["generate", "trajectory"])
     def test_negative_seed_exits_2(self, source, twin_config_path, tmp_path, capsys):
         traj = tmp_path / "traj.csv"
