@@ -150,7 +150,7 @@ def _load_config(path: str) -> SensorConfig:
 
 
 def _parse_value_list(spec: str, name: str) -> list[float]:
-    """Either comma-separated values or a linspace 'start:stop:count'."""
+    """Either comma-separated values or a linspace 'start:stop:count'; never empty."""
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")

@@ -194,7 +194,7 @@ class TestSubstreams:
 
     def test_batched_seed_type_is_a_real_iseedsequence(self):
         # a real subclass, not a registered virtual one: PCG64's isinstance check stays cheap
-        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence = np.random.bit_generator.ISeedSequence
         assert {ISeedSequence, _SeedWords} <= set(batched_seed_type().__mro__)
         assert not issubclass(_SeedWords, ISeedSequence)
 
