@@ -24,7 +24,8 @@ from spectratact.contact import bending_gain, coupled_fraction, strained_dye
 from spectratact.fivebar import FiveBarConfig, GridSpec, deviation_map, workspace_mask
 from spectratact.sensor import RELATIVE_INTENSITY_FLOOR
 from spectratact.spectral import attenuate, integrate_channels
-from spectratact.twin import TwinAssembly, encoder_sensor_config
+from spectratact.twin import (TwinAssembly, encoder_sensor_config, generate_path,
+                              snr_db_for_angle_sigma, track)
 
 POSITIONS = "0:85:18"
 # zero, the contact threshold, the steep region, and past saturation
@@ -156,6 +157,24 @@ def test_artifact_bytes(artifacts, name):
 @pytest.mark.parametrize("name", sorted(MAP_GOLDEN))
 def test_map_bytes(name):
     assert hashlib.sha256(MAPS[name]().tobytes()).hexdigest() == MAP_GOLDEN[name]
+
+
+STREAM_GOLDEN = "cadeada037674357552e29e2966053ec81253be4be9b50ad098333a0b1bbe5f9"
+
+
+def test_one_sample_stream_bytes():
+    """The benchmark's real-time stream: one-sample ``track`` calls along a circle at the
+    SNR for 0.05 degrees, call i seeded ``3 + i``; pins each pose and RMS."""
+    assembly = TwinAssembly()
+    snr = snr_db_for_angle_sigma(assembly.calibrations[0], assembly.encoders[0], 0.05)
+    noise = NoiseModel("snr_db", snr)
+    digest = hashlib.sha256()
+    for i, sample in enumerate(generate_path("circle", (40.0, 125.0), 40.0, 100,
+                                             config=assembly.fivebar)):
+        reconstructed, report = track(assembly, [sample], noise, seed=3 + i)
+        pose = reconstructed[0].pose
+        digest.update(np.array([pose.x_mm, pose.y_mm, report.rms_error_mm]).tobytes())
+    assert digest.hexdigest() == STREAM_GOLDEN
 
 
 def reference_sweep(config, positions, forces, noise, seed):

@@ -428,6 +428,62 @@ class TestTrackBatching:
         assert counted == calls
 
 
+# seed of a stream's first call; call i uses STREAM_SEED + i, as a real-time loop does
+STREAM_SEED = 1000
+
+
+class TestOneSampleStream:
+    """``track`` on one sample at a time: the real-time hot path."""
+
+    @pytest.fixture(scope="class")
+    def long_s_path(self):
+        return generate_path("S", S_CENTER, 40.0, 200, config=FIVEBAR)
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("sensors", ["shared", "distinct"])
+    def test_every_call_matches_per_sample_chain(self, noise, sensors, long_s_path, request):
+        twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
+        for i, sample in enumerate(long_s_path):
+            reconstructed, report = track(twin_, [sample], NOISES[noise], seed=STREAM_SEED + i)
+            expected, expected_report, _ = track_per_sample(
+                twin_, [sample], NOISES[noise], seed=STREAM_SEED + i)
+            assert reconstructed == expected
+            assert report.to_dict() == expected_report.to_dict()
+
+    # 8 and 128 are block sizes of numpy's pairwise sum
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_rms_is_numpy_mean_rms(self, assembly, n):
+        path = generate_path("S", S_CENTER, 40.0, 300, config=FIVEBAR)[:n]
+        _, report = track(assembly, path, NoiseModel("snr_db", 40.0), seed=5)
+        assert len(report.errors_mm) == n
+        assert report.rms_error_mm == float(np.sqrt(np.mean(np.square(report.errors_mm))))
+
+    def _counting(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_one_sample_call_counts(self, assembly, s_path, monkeypatch):
+        """Exact counts, so new per-call work fails here rather than hiding in timing noise."""
+        keys = self._counting(monkeypatch, sensor, "substream")
+        readings = self._counting(monkeypatch, twin, "_readings")
+        fractions = self._counting(monkeypatch, sensor, "coupled_fraction")
+        track(assembly, s_path[:1], NoiseModel("snr_db", 40.0), seed=3)
+        assert (len(keys), len(readings), len(fractions)) == (2, 1, 1)
+
+    def test_long_track_builds_no_key_alone(self, assembly, monkeypatch):
+        keys = self._counting(monkeypatch, sensor, "substream")
+        path = generate_path("circle", (40.0, 125.0), 40.0, 1000, config=FIVEBAR)
+        _, report = track(assembly, path, NoiseModel("snr_db", 40.0), seed=3)
+        assert report.dropped == 0 and keys == []
+
+
 class TestAssembly:
     def test_dict_round_trip_tracks_identically(self, assembly, s_path):
         doc = json.loads(json.dumps(assembly.to_dict()))
