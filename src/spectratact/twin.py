@@ -223,7 +223,9 @@ def track(
         reconstructed.append(TrajectorySample(sample.t_s, TerminalPose(x, y)))
         errors.append(math.hypot(x - sample.pose.x_mm, y - sample.pose.y_mm))
     if errors:
-        rms = float(np.sqrt(np.mean(np.square(errors))))
+        # np.mean's pairwise sum and correctly rounded divide, and a correctly rounded
+        # sqrt: np.sqrt(np.mean(...)) bit for bit, without about 5 us of dispatch
+        rms = math.sqrt(np.square(errors).sum() / len(errors))
         max_err = max(errors)
     else:
         rms = max_err = 0.0
@@ -247,6 +249,12 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     ``math.log``, whose rounding ``np.log`` does not share.  It stays
     scalar: on a one-sample ``track`` the fixed numpy cost of
     ``decoder._decode_positions`` raised the median step time by 40-80 us.
+    For the same reason the readings reach Python in one
+    ``values.T.tolist()``, one list per channel, and each joint takes every
+    ``len(joints)``-th entry of its two ratio channels by list slicing: the
+    same floats that per-joint row slices and four column ``tolist`` calls
+    gave, which with the rest of this bookkeeping took about 12 us of a
+    100 us one-sample step.
     """
     s1, s2 = assembly.sensors
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
@@ -258,17 +266,16 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
         # ChannelReading's check: an overflowing noise sigma must not decode as a pose
         if not np.isfinite(values).all():
             raise ValueError("channel intensities must be finite and nonnegative")
-        names = sensor.bank.names
+        names, columns = sensor.bank.names, values.T.tolist()  # one list per channel
         for k, j in enumerate(joints):
-            rows = values[k::len(joints)]
             encoder, poscal = assembly.encoders[j], assembly.calibrations[j]
             b, m, (lo, hi) = poscal.intercept, poscal.slope, poscal.span_mm
             offset, gain = encoder.offset_mm, encoder.arc_gain_mm_per_deg
             decoded[j] = [
                 None if num <= 0 or den <= 0
                 else (min(max((math.log(num / den) - b) / m, lo), hi) - offset) / gain
-                for num, den in zip(rows[:, names.index(poscal.numerator_ch)].tolist(),
-                                    rows[:, names.index(poscal.denominator_ch)].tolist())
+                for num, den in zip(columns[names.index(poscal.numerator_ch)][k::len(joints)],
+                                    columns[names.index(poscal.denominator_ch)][k::len(joints)])
             ]
     return decoded
 
