@@ -558,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names neither option nor command
+            raise CliError(f"{args.command} --seed {args.seed}: expected non-negative integer")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

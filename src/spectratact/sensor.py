@@ -181,6 +181,9 @@ class NoiseModel:
             raise ValueError("snr_db must be > 0")
         if self.mode == "absolute_sigma" and not self.value >= 0:
             raise ValueError("absolute sigma must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
     def sigma_vector(self, noise_free: np.ndarray) -> np.ndarray:
         if self.mode == "snr_db":

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,6 +612,28 @@ class TestBadInput:
                      "--angle-sigma-deg", "0.05", "--seed", "-1"] + argv)
         assert code == 2
         assert "expected non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [["--snr-db", "30"], []], ids=["noisy", "noise_free"])
+    def test_negative_seed_simulate_exits_2_writing_nothing(self, noise, line_config_path,
+                                                              tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", line_config_path, "--out", str(out),
+                     "--positions", "10", "--forces", "2", "--seed", "-1"] + noise)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "simulate --seed -1" in err and "expected non-negative integer" in err
+        assert not out.exists()
+
+    def test_replay_of_negative_seed_exits_2(self, line_config_path, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "simulate", "seed": -1, "config_path": line_config_path,
+            "config_sha256": hashlib.sha256(Path(line_config_path).read_bytes()).hexdigest(),
+            "args": {"positions": "10", "forces": "2"}}))
+        out = tmp_path / "o"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "--seed -1: expected non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_non_object_args_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

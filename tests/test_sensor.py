@@ -91,6 +91,15 @@ class TestSimulateReading:
         b = simulate_reading(default_config, Stimulus(40.0, 2.0), noise)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_bad_noise_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            NoiseModel("snr_db", 40.0, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**70 + 11, np.uint32(5), np.int64(7)])
+    def test_integer_noise_seed_accepted(self, seed):
+        assert NoiseModel("snr_db", 40.0, seed).seed == seed
+
     def test_noise_clamped_nonnegative(self, default_config):
         noise = NoiseModel("absolute_sigma", 1e6, seed=1)
         reading = simulate_reading(default_config, Stimulus(40.0, 2.0), noise)
