@@ -341,7 +341,7 @@ def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarra
         draws *= noise.sigma_vector(values)
         draws += values
         values = draws
-    # the floor is >= 0, so this also clamps noise below zero as np.maximum(values, 0) did
+    # the floor is >= 0, so this also clamps noise below zero
     values[values < config._optics.floor] = 0.0
     return values
 
