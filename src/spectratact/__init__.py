@@ -34,6 +34,7 @@ from .decoder import (
 from .errors import (
     BelowFloorError,
     BelowThresholdError,
+    ConfigError,
     DegenerateFitError,
     GridMismatchError,
     KinematicError,

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codec import ARRAY, FLOATS, NUMBER, PAIR, STR, Record, spec
 from .errors import (
     BelowFloorError,
     BelowThresholdError,
@@ -41,7 +42,7 @@ def _like(query, result: np.ndarray):
 
 
 @dataclass(frozen=True)
-class PositionCalibration:
+class PositionCalibration(Record):
     """Affine log-ratio model: log_ratio = slope * position + intercept.
 
     The model must carry a position signal above rounding: the log-ratio
@@ -52,15 +53,16 @@ class PositionCalibration:
     Below that floor every decoded position would be rounding noise.
     """
 
-    slope: float
-    intercept: float
-    r_squared: float
-    residual_std: float
-    numerator_ch: str
-    denominator_ch: str
-    span_mm: tuple[float, float]
+    slope: float = spec(NUMBER)
+    intercept: float = spec(NUMBER)
+    r_squared: float = spec(NUMBER)
+    residual_std: float = spec(NUMBER)
+    numerator_ch: str = spec(STR)
+    denominator_ch: str = spec(STR)
+    span_mm: tuple[float, float] = spec(FLOATS, bound=PAIR)
 
     def __post_init__(self):
+        super().__post_init__()
         if not (math.isfinite(self.slope) and self.slope != 0):
             raise DegenerateFitError(f"slope must be finite and nonzero, got {self.slope}")
         if not math.isfinite(self.intercept):
@@ -77,29 +79,6 @@ class PositionCalibration:
 
     def position_for_log_ratio(self, value: float) -> float:
         return (value - self.intercept) / self.slope
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "residual_std": self.residual_std,
-            "numerator_ch": self.numerator_ch,
-            "denominator_ch": self.denominator_ch,
-            "span_mm": list(self.span_mm),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PositionCalibration":
-        return cls(
-            slope=float(doc["slope"]),
-            intercept=float(doc["intercept"]),
-            r_squared=float(doc["r_squared"]),
-            residual_std=float(doc["residual_std"]),
-            numerator_ch=doc["numerator_ch"],
-            denominator_ch=doc["denominator_ch"],
-            span_mm=(float(doc["span_mm"][0]), float(doc["span_mm"][1])),
-        )
 
 
 def _ratio_channels(names, numerator_ch, denominator_ch):
@@ -165,7 +144,7 @@ def fit_position(
 
 
 @dataclass(frozen=True)
-class ForceCalibration:
+class ForceCalibration(Record):
     """Monotone cubic interpolant of normalized intensity vs force.
 
     Knots are strictly increasing on both axes; the interpolant passes
@@ -176,8 +155,8 @@ class ForceCalibration:
     operation for operation, so every value equals scipy's bit for bit.
     """
 
-    forces_n: np.ndarray
-    normalized: np.ndarray
+    forces_n: np.ndarray = spec(ARRAY)
+    normalized: np.ndarray = spec(ARRAY)
 
     def __post_init__(self):
         forces = np.asarray(self.forces_n, dtype=float)
@@ -292,13 +271,6 @@ class ForceCalibration:
         forces[active] = 0.5 * (lo + hi)
         return _like(normalized_value, forces.reshape(values.shape))
 
-    def to_dict(self) -> dict:
-        return {"forces_n": self.forces_n.tolist(), "normalized": self.normalized.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ForceCalibration":
-        return cls(np.asarray(doc["forces_n"]), np.asarray(doc["normalized"]))
-
 
 def force_knot_schedule(
     f_threshold_n: float, f_max_n: float, n_knots: int = 21, clustering: float = 3.0
@@ -372,14 +344,6 @@ class ResolutionReport:
                      "force_resolution_n", "force_accuracy_n"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "spatial_resolution_mm": self.spatial_resolution_mm,
-            "spatial_accuracy_mm": self.spatial_accuracy_mm,
-            "force_resolution_n": self.force_resolution_n,
-            "force_accuracy_n": self.force_accuracy_n,
-        }
 
 
 def estimate_resolution(

@@ -6,8 +6,10 @@ command, every parsed option, seed, tool version and config hash;
 ``replay`` re-executes a manifest if its config still has the recorded hash.
 Outputs are byte-identical across reruns.
 
-Exit codes: 0 success, 2 config/input error, 3 degenerate data,
-4 unreachable/kinematic error.
+Exit codes: 0 success; 2 config/input error, including every
+:class:`~spectratact.errors.ConfigError` (a JSON value missing, of the
+wrong kind or out of bounds, named by file and JSON path); 3 degenerate
+data; 4 unreachable/kinematic error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -35,6 +37,7 @@ from .calibration import (
     fit_force,
     fit_position,
 )
+from .codec import ARRAY, INT, OBJECT, STR, Bound, Record, load, spec
 from .decoder import _decode_positions
 from .errors import (
     DegenerateFitError,
@@ -98,33 +101,34 @@ def _sha256_file(path: str) -> str:
 
 # Parsed options the manifest records outside ``args``, or (``out``, ``func``) not at all.
 _MANIFEST_OWN = ("command", "func", "out", "seed", "config")
+_COMMANDS = ("simulate", "calibrate", "decode", "track", "sweep-design")  # replay re-runs these
+
+
+@dataclass(frozen=True)
+class Manifest(Record):
+    """``manifest.json``: a run's command and every parsed option, for ``replay``."""
+
+    command: str = spec(STR, bound=Bound(f"be one of {', '.join(_COMMANDS)}",
+                                         lambda v: v in _COMMANDS))
+    tool_version: str | None = spec(STR, None)
+    seed: int = spec(INT, 0)
+    config_path: str | None = spec(STR, None)
+    config_sha256: str | None = spec(STR, None)
+    args: dict = spec(OBJECT, factory=dict)
 
 
 def _write_manifest(args) -> None:
     """Record the command with every parsed option, so ``replay`` can re-run it."""
     config_path = getattr(args, "config", None)
-    manifest = {
-        "command": args.command,
-        "tool_version": __version__,
-        "seed": args.seed,
-        "config_path": config_path,
-        "config_sha256": _sha256_file(config_path) if config_path else None,
-        "args": {k: v for k, v in vars(args).items() if k not in _MANIFEST_OWN},
-    }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    manifest = Manifest(
+        command=args.command,
+        tool_version=__version__,
+        seed=args.seed,
+        config_path=config_path,
+        config_sha256=_sha256_file(config_path) if config_path else None,
+        args={k: v for k, v in vars(args).items() if k not in _MANIFEST_OWN},
+    )
+    _write_json(os.path.join(args.out, "manifest.json"), manifest.to_dict())
 
 
 def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
@@ -139,14 +143,6 @@ def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
             return next(reader, None), list(reader)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise CliError(f"{path}: line {reader.line_num}: {exc}")
-
-
-def _load_config(path: str) -> SensorConfig:
-    doc = _load_json(path)
-    try:
-        return SensorConfig.from_dict(doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"invalid sensor config {path}: {exc}")
 
 
 def _parse_value_list(spec: str, name: str) -> list[float]:
@@ -176,7 +172,7 @@ def _noise_from_args(args) -> NoiseModel | None:
 # commands
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = load(SensorConfig, args.config)
     positions = _parse_value_list(args.positions, "--positions")
     forces = _parse_value_list(args.forces, "--forces")
     rows = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
@@ -243,7 +239,7 @@ def _read_samples(path: str):
 
 
 def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
+    config = load(SensorConfig, args.config)
     names, channels, position, force, parsed = _read_samples(args.samples)
     if not parsed.all():
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
@@ -322,25 +318,41 @@ def _ratio_column(names, channels, name: str, path: str) -> np.ndarray:
     return np.empty(0)
 
 
+@dataclass(frozen=True)
+class Transmission(Record):
+    """The transmission factor at each press position of the span, for the force decode."""
+
+    positions_mm: np.ndarray = spec(ARRAY)
+    factors: np.ndarray = spec(ARRAY)
+
+    def __post_init__(self):
+        # force decoding divides by the interpolated factor: NaN would flag
+        # garbage "ok", zero would divide by zero
+        grid, factors = self.positions_mm, self.factors
+        if not (factors.size and grid.shape == factors.shape
+                and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+            raise ValueError("transmission needs strictly increasing finite positions_mm, "
+                             "one per factor")
+        if not (np.isfinite(factors).all() and np.all(factors > 0)):
+            raise ValueError("transmission factors must be finite and positive")
+
+
+@dataclass(frozen=True)
+class CalibrationFile(Record):
+    """``calibration.json``; ``calibrate`` writes ``force`` only when it fitted one."""
+
+    position: PositionCalibration = spec(PositionCalibration)
+    transmission: Transmission = spec(Transmission)
+    force: ForceCalibration | None = spec(ForceCalibration, None)
+
+
 def cmd_decode(args) -> int:
-    doc = _load_json(args.calibration)
     try:
-        poscal = PositionCalibration.from_dict(doc["position"])
-        forcecal = ForceCalibration.from_dict(doc["force"]) if "force" in doc else None
-        trans_doc = doc["transmission"]
-        grid = np.asarray(trans_doc["positions_mm"], dtype=float)
-        factors = np.asarray(trans_doc["factors"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateFitError) as exc:
-        raise CliError(f"invalid calibration {args.calibration}: {exc}")
-    # force decoding divides by the interpolated factor: NaN would flag
-    # garbage "ok", zero would divide by zero
-    if not (factors.ndim == 1 and factors.size and grid.shape == factors.shape
-            and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
-        raise CliError(f"invalid calibration {args.calibration}: transmission needs "
-                       f"strictly increasing finite positions_mm, one per factor")
-    if not (np.isfinite(factors).all() and np.all(factors > 0)):
-        raise CliError(f"invalid calibration {args.calibration}: "
-                       f"transmission factors must be finite and positive")
+        calibration = load(CalibrationFile, args.calibration)
+    except DegenerateFitError as exc:  # a calibration file that does not load is an input error
+        raise CliError(f"invalid calibration {args.calibration}: {exc}") from None
+    poscal, forcecal = calibration.position, calibration.force
+    grid, factors = calibration.transmission.positions_mm, calibration.transmission.factors
 
     names, channels, _, _, parsed = _read_samples(args.readings)
     num, den = (_ratio_column(names, channels, name, args.readings)
@@ -391,11 +403,7 @@ def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
 
 
 def cmd_track(args) -> int:
-    doc = _load_json(args.config)
-    try:
-        assembly = TwinAssembly.from_dict(doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"invalid twin config {args.config}: {exc}")
+    assembly = load(TwinAssembly, args.config)
     if args.trajectory is not None:
         trajectory = _read_trajectory_csv(args.trajectory)
     else:
@@ -425,7 +433,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_sweep_design(args) -> int:
-    config = _load_config(args.config)
+    config = load(SensorConfig, args.config)
     lengths = _parse_value_list(args.lengths, "--lengths")
     concentrations = _parse_value_list(args.concentrations, "--concentrations")
     out_rows = []
@@ -454,26 +462,30 @@ def cmd_sweep_design(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = _load_json(args.manifest)
-    command = manifest.get("command")
-    stored = manifest.get("args", {})
-    if not isinstance(stored, dict):
-        raise CliError(f"{args.manifest}: 'args' must be a JSON object, "
-                       f"got {type(stored).__name__}")
-    argv = [command]
-    config_path = manifest.get("config_path")
-    if config_path:
-        recorded = manifest.get("config_sha256")
-        current = _sha256_file(config_path)
-        if current != recorded:
-            raise CliError(f"config {config_path} changed since the recorded run: "
-                           f"sha256 {current}, recorded {recorded}")
-        argv += ["--config", config_path]
-    argv += ["--seed", str(manifest.get("seed", 0)), "--out", args.out]
-    for key, value in sorted(stored.items()):
+    manifest = load(Manifest, args.manifest)
+    argv = [manifest.command]
+    if manifest.config_path:
+        current = _sha256_file(manifest.config_path)
+        if current != manifest.config_sha256:
+            raise CliError(f"config {manifest.config_path} changed since the recorded run: "
+                           f"sha256 {current}, recorded {manifest.config_sha256}")
+        argv += ["--config", manifest.config_path]
+    argv += ["--seed", str(manifest.seed), "--out", args.out]
+    for key, value in sorted(manifest.args.items()):
         if value is None:
             continue
         argv += [f"--{key.replace('_', '-')}", str(value)]
+    # parse here first, so that a bad manifest exits 2 naming its args, and so that
+    # every key is one of the command's own options (argparse accepts abbreviations)
+    try:
+        options = vars(build_parser().parse_args(argv))
+    except SystemExit:  # argparse has printed why
+        raise CliError(f"{args.manifest}: 'args' do not parse as {manifest.command} "
+                       f"options") from None
+    foreign = sorted(set(manifest.args) - (set(options) - set(_MANIFEST_OWN)))
+    if foreign:
+        raise CliError(f"{args.manifest}: 'args' holds {foreign}, which are not recorded "
+                       f"{manifest.command} options")
     return main(argv)
 
 

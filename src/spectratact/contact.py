@@ -9,10 +9,10 @@ because the gap still isolates the waveguides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
-from .errors import UnsupportedRegimeError, _require_object
+from .codec import NONNEGATIVE, NUMBER, POSITIVE, Bound, Record, spec, within
+from .errors import UnsupportedRegimeError
 from .spectral import DyeProfile
 
 # Normalization point for the default power law: half of the available
@@ -27,7 +27,7 @@ MAX_STRAIN = 0.5
 
 
 @dataclass(frozen=True)
-class CouplingLaw:
+class CouplingLaw(Record):
     """Dead-zoned power law mapping force to coupled-light fraction.
 
     ``fraction = min(1, gain * (force - f_threshold)**exponent)`` above the
@@ -35,60 +35,23 @@ class CouplingLaw:
     growth of a line contact's area.
     """
 
-    f_threshold_n: float = _DEFAULT_THRESHOLD_N
-    gain: float = _DEFAULT_GAIN
-    exponent: float = _DEFAULT_EXPONENT
-
-    def __post_init__(self):
-        if not self.f_threshold_n >= 0:
-            raise ValueError("f_threshold_n must be >= 0")
-        if not self.gain > 0:
-            raise ValueError("gain must be > 0")
-        if not 0 < self.exponent <= 2:
-            raise ValueError("exponent must lie in (0, 2]")
+    f_threshold_n: float = spec(NUMBER, _DEFAULT_THRESHOLD_N, bound=NONNEGATIVE)
+    gain: float = spec(NUMBER, _DEFAULT_GAIN, bound=POSITIVE)
+    exponent: float = spec(NUMBER, _DEFAULT_EXPONENT,
+                           bound=Bound("lie in (0, 2]", lambda v: 0 < v <= 2))
 
     @property
     def saturation_force_n(self) -> float:
         """Force at which the coupled fraction reaches 1."""
         return self.f_threshold_n + self.gain ** (-1.0 / self.exponent)
 
-    def to_dict(self) -> dict:
-        return {
-            "f_threshold_n": self.f_threshold_n,
-            "gain": self.gain,
-            "exponent": self.exponent,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CouplingLaw":
-        _require_object(doc, "coupling")
-        return cls(
-            float(doc.get("f_threshold_n", _DEFAULT_THRESHOLD_N)),
-            float(doc.get("gain", _DEFAULT_GAIN)),
-            float(doc.get("exponent", _DEFAULT_EXPONENT)),
-        )
-
 
 @dataclass(frozen=True)
-class PerturbationState:
+class PerturbationState(Record):
     """Off-axis deformation applied to the whole sensor."""
 
-    strain: float = 0.0
-    bend_deg: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.strain <= MAX_STRAIN:
-            raise ValueError(f"strain must lie in [0, {MAX_STRAIN}], got {self.strain}")
-        if not self.bend_deg >= 0 or not math.isfinite(self.bend_deg):
-            raise ValueError(f"bend_deg must be finite and >= 0, got {self.bend_deg}")
-
-    def to_dict(self) -> dict:
-        return {"strain": self.strain, "bend_deg": self.bend_deg}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PerturbationState":
-        _require_object(doc, "perturbation")
-        return cls(float(doc.get("strain", 0.0)), float(doc.get("bend_deg", 0.0)))
+    strain: float = spec(NUMBER, 0.0, bound=within(0.0, MAX_STRAIN))
+    bend_deg: float = spec(NUMBER, 0.0, bound=NONNEGATIVE)
 
 
 def coupled_fraction(law: CouplingLaw, force_n: float) -> float:

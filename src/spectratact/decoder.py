@@ -15,38 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ForceCalibration, PositionCalibration
-from .errors import BelowThresholdError, NoContactError, _require_object
+from .codec import NONNEGATIVE, NUMBER, POSITIVE, Record, spec
+from .errors import BelowThresholdError, NoContactError
 from .sensor import ChannelReading, SensorConfig, position_transmission
 from .spectral import log_ratios
 
 
 @dataclass(frozen=True)
-class JointEncoderModel:
+class JointEncoderModel(Record):
     """Linear map from joint angle to press position on the wrapped sensor."""
 
-    arc_gain_mm_per_deg: float = 0.5
-    offset_mm: float = 42.5
-
-    def __post_init__(self):
-        if not self.arc_gain_mm_per_deg > 0:
-            raise ValueError("arc_gain_mm_per_deg must be > 0")
-        if not self.offset_mm >= 0:
-            raise ValueError("offset_mm must be >= 0")
+    arc_gain_mm_per_deg: float = spec(NUMBER, 0.5, bound=POSITIVE)
+    offset_mm: float = spec(NUMBER, 42.5, bound=NONNEGATIVE)
 
     def position_for_angle(self, angle_deg: float) -> float:
         return self.offset_mm + self.arc_gain_mm_per_deg * angle_deg
 
     def angle_for_position(self, position_mm: float) -> float:
         return (position_mm - self.offset_mm) / self.arc_gain_mm_per_deg
-
-    def to_dict(self) -> dict:
-        return {"arc_gain_mm_per_deg": self.arc_gain_mm_per_deg, "offset_mm": self.offset_mm}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "JointEncoderModel":
-        _require_object(doc, "encoder")
-        return cls(float(doc.get("arc_gain_mm_per_deg", 0.5)),
-                   float(doc.get("offset_mm", 42.5)))
 
 
 @dataclass(frozen=True)

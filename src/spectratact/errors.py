@@ -1,14 +1,12 @@
 """Exception types shared across the toolkit."""
 
 
-def _require_object(doc, name: str) -> None:
-    """TypeError unless ``doc``, the JSON section ``name``, is an object."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{name} must be a JSON object, got {type(doc).__name__}")
-
-
 class SpectraTactError(Exception):
     """Base class for all toolkit-specific errors."""
+
+
+class ConfigError(SpectraTactError, ValueError):
+    """A config value missing, of the wrong JSON kind or out of bounds, named by JSON path."""
 
 
 class GridMismatchError(SpectraTactError):

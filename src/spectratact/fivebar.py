@@ -27,34 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularError, UnreachableError, _require_object
+from .codec import NUMBER, POSITIVE, Record, spec
+from .errors import SingularError, UnreachableError
 from .sensor import substreams
 
 REACH_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FiveBarConfig:
+class FiveBarConfig(Record):
     """Linkage geometry: base joint separation d and common bar length l."""
 
-    d_mm: float = 80.0
-    l_mm: float = 100.0
+    d_mm: float = spec(NUMBER, 80.0, bound=POSITIVE)
+    l_mm: float = spec(NUMBER, 100.0, bound=POSITIVE)
 
     def __post_init__(self):
-        if not self.d_mm > 0:
-            raise ValueError("d_mm must be > 0")
-        if not self.l_mm > 0:
-            raise ValueError("l_mm must be > 0")
+        super().__post_init__()
         if not self.d_mm < 4 * self.l_mm:
             raise ValueError("need d < 4l for a nonempty workspace")
-
-    def to_dict(self) -> dict:
-        return {"d_mm": self.d_mm, "l_mm": self.l_mm}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FiveBarConfig":
-        _require_object(doc, "fivebar")
-        return cls(float(doc.get("d_mm", 80.0)), float(doc.get("l_mm", 100.0)))
 
 
 @dataclass(frozen=True)
@@ -237,21 +227,6 @@ class GridSpec:
 
     def y_axis(self) -> np.ndarray:
         return np.linspace(self.y_min_mm, self.y_max_mm, self.ny)
-
-    def to_dict(self) -> dict:
-        return {
-            "x_min_mm": self.x_min_mm, "x_max_mm": self.x_max_mm,
-            "y_min_mm": self.y_min_mm, "y_max_mm": self.y_max_mm,
-            "nx": self.nx, "ny": self.ny,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GridSpec":
-        return cls(
-            float(doc["x_min_mm"]), float(doc["x_max_mm"]),
-            float(doc["y_min_mm"]), float(doc["y_max_mm"]),
-            int(doc["nx"]), int(doc["ny"]),
-        )
 
 
 def reachable(config: FiveBarConfig, x_mm: float, y_mm: float, margin: float = 0.0) -> bool:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .codec import NONNEGATIVE, NUMBER, Record, spec, within
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
-from .errors import OutOfSpanError, UndefinedSnrError, _require_object
+from .errors import OutOfSpanError, UndefinedSnrError
 from .spectral import (
     ChannelBank,
     DyeProfile,
@@ -60,25 +61,19 @@ class _Optics:
 
 
 @dataclass(frozen=True)
-class SensorConfig:
-    """Full static description of one sensor."""
+class SensorConfig(Record):
+    """Full static description of one sensor; the defaults are the stock band sensor."""
 
-    length_mm: float
-    source: Spectrum
-    dye: DyeProfile
-    bank: ChannelBank
-    coupling: CouplingLaw = field(default_factory=CouplingLaw)
-    clear_loss_per_mm: float = 0.002
-    perturbation: PerturbationState = field(default_factory=PerturbationState)
+    length_mm: float = spec(NUMBER, 85.0, bound=within(MIN_LENGTH_MM, MAX_LENGTH_MM))
+    source: Spectrum = spec(Spectrum, factory=Spectrum.flat)
+    dye: DyeProfile = spec(DyeProfile, factory=default_red_dye)
+    bank: ChannelBank = spec(ChannelBank, factory=default_bank)
+    coupling: CouplingLaw = spec(CouplingLaw, factory=CouplingLaw)
+    clear_loss_per_mm: float = spec(NUMBER, 0.002, bound=NONNEGATIVE)
+    perturbation: PerturbationState = spec(PerturbationState, factory=PerturbationState)
 
     def __post_init__(self):
-        if not MIN_LENGTH_MM <= self.length_mm <= MAX_LENGTH_MM:
-            raise ValueError(
-                f"length_mm must lie in [{MIN_LENGTH_MM:g}, {MAX_LENGTH_MM:g}], "
-                f"got {self.length_mm}"
-            )
-        if not self.clear_loss_per_mm >= 0:
-            raise ValueError("clear_loss_per_mm must be >= 0")
+        super().__post_init__()
         # the deepest Beer-Lambert exponent c * max(k) * L, in Python floats
         # (which overflow to inf silently), must be finite
         deepest = self.dye.concentration_scale * float(self.dye.decay_per_mm.max(initial=0.0))
@@ -90,14 +85,7 @@ class SensorConfig:
 
     @classmethod
     def default(cls, length_mm: float = 85.0, **overrides) -> "SensorConfig":
-        kwargs = dict(
-            length_mm=length_mm,
-            source=Spectrum.flat(),
-            dye=default_red_dye(),
-            bank=default_bank(),
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(length_mm=length_mm, **overrides)
 
     @cached_property
     def _optics(self) -> _Optics:
@@ -118,31 +106,6 @@ class SensorConfig:
 
     def with_perturbation(self, perturbation: PerturbationState) -> "SensorConfig":
         return replace(self, perturbation=perturbation)
-
-    def to_dict(self) -> dict:
-        return {
-            "length_mm": self.length_mm,
-            "source": self.source.to_dict(),
-            "dye": self.dye.to_dict(),
-            "bank": self.bank.to_dict(),
-            "coupling": self.coupling.to_dict(),
-            "clear_loss_per_mm": self.clear_loss_per_mm,
-            "perturbation": self.perturbation.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SensorConfig":
-        _require_object(doc, "sensor")
-        defaults = cls.default()
-        return cls(
-            length_mm=float(doc.get("length_mm", 85.0)),
-            source=Spectrum.from_dict(doc["source"]) if "source" in doc else defaults.source,
-            dye=DyeProfile.from_dict(doc["dye"]) if "dye" in doc else defaults.dye,
-            bank=ChannelBank.from_dict(doc["bank"]) if "bank" in doc else defaults.bank,
-            coupling=CouplingLaw.from_dict(doc.get("coupling", {})),
-            clear_loss_per_mm=float(doc.get("clear_loss_per_mm", 0.002)),
-            perturbation=PerturbationState.from_dict(doc.get("perturbation", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -189,14 +152,6 @@ class NoiseModel:
         if self.mode == "snr_db":
             return np.asarray(noise_free, dtype=float) * 10.0 ** (-self.value / 20.0)
         return np.full(np.shape(noise_free), float(self.value))
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "value": self.value, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NoiseModel":
-        return cls(doc.get("mode", "snr_db"), float(doc.get("value", 40.0)),
-                   int(doc.get("seed", 0)))
 
 
 class ChannelReading:

@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BelowFloorError, GridMismatchError
+from .codec import (ARRAY, BOOL, FLOATS, LIST, NONNEGATIVE, NUMBER, PAIR, STR, Record, join,
+                    read, spec, within)
+from .errors import BelowFloorError, ConfigError, GridMismatchError
 
 # Default sampling grid: 400-700 nm at 1 nm, covering the blue and red
 # bands used by the default channel bank.
@@ -49,11 +51,11 @@ def _require_same_grid(a: np.ndarray, b: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Sampled radiant intensity per wavelength, arbitrary linear units."""
 
-    wavelengths_nm: np.ndarray
-    intensities: np.ndarray
+    wavelengths_nm: np.ndarray = spec(ARRAY)
+    intensities: np.ndarray = spec(ARRAY, key="values")
 
     def __post_init__(self):
         grid = _as_grid(self.wavelengths_nm)
@@ -71,19 +73,9 @@ class Spectrum:
         grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
         return cls(grid, np.full_like(grid, float(intensity)))
 
-    def to_dict(self) -> dict:
-        return {
-            "wavelengths_nm": self.wavelengths_nm.tolist(),
-            "values": self.intensities.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Spectrum":
-        return cls(np.asarray(doc["wavelengths_nm"]), np.asarray(doc["values"]))
-
 
 @dataclass(frozen=True)
-class DyeProfile:
+class DyeProfile(Record):
     """Per-wavelength exponential decay coefficients of a dyed medium.
 
     ``decay_per_mm`` is the base profile; ``concentration_scale`` is a
@@ -91,39 +83,23 @@ class DyeProfile:
     effective exponent is ``concentration_scale * decay_per_mm * path``.
     """
 
-    wavelengths_nm: np.ndarray
-    decay_per_mm: np.ndarray
-    concentration_scale: float = 1.0
+    wavelengths_nm: np.ndarray = spec(ARRAY)
+    decay_per_mm: np.ndarray = spec(ARRAY, key="values")
+    concentration_scale: float = spec(NUMBER, 1.0, bound=NONNEGATIVE)
 
     def __post_init__(self):
+        super().__post_init__()
         grid = _as_grid(self.wavelengths_nm)
         decay = np.asarray(self.decay_per_mm, dtype=float)
         if decay.shape != grid.shape:
             raise ValueError("decay_per_mm must match the wavelength grid shape")
         if np.any(decay < 0) or not np.all(np.isfinite(decay)):
             raise ValueError("decay coefficients must be finite and nonnegative")
-        if not (self.concentration_scale >= 0):
-            raise ValueError("concentration_scale must be >= 0")
         object.__setattr__(self, "wavelengths_nm", grid)
         object.__setattr__(self, "decay_per_mm", decay)
 
     def with_concentration(self, scale: float) -> "DyeProfile":
         return replace(self, concentration_scale=float(scale))
-
-    def to_dict(self) -> dict:
-        return {
-            "wavelengths_nm": self.wavelengths_nm.tolist(),
-            "values": self.decay_per_mm.tolist(),
-            "concentration_scale": self.concentration_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DyeProfile":
-        return cls(
-            np.asarray(doc["wavelengths_nm"]),
-            np.asarray(doc["values"]),
-            float(doc.get("concentration_scale", 1.0)),
-        )
 
 
 def default_red_dye(
@@ -181,8 +157,11 @@ def boxcar_channel(name: str, lo_nm: float, hi_nm: float, wavelengths_nm=None,
 
 
 def line_channel(name: str, wavelength_nm: float, wavelengths_nm=None) -> Channel:
-    """Channel responding at a single grid sample (idealized narrow filter)."""
+    """Channel responding at the grid sample nearest ``wavelength_nm``, within the grid."""
     grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
+    if not grid[0] <= wavelength_nm <= grid[-1]:
+        raise ValueError(f"line channel {name!r} at {wavelength_nm} nm lies outside the "
+                         f"wavelength grid [{grid[0]:g}, {grid[-1]:g}] nm")
     idx = int(np.argmin(np.abs(grid - wavelength_nm)))
     resp = np.zeros_like(grid)
     resp[idx] = 1.0
@@ -235,23 +214,28 @@ class ChannelBank:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ChannelBank":
-        grid = np.asarray(doc["wavelengths_nm"]) if "wavelengths_nm" in doc else None
+    def from_dict(cls, doc, path: str = "") -> "ChannelBank":
+        """Each channel of the JSON form is ``values`` on the bank's ``wavelengths_nm``, a
+        ``band_nm`` boxcar [lo, hi) (``closed_hi``: [lo, hi]) or a ``line_nm`` line channel."""
+        grid = read(doc, "wavelengths_nm", ARRAY, path, None)
+        extent = default_wavelength_grid() if grid is None else _as_grid(grid)
         channels = []
-        for entry in doc["channels"]:
-            name = entry["name"]
+        for i, entry in enumerate(read(doc, "channels", LIST, path)):
+            at = f"{join(path, 'channels')}[{i}]"
+            name = read(entry, "name", STR, at)
             if "values" in entry:
                 if grid is None:
-                    raise ValueError("explicit channel values need wavelengths_nm")
-                channels.append(Channel(name, grid, np.asarray(entry["values"])))
+                    raise ConfigError(f"'{at}' has explicit values, which need wavelengths_nm")
+                channels.append(Channel(name, grid, read(entry, "values", ARRAY, at)))
             elif "band_nm" in entry:
-                lo, hi = entry["band_nm"]
-                closed = bool(entry.get("closed_hi", False))
+                lo, hi = read(entry, "band_nm", FLOATS, at, bound=PAIR)
+                closed = read(entry, "closed_hi", BOOL, at, False)
                 channels.append(boxcar_channel(name, lo, hi, grid, closed_hi=closed))
             elif "line_nm" in entry:
-                channels.append(line_channel(name, float(entry["line_nm"]), grid))
+                line = read(entry, "line_nm", NUMBER, at, bound=within(extent[0], extent[-1]))
+                channels.append(line_channel(name, line, grid))
             else:
-                raise ValueError(f"channel {name!r} needs values, band_nm or line_nm")
+                raise ConfigError(f"'{at}' needs values, band_nm or line_nm")
         return cls(tuple(channels))
 
 

@@ -17,11 +17,12 @@ and the batched run gives the per-sample chain's result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import PositionCalibration, fit_position
+from .codec import FLOATS, INT, NUMBER, POSITIVE, Record, decode_fields, join, spec
 from .decoder import JointEncoderModel
 from .errors import KinematicError, UnreachableError
 from .fivebar import FiveBarConfig, TerminalPose, _fk, _ik, _ik_batch
@@ -38,23 +39,14 @@ class TrajectorySample:
 
 
 @dataclass
-class TrackingReport:
+class TrackingReport(Record):
     """Reconstruction quality of one tracking run."""
 
-    rms_error_mm: float
-    max_error_mm: float
-    errors_mm: list[float]
-    dropped: int
-    n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rms_error_mm": self.rms_error_mm,
-            "max_error_mm": self.max_error_mm,
-            "errors_mm": list(self.errors_mm),
-            "dropped": self.dropped,
-            "n_samples": self.n_samples,
-        }
+    rms_error_mm: float = spec(NUMBER)
+    max_error_mm: float = spec(NUMBER)
+    errors_mm: list[float] = spec(FLOATS)
+    dropped: int = spec(INT)
+    n_samples: int = spec(INT)
 
 
 def encoder_sensor_config(length_mm: float = 85.0, **overrides) -> SensorConfig:
@@ -79,18 +71,17 @@ def calibrate_encoder(
 
 
 @dataclass(frozen=True)
-class TwinAssembly:
-    """Five-bar linkage with one soft encoder per driven joint."""
+class TwinAssembly(Record):
+    """Five-bar linkage with one soft encoder per driven joint; JSON omits the calibrations."""
 
-    fivebar: FiveBarConfig = field(default_factory=FiveBarConfig)
-    sensors: tuple[SensorConfig, SensorConfig] = None
-    encoders: tuple[JointEncoderModel, JointEncoderModel] = None
+    fivebar: FiveBarConfig = spec(FiveBarConfig, factory=FiveBarConfig)
+    sensors: tuple[SensorConfig, SensorConfig] = spec((SensorConfig,), None)
+    encoders: tuple[JointEncoderModel, JointEncoderModel] = spec((JointEncoderModel,), None)
     calibrations: tuple[PositionCalibration, PositionCalibration] = None
-    indenter_force_n: float = DEFAULT_INDENTER_FORCE_N
+    indenter_force_n: float = spec(NUMBER, DEFAULT_INDENTER_FORCE_N, bound=POSITIVE)
 
     def __post_init__(self):
-        if not self.indenter_force_n > 0:
-            raise ValueError("indenter_force_n must be > 0")
+        super().__post_init__()
         sensors = tuple(self.sensors or (encoder_sensor_config(), encoder_sensor_config()))
         encoders = tuple(self.encoders or (JointEncoderModel(), JointEncoderModel()))
         if len(sensors) != 2 or len(encoders) != 2:
@@ -110,34 +101,14 @@ class TwinAssembly:
         object.__setattr__(self, "encoders", encoders)
         object.__setattr__(self, "calibrations", calibrations)
 
-    def to_dict(self) -> dict:
-        return {
-            "fivebar": self.fivebar.to_dict(),
-            "sensors": [s.to_dict() for s in self.sensors],
-            "encoders": [e.to_dict() for e in self.encoders],
-            "indenter_force_n": self.indenter_force_n,
-        }
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "TwinAssembly":
-        fivebar = FiveBarConfig.from_dict(doc.get("fivebar", {}))
-        if "sensors" in doc:
-            sensors = tuple(SensorConfig.from_dict(d) for d in doc["sensors"])
-        elif "sensor" in doc:
-            shared = SensorConfig.from_dict(doc["sensor"])
-            sensors = (shared, shared)
-        else:
-            sensors = None
-        encoders = (
-            tuple(JointEncoderModel.from_dict(d) for d in doc["encoders"])
-            if "encoders" in doc else None
-        )
-        return cls(
-            fivebar=fivebar,
-            sensors=sensors,
-            encoders=encoders,
-            indenter_force_n=float(doc.get("indenter_force_n", DEFAULT_INDENTER_FORCE_N)),
-        )
+    def from_dict(cls, doc, path: str = "") -> "TwinAssembly":
+        """As the codec reads it, where ``sensor`` without ``sensors`` serves both joints."""
+        kwargs = decode_fields(cls, doc, path)
+        if kwargs.get("sensors") is None and "sensor" in doc:
+            shared = SensorConfig.from_dict(doc["sensor"], join(path, "sensor"))
+            kwargs["sensors"] = (shared, shared)
+        return cls(**kwargs)
 
 
 def snr_db_for_angle_sigma(

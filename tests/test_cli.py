@@ -1,8 +1,12 @@
+import contextlib
 import copy
+import functools
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -695,22 +699,96 @@ class TestBadInput:
             assert excinfo.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["offset_mm", "arc_gain_mm_per_deg"])
+    def test_infinite_encoder_exits_2_naming_it(self, key, tmp_path, capsys):
+        # JSON 1e999 reads as inf; an infinite encoder map once dropped every sample, exit 0
+        doc = copy.deepcopy(TWIN_DOC)
+        doc["encoders"][0][key] = math.inf
+        config = tmp_path / "twin.json"
+        config.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+        code = main(["track", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--generate", "circle:20:40:125:5"])
+        assert code == 2
+        assert f"'encoders[0].{key}' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_clear_loss_exits_2_naming_it(self, tmp_path, capsys):
+        # it reached the forward model, where -inf * 0 made a NaN channel
+        config = tmp_path / "sensor.json"
+        config.write_text(json.dumps(dict(SENSOR_DOC, clear_loss_per_mm=math.inf))
+                          .replace("Infinity", "1e999"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--positions", "0,10", "--forces", "2"])
+        assert code == 2
+        assert "'clear_loss_per_mm' must be finite and >= 0, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line_nm", ["NaN", "1e6", "-5"])
+    def test_line_channel_off_the_grid_exits_2_naming_it(self, line_nm, tmp_path, capsys):
+        # 1e6 and -5 became 700 nm and 400 nm channels, and simulate exited 0
+        bank = '{"channels": [{"name": "B", "line_nm": 450}, {"name": "R", "line_nm": %s}]}'
+        config = tmp_path / "sensor.json"
+        config.write_text('{"bank": %s}' % (bank % line_nm))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(config), "--out", str(out),
+                     "--positions", "10", "--forces", "2"])
+        assert code == 2
+        assert "'bank.channels[1].line_nm' must lie in [400, 700]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("seed", 2.5), ("seed", True), ("seed", "x"),
+                                              ("command", "replay"), ("command", None),
+                                              ("command", "nope")])
+    def test_replay_of_a_bad_manifest_field_exits_2_naming_it(self, field, value,
+                                                              line_config_path, tmp_path,
+                                                              capsys):
+        # each raised SystemExit out of main with a usage text that named no field
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "simulate", "seed": 0, "config_path": line_config_path,
+            "config_sha256": hashlib.sha256(Path(line_config_path).read_bytes()).hexdigest(),
+            "args": {"positions": "10", "forces": "2"}, field: value}))
+        out = tmp_path / "o"
+        assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"'{field}' must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [{"out": "elsewhere"}, {"o": "elsewhere"},
+                                       {"bogus": "1"}, {"forces": None}])
+    def test_replay_runs_only_the_recorded_options(self, extra, line_config_path, tmp_path,
+                                                   capsys, monkeypatch):
+        # --out in args, or its abbreviation --o, once redirected the replay's output
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "simulate", "config_path": line_config_path,
+            "config_sha256": hashlib.sha256(Path(line_config_path).read_bytes()).hexdigest(),
+            "args": {"positions": "10", "forces": "2", **extra}}))
+        assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert "'args'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "elsewhere").exists()
+
 
 TWIN_KEYS = ("fivebar", "sensors", "sensor", "encoders", "indenter_force_n")
 TWIN_DOC = TwinAssembly().to_dict()
+SENSOR_DOC = SensorConfig.default().to_dict()
 DELETE = object()
-json_values = stn.recursive(
-    stn.none() | stn.booleans() | stn.integers() | stn.floats() | stn.text(max_size=4)
-    | stn.sampled_from([10**400, -10**400]),  # past the float range
-    lambda inner: stn.lists(inner, max_size=3)
-    | stn.dictionaries(stn.sampled_from(TWIN_KEYS) | stn.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
+
+
+def json_values(keys=()):
+    """Any JSON value; object keys are short strings or drawn from ``keys``."""
+    return stn.recursive(
+        stn.none() | stn.booleans() | stn.integers() | stn.floats() | stn.text(max_size=4)
+        | stn.sampled_from([10**400, -10**400]),  # past the float range
+        lambda inner: stn.lists(inner, max_size=3)
+        | stn.dictionaries(stn.sampled_from(keys) | stn.text(max_size=4) if keys
+                           else stn.text(max_size=4), inner, max_size=3),
+        max_leaves=6)
 
 
 @stn.composite
-def edited_twin_docs(draw):
-    """The default twin config with up to three values, at any depth, replaced or deleted."""
-    doc = copy.deepcopy(TWIN_DOC)
+def edited_docs(draw, base, values=json_values()):
+    """``base`` with up to three values, at any depth, replaced or deleted."""
+    doc = copy.deepcopy(base)
     for _ in range(draw(stn.integers(1, 3))):
         node = doc
         while True:
@@ -719,7 +797,7 @@ def edited_twin_docs(draw):
             if isinstance(node[key], (dict, list)) and node[key] and draw(stn.booleans()):
                 node = node[key]
                 continue
-            value = draw(json_values | stn.just(DELETE))
+            value = draw(values | stn.just(DELETE))
             if value is DELETE:
                 del node[key]
             else:
@@ -730,12 +808,34 @@ def edited_twin_docs(draw):
     return doc
 
 
+@functools.cache
+def real_run() -> dict:
+    """The files of a small CLI run: ``sensor.json`` and ``sweep.csv`` as text,
+    ``calibration.json`` and the ``simulate`` manifest as documents.
+
+    The manifest names its config ``sensor.json``, relative to the working directory.
+    """
+    files = {"sensor.json": json.dumps(SENSOR_DOC)}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        config, sim, cal = (os.path.join(tmp, name) for name in ("sensor.json", "sim", "cal"))
+        Path(config).write_text(files["sensor.json"])
+        assert main(["simulate", "--config", config, "--out", sim, "--positions", "0:85:6",
+                     "--forces", "0.1,1,4,10", "--snr-db", "40", "--seed", "5"]) == 0
+        assert main(["calibrate", "--config", config, "--out", cal,
+                     "--samples", os.path.join(sim, "sweep.csv")]) == 0
+        files["sweep.csv"] = read(os.path.join(sim, "sweep.csv"))
+        files["calibration.json"] = json.loads(read(os.path.join(cal, "calibration.json")))
+        files["manifest.json"] = dict(json.loads(read(os.path.join(sim, "manifest.json"))),
+                                      config_path="sensor.json")
+    return files
+
+
 class TestTrackConfigProperty:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(doc=json_values
-           | stn.fixed_dictionaries({}, optional={k: json_values for k in TWIN_KEYS})
-           | edited_twin_docs())
+    @given(doc=json_values(TWIN_KEYS)
+           | stn.fixed_dictionaries({}, optional={k: json_values(TWIN_KEYS) for k in TWIN_KEYS})
+           | edited_docs(TWIN_DOC, json_values(TWIN_KEYS)))
     # each of these escaped main as AttributeError or OverflowError
     @example(doc={"fivebar": None})
     @example(doc={"sensor": [1]})
@@ -747,9 +847,64 @@ class TestTrackConfigProperty:
     @example(doc={"sensor": {**TWIN_DOC["sensors"][0],
                              "dye": {**TWIN_DOC["sensors"][0]["dye"],
                                      "concentration_scale": 1e308}}})
+    # an infinite encoder map dropped every sample and exited 0
+    @example(doc={"encoders": [{"offset_mm": math.inf}, {}]})
+    @example(doc={"encoders": [{}, {"arc_gain_mm_per_deg": math.inf}]})
     def test_any_json_config_exits_cleanly(self, tmp_path, doc):
         config = tmp_path / "twin.json"
         config.write_text(json.dumps(doc))
         code = main(["track", "--config", str(config), "--out", str(tmp_path / "o"),
                      "--generate", "circle:20:40:125:5"])
+        assert code in (0, 2, 3, 4)
+
+
+class TestDocumentProperties:
+    """Every edit of a real input document exits 0, 2, 3 or 4 with nothing escaping main."""
+
+    SETTINGS = settings(max_examples=40, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @SETTINGS
+    @given(doc=edited_docs(SENSOR_DOC))
+    # -inf * 0 made a NaN channel at position 0
+    @example(doc=dict(SENSOR_DOC, clear_loss_per_mm=math.inf))
+    # line channels off the grid became 400 and 700 nm channels
+    @example(doc=dict(SENSOR_DOC, bank={"channels": [{"name": "B", "line_nm": 1e6},
+                                                     {"name": "R", "line_nm": -5.0}]}))
+    @example(doc=dict(SENSOR_DOC, bank={"channels": [{"name": "B", "line_nm": math.nan}]}))
+    # float() read the string and the bool as numbers
+    @example(doc=dict(SENSOR_DOC, length_mm="85"))
+    @example(doc=dict(SENSOR_DOC, length_mm=True))
+    def test_simulate_sensor_config(self, tmp_path, doc):
+        config = tmp_path / "sensor.json"
+        config.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--positions", "0,10,85", "--forces", "0,2"])
+        assert code in (0, 2, 3, 4)
+
+    @SETTINGS
+    @given(doc=stn.deferred(lambda: edited_docs(real_run()["calibration.json"])))
+    @example(doc={"position": {"slope": 10**400}})
+    def test_decode_calibration(self, tmp_path, doc):
+        calibration, readings = tmp_path / "calibration.json", tmp_path / "sweep.csv"
+        calibration.write_text(json.dumps(doc))
+        readings.write_text(real_run()["sweep.csv"])
+        code = main(["decode", "--calibration", str(calibration), "--readings", str(readings),
+                     "--out", str(tmp_path / "o")])
+        assert code in (0, 2, 3, 4)
+
+    @SETTINGS
+    @given(doc=stn.deferred(lambda: edited_docs(real_run()["manifest.json"])))
+    # each of these raised SystemExit out of main
+    @example(doc={"command": "simulate", "seed": 2.5})
+    @example(doc={"command": "simulate", "seed": True})
+    @example(doc={"command": "simulate", "seed": "x"})
+    @example(doc={"command": "replay"})
+    @example(doc={"command": None})
+    @example(doc={"command": "nope"})
+    def test_replay_manifest(self, tmp_path, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)  # the manifest's relative paths resolve in tmp_path
+        Path("sensor.json").write_text(real_run()["sensor.json"])
+        Path("manifest.json").write_text(json.dumps(doc))
+        code = main(["replay", "--manifest", "manifest.json", "--out", "o"])
         assert code in (0, 2, 3, 4)

@@ -1,4 +1,4 @@
-"""The JSON form of every config record: pinned bytes and round trips.
+"""The JSON form of every config record: pinned bytes, round trips and bounds.
 
 The sha256 pins cover ``json.dumps(x.to_dict())`` without ``sort_keys``,
 so the key order of each record counts as well as its values.
@@ -6,12 +6,18 @@ so the key order of each record counts as well as its values.
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from spectratact import (ChannelBank, CouplingLaw, FiveBarConfig, JointEncoderModel,
-                         PerturbationState, SensorConfig, default_red_dye)
-from spectratact.spectral import Spectrum
+from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, ForceCalibration,
+                         JointEncoderModel, PerturbationState, PositionCalibration, SensorConfig,
+                         Spectrum, TrackingReport, default_red_dye, line_channel)
+from spectratact.cli import CalibrationFile, Manifest, Transmission
+from spectratact.codec import NUMBER, Record, _table, load, read
+from spectratact.errors import ConfigError
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
 BANK_DOC = {"channels": [{"name": "B", "band_nm": [400.0, 500.0]},
@@ -55,18 +61,152 @@ def test_to_dict_bytes(pinned, name):
     assert digest(pinned[name]) == TO_DICT_GOLDEN[name]
 
 
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+# every class with a JSON form: the Record subclasses and ChannelBank's own hooks
+SERVED = sorted({*subclasses(Record), ChannelBank}, key=lambda cls: cls.__name__)
+
+
 @pytest.fixture(scope="module")
-def records(default_poscal, default_forcecal):
-    """One instance of every record class with a JSON form."""
+def examples(default_poscal, default_forcecal):
+    """One instance of every class in SERVED, with values away from the defaults."""
     config = SensorConfig.default()
-    return [config.source, default_red_dye(concentration_scale=1.7),
-            ChannelBank.from_dict(BANK_DOC), CouplingLaw(0.2, 0.1, 0.5),
-            PerturbationState(0.1, 45.0), config, JointEncoderModel(0.4, 40.0),
-            FiveBarConfig(70.0, 110.0), default_poscal, default_forcecal, TwinAssembly()]
+    transmission = Transmission(np.linspace(0.0, 85.0, 5), np.linspace(2.0, 1.0, 5))
+    return {record.__class__: record for record in [
+        config.source, default_red_dye(concentration_scale=1.7),
+        ChannelBank.from_dict(BANK_DOC), CouplingLaw(0.2, 0.1, 0.5),
+        PerturbationState(0.1, 45.0), replace(config, length_mm=60.0),
+        JointEncoderModel(0.4, 40.0), FiveBarConfig(70.0, 110.0), default_poscal,
+        default_forcecal, TwinAssembly(indenter_force_n=1.5),
+        TrackingReport(0.5, 1.25, [0.25, 1.25], 1, 3),
+        Manifest("simulate", "0.1.0", 3, None, None, {"positions": "10", "snr_db": None}),
+        transmission, CalibrationFile(default_poscal, transmission, default_forcecal)]}
 
 
-def test_every_record_round_trips(records):
-    for record in records:
-        doc = record.to_dict()
-        again = type(record).from_dict(json.loads(json.dumps(doc)))
-        assert again.to_dict() == doc, type(record).__name__
+def test_every_served_class_has_an_example(examples):
+    assert sorted(examples, key=lambda cls: cls.__name__) == SERVED
+
+
+@pytest.mark.parametrize("cls", SERVED, ids=lambda cls: cls.__name__)
+def test_round_trip(examples, cls):
+    doc = examples[cls].to_dict()
+    again = cls.from_dict(json.loads(json.dumps(doc)))
+    assert type(again) is cls
+    assert again.to_dict() == doc
+
+
+# one out-of-bounds value per bounded field, with the path from_dict names it by
+OUT_OF_BOUNDS = [
+    (DyeProfile, "concentration_scale", -1.0),
+    (CouplingLaw, "f_threshold_n", math.inf),
+    (CouplingLaw, "gain", 0.0),
+    (CouplingLaw, "exponent", 2.5),
+    (PerturbationState, "strain", 0.6),
+    (PerturbationState, "bend_deg", math.nan),
+    (SensorConfig, "length_mm", 20.0),
+    (SensorConfig, "clear_loss_per_mm", math.inf),
+    (JointEncoderModel, "arc_gain_mm_per_deg", math.inf),
+    (JointEncoderModel, "offset_mm", -1.0),
+    (FiveBarConfig, "d_mm", 0.0),
+    (FiveBarConfig, "l_mm", -math.inf),
+    (TwinAssembly, "indenter_force_n", math.nan),
+    (PositionCalibration, "span_mm", (0.0, 42.0, 85.0)),
+    (Manifest, "command", "replay"),
+]
+
+
+def test_every_bound_is_exercised():
+    bounded = {(cls, name) for cls in SERVED if issubclass(cls, Record)
+               for name, _, _, bound, _ in _table(cls) if bound is not None}
+    assert bounded == {(cls, name) for cls, name, _ in OUT_OF_BOUNDS}
+
+
+@pytest.mark.parametrize("cls, name, value", OUT_OF_BOUNDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in OUT_OF_BOUNDS])
+def test_out_of_bounds_value_names_its_path(examples, cls, name, value):
+    with pytest.raises(ConfigError, match=f"^'{name}' must "):
+        replace(examples[cls], **{name: value})
+    key = next(key for attribute, key, *_ in _table(cls) if attribute == name)
+    doc = {"outer": [examples[cls].to_dict()]}
+    doc["outer"][0][key] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError, match=rf"^'outer\[0\]\.{key}' must "):
+        read(doc, "outer", (cls,))
+
+
+@pytest.mark.parametrize("value, shown", [("85", '"85"'), (True, "true"), (None, "null"),
+                                          ([85.0], "an array"), ({}, "an object")])
+def test_a_number_of_another_kind_is_refused(value, shown):
+    # float() accepted "85" and true until the codec read every number
+    with pytest.raises(ConfigError, match=f"^'length_mm' must be a number, got {shown}$"):
+        SensorConfig.from_dict({"length_mm": value})
+
+
+def test_an_integer_past_the_float_range_is_named():
+    with pytest.raises(ConfigError, match=r"^'dye\.values\[3\]' .* too large"):
+        SensorConfig.from_dict({"dye": {"wavelengths_nm": [400.0, 500.0, 600.0, 700.0],
+                                        "values": [0.1, 0.1, 0.1, 10**400]}})
+
+
+def test_a_missing_key_and_a_non_object_are_named():
+    doc = PositionCalibration.from_dict
+    with pytest.raises(ConfigError, match="^'slope' is missing$"):
+        doc({})
+    with pytest.raises(ConfigError, match="^expected a JSON object, got an array$"):
+        doc([])
+    with pytest.raises(ConfigError, match="^'sensors\\[1\\]' must be a JSON object, got 3$"):
+        TwinAssembly.from_dict({"sensors": [{}, 3]})
+
+
+def test_null_reads_as_a_default_of_none():
+    assembly = TwinAssembly.from_dict({"sensors": None, "sensor": {"length_mm": 60.0}})
+    assert assembly.sensors[0] is assembly.sensors[1]
+    assert assembly.sensors[0].length_mm == 60.0
+
+
+@pytest.mark.parametrize("line_nm", [math.nan, 1e6, -5.0])
+def test_line_channel_off_the_grid_is_refused(line_nm):
+    with pytest.raises(ValueError, match="outside the wavelength grid"):
+        line_channel("B", line_nm)
+    with pytest.raises(ConfigError,
+                       match=r"^'bank\.channels\[1\]\.line_nm' must lie in \[400, 700\]"):
+        SensorConfig.from_dict({"bank": {"channels": [{"name": "B", "line_nm": 450.0},
+                                                      {"name": "R", "line_nm": line_nm}]}})
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"name": "B"}, "needs values, band_nm or line_nm"),
+    ({"name": "B", "values": [1.0]}, "has explicit values, which need wavelengths_nm"),
+    ({"name": "B", "band_nm": [400.0]}, "must hold 2 numbers, got (400.0,)"),
+    ({"name": "B", "band_nm": [400.0, 500.0], "closed_hi": 1}, "must be true or false, got 1"),
+    ({"name": 7, "line_nm": 450.0}, "must be a string, got 7"),
+])
+def test_bank_entries_name_their_path(entry, message):
+    with pytest.raises(ConfigError, match="^'bank.channels\\[0\\]"):
+        ChannelBank.from_dict({"channels": [entry]}, "bank")
+    with pytest.raises(ConfigError) as excinfo:
+        ChannelBank.from_dict({"channels": [entry]}, "bank")
+    assert message in str(excinfo.value)
+
+
+def test_read_uses_its_default_only_when_the_key_is_absent():
+    assert read({}, "x", NUMBER, "doc", 1.5) == 1.5
+    with pytest.raises(ConfigError, match=r"^'doc\.x' must be a number, got null$"):
+        read({"x": None}, "x", NUMBER, "doc", 1.5)
+
+
+def test_load_names_the_file(tmp_path):
+    path = tmp_path / "twin.json"
+    dye = dict(default_red_dye().to_dict(), concentration_scale=-1.0)
+    path.write_text(json.dumps({"sensors": [{}, {"dye": dye}]}))
+    with pytest.raises(ConfigError, match=f"^{path}: 'sensors\\[1\\].dye.concentration_scale' "
+                                          "must be finite and >= 0, got -1.0$"):
+        load(TwinAssembly, str(path))
+    with pytest.raises(ConfigError, match="^file not found: "):
+        load(TwinAssembly, str(tmp_path / "nope.json"))
+    path.write_text("{")
+    with pytest.raises(ConfigError, match=f"^{path}: Expecting property name"):
+        load(TwinAssembly, str(path))
