@@ -173,7 +173,7 @@ class Record:
 
 
 def load(cls, path: str):
-    """``cls.from_dict`` of the JSON file ``path``; every ConfigError names the file."""
+    """``cls.from_dict`` of the JSON file ``path``; every ValueError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
@@ -181,3 +181,5 @@ def load(cls, path: str):
         raise ConfigError(f"file not found: {path}") from None
     except (json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a check across fields, which stays a plain ValueError
+        raise ValueError(f"{path}: {exc}") from None

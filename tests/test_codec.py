@@ -7,6 +7,7 @@ so the key order of each record counts as well as its values.
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_round_trip(examples, cls):
     assert again.to_dict() == doc
 
 
-# one out-of-bounds value per bounded field, with the path from_dict names it by
+# one out-of-bounds value for each bounded field of every record
 OUT_OF_BOUNDS = [
     (DyeProfile, "concentration_scale", -1.0),
     (CouplingLaw, "f_threshold_n", math.inf),
@@ -152,11 +153,10 @@ def test_an_integer_past_the_float_range_is_named():
 
 
 def test_a_missing_key_and_a_non_object_are_named():
-    doc = PositionCalibration.from_dict
     with pytest.raises(ConfigError, match="^'slope' is missing$"):
-        doc({})
+        PositionCalibration.from_dict({})
     with pytest.raises(ConfigError, match="^expected a JSON object, got an array$"):
-        doc([])
+        PositionCalibration.from_dict([])
     with pytest.raises(ConfigError, match="^'sensors\\[1\\]' must be a JSON object, got 3$"):
         TwinAssembly.from_dict({"sensors": [{}, 3]})
 
@@ -185,10 +185,9 @@ def test_line_channel_off_the_grid_is_refused(line_nm):
     ({"name": 7, "line_nm": 450.0}, "must be a string, got 7"),
 ])
 def test_bank_entries_name_their_path(entry, message):
-    with pytest.raises(ConfigError, match="^'bank.channels\\[0\\]"):
-        ChannelBank.from_dict({"channels": [entry]}, "bank")
     with pytest.raises(ConfigError) as excinfo:
         ChannelBank.from_dict({"channels": [entry]}, "bank")
+    assert str(excinfo.value).startswith("'bank.channels[0]")
     assert message in str(excinfo.value)
 
 
@@ -202,11 +201,17 @@ def test_load_names_the_file(tmp_path):
     path = tmp_path / "twin.json"
     dye = dict(default_red_dye().to_dict(), concentration_scale=-1.0)
     path.write_text(json.dumps({"sensors": [{}, {"dye": dye}]}))
-    with pytest.raises(ConfigError, match=f"^{path}: 'sensors\\[1\\].dye.concentration_scale' "
-                                          "must be finite and >= 0, got -1.0$"):
+    with pytest.raises(ConfigError) as excinfo:
         load(TwinAssembly, str(path))
+    assert str(excinfo.value) == (f"{path}: 'sensors[1].dye.concentration_scale' must be "
+                                  "finite and >= 0, got -1.0")
+    path.write_text(json.dumps({"sensors": [{}]}))
+    with pytest.raises(ValueError) as excinfo:
+        load(TwinAssembly, str(path))
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value).startswith(f"{path}: need one sensor and one encoder per joint")
     with pytest.raises(ConfigError, match="^file not found: "):
         load(TwinAssembly, str(tmp_path / "nope.json"))
     path.write_text("{")
-    with pytest.raises(ConfigError, match=f"^{path}: Expecting property name"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: Expecting property name"):
         load(TwinAssembly, str(path))
