@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, ForceCalibration,
-                         JointEncoderModel, PerturbationState, PositionCalibration, SensorConfig,
-                         Spectrum, TrackingReport, default_red_dye, line_channel)
+from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, JointEncoderModel,
+                         PerturbationState, PositionCalibration, SensorConfig, TrackingReport,
+                         default_red_dye, line_channel)
 from spectratact.cli import CalibrationFile, Manifest, Transmission
 from spectratact.codec import NUMBER, Record, _table, load, read
 from spectratact.errors import ConfigError
