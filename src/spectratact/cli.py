@@ -4,9 +4,12 @@ Every command reads a JSON config, writes CSV/JSON artifacts atomically
 into an output directory, and drops a ``manifest.json`` recording the
 command, every parsed option, seed, tool version and config hash;
 ``replay`` re-executes a manifest if its config still has the recorded hash.
-Outputs are byte-identical across reruns.
+Outputs are byte-identical across reruns.  :data:`COMMANDS` is where a
+recorded command and its options are declared; one runner writes every
+command's outputs and its manifest.
 
-Exit codes: 0 success; 2 config/input error, including every
+Exit codes, which :func:`main` returns: 0 success (and ``--help``,
+``--version``); 2 usage, config or input error, including every
 :class:`~spectratact.errors.ConfigError` (a JSON value missing, of the
 wrong kind or out of bounds, named by file and JSON path); 3 degenerate
 data; 4 unreachable/kinematic error.
@@ -99,38 +102,6 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-# Parsed options the manifest records outside ``args``, or (``out``, ``func``) not at all.
-_MANIFEST_OWN = ("command", "func", "out", "seed", "config")
-_COMMANDS = ("simulate", "calibrate", "decode", "track", "sweep-design")  # replay re-runs these
-
-
-@dataclass(frozen=True)
-class Manifest(Record):
-    """``manifest.json``: a run's command and every parsed option, for ``replay``."""
-
-    command: str = spec(STR, bound=Bound(f"be one of {', '.join(_COMMANDS)}",
-                                         lambda v: v in _COMMANDS))
-    tool_version: str | None = spec(STR, None)
-    seed: int = spec(INT, 0)
-    config_path: str | None = spec(STR, None)
-    config_sha256: str | None = spec(STR, None)
-    args: dict = spec(OBJECT, factory=dict)
-
-
-def _write_manifest(args) -> None:
-    """Record the command with every parsed option, so ``replay`` can re-run it."""
-    config_path = getattr(args, "config", None)
-    manifest = Manifest(
-        command=args.command,
-        tool_version=__version__,
-        seed=args.seed,
-        config_path=config_path,
-        config_sha256=_sha256_file(config_path) if config_path else None,
-        args={k: v for k, v in vars(args).items() if k not in _MANIFEST_OWN},
-    )
-    _write_json(os.path.join(args.out, "manifest.json"), manifest.to_dict())
-
-
 def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
     """Header (None for an empty file) and data rows of a CSV file."""
     try:
@@ -161,17 +132,18 @@ def _parse_value_list(spec: str, name: str) -> list[float]:
 
 
 def _noise_from_args(args) -> NoiseModel | None:
-    if getattr(args, "snr_db", None) is not None:
+    if args.snr_db is not None:
         return NoiseModel("snr_db", args.snr_db, args.seed)
-    if getattr(args, "noise_sigma", None) is not None:
+    if args.noise_sigma is not None:
         return NoiseModel("absolute_sigma", args.noise_sigma, args.seed)
     return None
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each body computes and returns ({file name: JSON document or
+# (header, rows)}, summary line); _run writes them
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     positions = _parse_value_list(args.positions, "--positions")
     forces = _parse_value_list(args.forces, "--forces")
@@ -182,10 +154,8 @@ def cmd_simulate(args) -> int:
          int(r.reading.below_floor)]
         for r in rows
     ]
-    _write_csv(os.path.join(args.out, "sweep.csv"), header, csv_rows)
-    _write_manifest(args)
-    print(f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
-    return EXIT_OK
+    return ({"sweep.csv": (header, csv_rows)},
+            f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
 
 
 def _float_column(raws, col: int):
@@ -238,7 +208,7 @@ def _read_samples(path: str):
             stimulus_columns.get("position_mm"), stimulus_columns.get("force_n"), parsed)
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     names, channels, position, force, parsed = _read_samples(args.samples)
     if not parsed.all():
@@ -290,8 +260,6 @@ def cmd_calibrate(args) -> int:
         "positions_mm": grid,
         "factors": transmission_factors(config, grid).tolist(),
     }
-    _write_json(os.path.join(args.out, "calibration.json"), doc)
-    _write_manifest(args)
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
@@ -299,8 +267,7 @@ def cmd_calibrate(args) -> int:
     if any(counts.values()):
         summary += ", position fit skipped " + ", ".join(
             f"{n} row(s) {reason}" for reason, n in counts.items() if n)
-    print(summary)
-    return EXIT_OK
+    return {"calibration.json": doc}, summary
 
 
 # decoded.csv flags by code: 0/1 from the parse, 2/3 from position, 4/5 from force
@@ -346,7 +313,7 @@ class CalibrationFile(Record):
     force: ForceCalibration | None = spec(ForceCalibration, None)
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[dict, str]:
     try:
         calibration = load(CalibrationFile, args.calibration)
     except DegenerateFitError as exc:  # a calibration file that does not load is an input error
@@ -375,11 +342,8 @@ def cmd_decode(args) -> int:
         inside = ~(below | above)
         table[rows[inside], 1] = forcecal.invert(normalized[inside])
     table[:, 2] = _DECODE_FLAGS[code]
-    _write_csv(os.path.join(args.out, "decoded.csv"),
-               ["position_mm", "force_n", "flag"], table.tolist())
-    _write_manifest(args)
-    print(f"decode: wrote {len(table)} rows to {os.path.join(args.out, 'decoded.csv')}")
-    return EXIT_OK
+    return ({"decoded.csv": (["position_mm", "force_n", "flag"], table.tolist())},
+            f"decode: wrote {len(table)} rows to {os.path.join(args.out, 'decoded.csv')}")
 
 
 def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
@@ -402,7 +366,7 @@ def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
     return samples
 
 
-def cmd_track(args) -> int:
+def cmd_track(args) -> tuple[dict, str]:
     assembly = load(TwinAssembly, args.config)
     if args.trajectory is not None:
         trajectory = _read_trajectory_csv(args.trajectory)
@@ -420,19 +384,15 @@ def cmd_track(args) -> int:
                                      args.angle_sigma_deg)
         noise = NoiseModel("snr_db", snr, args.seed)
     reconstructed, report = track(assembly, trajectory, noise, seed=args.seed)
-    _write_csv(
-        os.path.join(args.out, "reconstructed.csv"),
-        ["t_s", "x_mm", "y_mm"],
-        [[s.t_s, s.pose.x_mm, s.pose.y_mm] for s in reconstructed],
-    )
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    _write_manifest(args)
-    print(f"track: rms={report.rms_error_mm!r} mm, max={report.max_error_mm!r} mm, "
-          f"dropped={report.dropped}/{report.n_samples}")
-    return EXIT_OK
+    rows = [[s.t_s, s.pose.x_mm, s.pose.y_mm] for s in reconstructed]
+    rms, worst = ("n/a" if v is None else f"{v!r} mm"  # None: no sample was reconstructed
+                  for v in (report.rms_error_mm, report.max_error_mm))
+    return ({"reconstructed.csv": (["t_s", "x_mm", "y_mm"], rows),
+             "report.json": report.to_dict()},
+            f"track: rms={rms}, max={worst}, dropped={report.dropped}/{report.n_samples}")
 
 
-def cmd_sweep_design(args) -> int:
+def cmd_sweep_design(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     lengths = _parse_value_list(args.lengths, "--lengths")
     concentrations = _parse_value_list(args.concentrations, "--concentrations")
@@ -451,13 +411,92 @@ def cmd_sweep_design(args) -> int:
                 raise CliError(f"{point}: {exc}")
             out_rows.append([length, conc, poscal.slope, poscal.intercept,
                              poscal.r_squared])
-    _write_csv(
-        os.path.join(args.out, "design.csv"),
-        ["length_mm", "concentration_scale", "slope_per_mm", "intercept", "r_squared"],
-        out_rows,
+    header = ["length_mm", "concentration_scale", "slope_per_mm", "intercept", "r_squared"]
+    return {"design.csv": (header, out_rows)}, f"sweep-design: wrote {len(out_rows)} design points"
+
+
+_NOISE = [{},
+          ("--snr-db", dict(type=float, help="per-channel SNR noise, dB (omit for noise-free)")),
+          ("--noise-sigma", dict(type=float,
+                                 help="absolute per-channel noise sigma, intensity units"))]
+
+# The recorded commands, by name: (help, body, options).  An option is (flag,
+# add_argument keywords); a list is a mutually exclusive group, its
+# add_mutually_exclusive_group keywords first.  Every command also takes
+# --out and --seed, and all but decode take --config.
+COMMANDS = {
+    "simulate": ("run a stimulus sweep, write sweep.csv", cmd_simulate, [
+        ("--positions", dict(required=True,
+                             help="positions in mm: 'a,b,c' or 'start:stop:count'")),
+        ("--forces", dict(required=True, help="forces in N: 'a,b,c' or 'start:stop:count'")),
+        _NOISE]),
+    "calibrate": ("fit position/force calibrations from a sweep CSV", cmd_calibrate, [
+        ("--samples", dict(required=True, help="sweep-format CSV of samples")),
+        ("--numerator", dict(help="ratio numerator channel")),
+        ("--denominator", dict(help="ratio denominator channel"))]),
+    "decode": ("decode a readings CSV through a calibration", cmd_decode, [
+        ("--calibration", dict(required=True, help="calibration JSON")),
+        ("--readings", dict(required=True, help="readings CSV (sweep format)"))]),
+    "track": ("replay a terminal trajectory through the twin", cmd_track, [
+        [dict(required=True), ("--trajectory", dict(help="CSV with t_s,x_mm,y_mm")),
+         ("--generate", dict(help="synthetic path 'shape:scale:cx:cy:n', "
+                                  "shape in {line,circle,S}"))],
+        _NOISE + [("--angle-sigma-deg", dict(
+            type=float, help="choose SNR so decoded angles carry this 1-sigma error"))]]),
+    "sweep-design": ("slope sensitivity over length/concentration", cmd_sweep_design, [
+        ("--lengths", dict(required=True, help="lengths in mm: list or linspace spec")),
+        ("--concentrations", dict(required=True,
+                                  help="concentration scales: list or linspace spec")),
+        ("--probe-force", dict(type=float, default=2.0,
+                               help="probe force for the design sweeps, N (default 2)"))]),
+}
+
+# Parsed options the manifest keeps out of ``args``: its own fields, and ``out``,
+# which it does not record.
+_MANIFEST_OWN = ("command", "out", "seed", "config")
+
+
+@dataclass(frozen=True)
+class Manifest(Record):
+    """``manifest.json``: a run's command and every parsed option, for ``replay``."""
+
+    command: str = spec(STR, bound=Bound(f"be one of {', '.join(COMMANDS)}",
+                                         lambda v: v in COMMANDS))
+    tool_version: str | None = spec(STR, None)
+    seed: int = spec(INT, 0)
+    config_path: str | None = spec(STR, None)
+    config_sha256: str | None = spec(STR, None)
+    args: dict = spec(OBJECT, factory=dict)
+
+
+def _write_manifest(args) -> None:
+    """Record the command with every parsed option, so ``replay`` can re-run it."""
+    config_path = getattr(args, "config", None)
+    manifest = Manifest(
+        command=args.command,
+        tool_version=__version__,
+        seed=args.seed,
+        config_path=config_path,
+        config_sha256=_sha256_file(config_path) if config_path else None,
+        args={k: v for k, v in vars(args).items() if k not in _MANIFEST_OWN},
     )
+    _write_json(os.path.join(args.out, "manifest.json"), manifest.to_dict())
+
+
+def _run(args) -> int:
+    """Run a recorded command: write its outputs once its body has returned, then the manifest."""
+    if args.seed < 0:  # numpy's own message names neither option nor command
+        raise CliError(f"{args.command} --seed {args.seed}: expected non-negative integer")
+    _, body, _ = COMMANDS[args.command]
+    outputs, summary = body(args)
+    for name, output in outputs.items():
+        path = os.path.join(args.out, name)
+        if isinstance(output, dict):
+            _write_json(path, output)
+        else:
+            _write_csv(path, *output)
     _write_manifest(args)
-    print(f"sweep-design: wrote {len(out_rows)} design points")
+    print(summary)
     return EXIT_OK
 
 
@@ -475,39 +514,22 @@ def cmd_replay(args) -> int:
         if value is None:
             continue
         argv += [f"--{key.replace('_', '-')}", str(value)]
-    # parse here first, so that a bad manifest exits 2 naming its args, and so that
+    # parse here, not in main, so that a bad manifest exits 2 naming its args, and so that
     # every key is one of the command's own options (argparse accepts abbreviations)
     try:
-        options = vars(build_parser().parse_args(argv))
+        options = build_parser().parse_args(argv)
     except SystemExit:  # argparse has printed why
         raise CliError(f"{args.manifest}: 'args' do not parse as {manifest.command} "
                        f"options") from None
-    foreign = sorted(set(manifest.args) - (set(options) - set(_MANIFEST_OWN)))
+    foreign = sorted(set(manifest.args) - (set(vars(options)) - set(_MANIFEST_OWN)))
     if foreign:
         raise CliError(f"{args.manifest}: 'args' holds {foreign}, which are not recorded "
                        f"{manifest.command} options")
-    return main(argv)
+    return _run(options)
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
-
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    if config_required:
-        parser.add_argument("--config", required=True, help="JSON config path")
-
-
-def _add_noise(parser: argparse.ArgumentParser):
-    """The mutually exclusive group of noise options, for commands to extend."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--snr-db", type=float, default=None,
-                       help="per-channel SNR noise, dB (omit for noise-free)")
-    group.add_argument("--noise-sigma", type=float, default=None,
-                       help="absolute per-channel noise sigma, intensity units")
-    return group
-
 
 @functools.cache  # one parser per process: building it took 0.9-1.7 ms per call
 def build_parser() -> argparse.ArgumentParser:
@@ -517,62 +539,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a stimulus sweep, write sweep.csv")
-    _add_common(p)
-    p.add_argument("--positions", required=True,
-                   help="positions in mm: 'a,b,c' or 'start:stop:count'")
-    p.add_argument("--forces", required=True,
-                   help="forces in N: 'a,b,c' or 'start:stop:count'")
-    _add_noise(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="fit position/force calibrations from a sweep CSV")
-    _add_common(p)
-    p.add_argument("--samples", required=True, help="sweep-format CSV of samples")
-    p.add_argument("--numerator", default=None, help="ratio numerator channel")
-    p.add_argument("--denominator", default=None, help="ratio denominator channel")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("decode", help="decode a readings CSV through a calibration")
-    _add_common(p, config_required=False)
-    p.add_argument("--calibration", required=True, help="calibration JSON")
-    p.add_argument("--readings", required=True, help="readings CSV (sweep format)")
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("track", help="replay a terminal trajectory through the twin")
-    _add_common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--trajectory", default=None, help="CSV with t_s,x_mm,y_mm")
-    group.add_argument("--generate", default=None,
-                       help="synthetic path 'shape:scale:cx:cy:n', shape in {line,circle,S}")
-    _add_noise(p).add_argument("--angle-sigma-deg", type=float, default=None,
-                               help="choose SNR so decoded angles carry this 1-sigma error")
-    p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("sweep-design", help="slope sensitivity over length/concentration")
-    _add_common(p)
-    p.add_argument("--lengths", required=True, help="lengths in mm: list or linspace spec")
-    p.add_argument("--concentrations", required=True,
-                   help="concentration scales: list or linspace spec")
-    p.add_argument("--probe-force", type=float, default=2.0,
-                   help="probe force for the design sweeps, N (default 2)")
-    p.set_defaults(func=cmd_sweep_design)
+    for name, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        if name != "decode":
+            p.add_argument("--config", required=True, help="JSON config path")
+        for option in options:
+            if isinstance(option, list):
+                group = p.add_mutually_exclusive_group(**option[0])
+                for flag, keywords in option[1:]:
+                    group.add_argument(flag, **keywords)
+            else:
+                p.add_argument(option[0], **option[1])
 
     p = sub.add_parser("replay", help="re-run a recorded manifest into a new directory")
     p.add_argument("--manifest", required=True, help="manifest.json from a previous run")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_replay)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's own message names neither option nor command
-            raise CliError(f"{args.command} --seed {args.seed}: expected non-negative integer")
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed why: 2 for a usage error, 0 for --help
+        return exc.code
+    try:
+        return cmd_replay(args) if args.command == "replay" else _run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

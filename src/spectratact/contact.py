@@ -60,7 +60,10 @@ def coupled_fraction(law: CouplingLaw, force_n: float) -> float:
         raise ValueError(f"force_n must be >= 0, got {force_n}")
     if force_n <= law.f_threshold_n:
         return 0.0
-    return min(1.0, law.gain * (force_n - law.f_threshold_n) ** law.exponent)
+    try:
+        return min(1.0, law.gain * (force_n - law.f_threshold_n) ** law.exponent)
+    except OverflowError:  # a power past the float range: the law saturated long before
+        return 1.0
 
 
 def strained_dye(dye: DyeProfile, strain: float) -> DyeProfile:

@@ -42,11 +42,12 @@ class TrajectorySample:
 class TrackingReport(Record):
     """Reconstruction quality of one tracking run."""
 
-    rms_error_mm: float = spec(NUMBER)
-    max_error_mm: float = spec(NUMBER)
     errors_mm: list[float] = spec(FLOATS)
     dropped: int = spec(INT)
     n_samples: int = spec(INT)
+    # None (JSON null) when no sample was reconstructed, so no error was measured
+    rms_error_mm: float | None = spec(NUMBER, None)
+    max_error_mm: float | None = spec(NUMBER, None)
 
 
 def encoder_sensor_config(length_mm: float = 85.0, **overrides) -> SensorConfig:
@@ -199,7 +200,7 @@ def track(
         rms = math.sqrt(np.square(errors).sum() / len(errors))
         max_err = max(errors)
     else:
-        rms = max_err = 0.0
+        rms = max_err = None
     report = TrackingReport(
         rms_error_mm=rms,
         max_error_mm=max_err,

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as stn
 
-from spectratact import SensorConfig
-from spectratact.cli import main
+from spectratact import SensorConfig, cli
+from spectratact.cli import CliError, main
+from spectratact.errors import (ConfigError, DegenerateFitError, NonMonotoneDataError,
+                                UnreachableError, UnsupportedRegimeError, UnusableSampleError)
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
 
@@ -692,11 +694,9 @@ class TestBadInput:
 
     def test_angle_sigma_excludes_noise_flags(self, twin_config_path, tmp_path):
         for flag in (["--snr-db", "30"], ["--noise-sigma", "0.1"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
-                      "--generate", "circle:30:40:120:5", "--angle-sigma-deg", "0.05"]
-                     + flag)
-            assert excinfo.value.code == 2
+            assert main(["track", "--config", twin_config_path, "--out", str(tmp_path / "o"),
+                         "--generate", "circle:30:40:120:5", "--angle-sigma-deg", "0.05"]
+                        + flag) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["offset_mm", "arc_gain_mm_per_deg"])
@@ -735,6 +735,30 @@ class TestBadInput:
         assert "'bank.channels[1].line_nm' must lie in [400, 700]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_power_past_the_float_range_saturates(self, band_config_path, tmp_path):
+        # gain * (f - f0) ** 2 raised OverflowError out of main at 1e200 N
+        sensor = json.loads(read(band_config_path))
+        sensor["coupling"]["exponent"] = 2.0
+        config = tmp_path / "sensor.json"
+        config.write_text(json.dumps(sensor))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--positions", "10", "--forces", "1e6,1e200"])
+        assert code == 0
+        _, rows = csv_rows(tmp_path / "o" / "sweep.csv")
+        assert rows[0][2:] == rows[1][2:]  # both forces couple all the light
+
+    def test_track_that_reconstructs_nothing_reports_no_error(self, twin_config_path,
+                                                              tmp_path, capsys):
+        # rms and max once read 0.0, as for a perfect run
+        out = tmp_path / "o"
+        code = main(["track", "--config", twin_config_path, "--out", str(out),
+                     "--generate", "circle:30:40:125:2", "--noise-sigma", "1e300"])
+        assert code == 0
+        report = json.loads(read(out / "report.json"))
+        assert (report["rms_error_mm"], report["max_error_mm"], report["dropped"]) == \
+            (None, None, 2)
+        assert "track: rms=n/a, max=n/a, dropped=2/2" in capsys.readouterr().out
+
     @pytest.mark.parametrize("field, value", [("seed", 2.5), ("seed", True), ("seed", "x"),
                                               ("command", "replay"), ("command", None),
                                               ("command", "nope")])
@@ -766,6 +790,63 @@ class TestBadInput:
         assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
         assert "'args'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() and not (tmp_path / "elsewhere").exists()
+
+
+SAMPLES = "position_mm,force_n,ch_B,ch_G,ch_R\n"
+CALIBRATE = ["calibrate", "--config", "{band}", "--samples", "{tmp}/input"]
+TRACK_CSV = ["track", "--config", "{twin}", "--trajectory", "{tmp}/input"]
+
+# per exception class main maps: (the class a real input raises, the exit code, argv,
+# the text of {tmp}/input)
+EXIT_CASES = {
+    "CliError-2": (CliError, 2, ["track", "--config", "{twin}", "--generate", "circle:30"],
+                   None),
+    "CliError-3": (CliError, 3, CALIBRATE, SAMPLES + "10,2,x,1,1\n20,2,0.5,1,1\n"),
+    "DegenerateFitError": (DegenerateFitError, 3, CALIBRATE,
+                           SAMPLES + "10,2,0.5,1,1\n20,2,0.4,1,1\n"),
+    "NonMonotoneDataError": (NonMonotoneDataError, 3, CALIBRATE, SAMPLES + (
+        "10,2,0.5,1,1\n20,2,0.4,1,1\n30,1,0.3,1,1\n30,2,0.3,0.5,1\n30,3,0.3,0.2,1\n")),
+    "UnusableSampleError": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
+        "10,2,1e-300,1,1e30\n20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n")),
+    "KinematicError": (UnreachableError, 4, TRACK_CSV,
+                       "t_s,x_mm,y_mm\n0.0,40.0,500.0\n1.0,41.0,500.0\n"),
+    "OSError": (IsADirectoryError, 2,  # a directory as the config
+                ["simulate", "--config", "{tmp}", "--positions", "10", "--forces", "2"], None),
+    "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n"),
+    "ConfigError": (ConfigError, 2, ["decode", "--calibration", "{tmp}/input",
+                                     "--readings", "{tmp}/input"], "[]"),
+    "UnsupportedRegimeError": (UnsupportedRegimeError, 2, [
+        "simulate", "--config", "{tmp}/input", "--positions", "10", "--forces", "2"],
+        json.dumps({"perturbation": {"bend_deg": 200.0}})),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_code_contract(case, band_config_path, twin_config_path, tmp_path, capsys,
+                            monkeypatch):
+    """Each exception class main maps is reached by a real input and exits with its code.
+
+    No CLI input is known to reach the KeyError that main also maps.
+    """
+    cls, code, argv, text = EXIT_CASES[case]
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+    raised, run = [], cli._run
+
+    def spy(args):
+        try:
+            return run(args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(cli, "_run", spy)
+    paths = {"tmp": tmp_path, "band": band_config_path, "twin": twin_config_path}
+    out = tmp_path / "o"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
+    assert raised == [cls]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 TWIN_KEYS = ("fivebar", "sensors", "sensor", "encoders", "indenter_force_n")
@@ -907,4 +988,25 @@ class TestDocumentProperties:
         Path("sensor.json").write_text(real_run()["sensor.json"])
         Path("manifest.json").write_text(json.dumps(doc))
         code = main(["replay", "--manifest", "manifest.json", "--out", "o"])
+        assert code in (0, 2, 3, 4)
+
+
+def option_values():
+    """A simulate value list: up to three numbers, some past the float range or not finite."""
+    numbers = stn.floats() | stn.integers(-100, 100) | stn.sampled_from([1e200, -1e300])
+    return stn.lists(numbers, min_size=1, max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+
+
+class TestOptionProperties:
+    @TestDocumentProperties.SETTINGS
+    @given(positions=option_values(), forces=option_values(),
+           noise=stn.sampled_from(["--snr-db", "--noise-sigma"]),
+           level=stn.floats().map(repr))
+    # argparse read each value as an option and raised SystemExit out of main
+    @example(positions="10", forces="-1e300,1", noise="--snr-db", level="30")
+    @example(positions="10", forces="2", noise="--snr-db", level="-1e300")
+    def test_simulate_option_values(self, band_config_path, tmp_path, positions, forces,
+                                    noise, level):
+        code = main(["simulate", "--config", band_config_path, "--out", str(tmp_path / "o"),
+                     "--positions", positions, "--forces", forces, noise, level])
         assert code in (0, 2, 3, 4)

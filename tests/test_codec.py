@@ -83,7 +83,7 @@ def examples(default_poscal, default_forcecal):
         PerturbationState(0.1, 45.0), replace(config, length_mm=60.0),
         JointEncoderModel(0.4, 40.0), FiveBarConfig(70.0, 110.0), default_poscal,
         default_forcecal, TwinAssembly(indenter_force_n=1.5),
-        TrackingReport(0.5, 1.25, [0.25, 1.25], 1, 3),
+        TrackingReport([0.25, 1.25], 1, 3, rms_error_mm=0.5, max_error_mm=1.25),
         Manifest("simulate", "0.1.0", 3, None, None, {"positions": "10", "snr_db": None}),
         transmission, CalibrationFile(default_poscal, transmission, default_forcecal)]}
 

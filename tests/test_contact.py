@@ -40,6 +40,10 @@ class TestCoupledFraction:
         assert coupled_fraction(law, 1e6) == 1.0
         assert law.saturation_force_n > 10.0
 
+    def test_power_past_the_float_range_saturates(self):
+        # (1e200 - f0) ** 2 raises OverflowError in Python floats
+        assert coupled_fraction(CouplingLaw(exponent=2.0), 1e200) == 1.0
+
     @settings(max_examples=50, deadline=None)
     @given(f1=stn.floats(0.0, 20.0), f2=stn.floats(0.0, 20.0))
     def test_monotone_nondecreasing(self, f1, f2):

@@ -4,6 +4,7 @@ scipy is a test dependency only (the oracle for the in-house PCHIP);
 importing it would add about half a second and tens of MB to every
 process that runs the CLI.  numpy loads ``numpy.random`` lazily, and the
 commands that draw no noise never need it (about 14 ms per process).
+A CLI process exits with the code :func:`spectratact.cli.main` returns.
 """
 
 import json
@@ -18,16 +19,20 @@ from spectratact import SensorConfig
 from spectratact.twin import TwinAssembly
 
 
+def python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectratact.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=check)
+
+
 def loaded(package: str, run: str = "") -> str:
     """Modules of ``package`` loaded once the package and its CLI are imported and the
     statements ``run`` ran, as printed on the last line."""
     probe = (f"import spectratact, spectratact.cli, sys; {run}"
              f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spectratact.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    return python("-c", probe).stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -49,3 +54,13 @@ def test_noise_free_cli_run_loads_no_numpy_random(command, tmp_path):
         "track": ["--generate", "circle:30:40:120:50"],  # 100 (sample, joint) rows
     }[command]]
     assert loaded("numpy.random", f"assert spectratact.cli.main({argv!r}) == 0; ") == "[]"
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (["--version"], 0, spectratact.__version__),
+    (["simulate", "--forces", "-1e300,1"], 2, "usage:"),  # a usage error
+])
+def test_module_exits_with_the_code_main_returns(argv, code, printed):
+    done = python("-m", "spectratact.cli", *argv, check=False)
+    assert done.returncode == code
+    assert printed in done.stdout + done.stderr

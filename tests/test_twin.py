@@ -100,8 +100,8 @@ def track_per_sample(assembly, trajectory, noise=None, seed=0):
         errors.append(math.hypot(pose_hat.x_mm - sample.pose.x_mm,
                                  pose_hat.y_mm - sample.pose.y_mm))
     report = TrackingReport(
-        rms_error_mm=float(np.sqrt(np.mean(np.square(errors)))) if errors else 0.0,
-        max_error_mm=float(np.max(errors)) if errors else 0.0,
+        rms_error_mm=float(np.sqrt(np.mean(np.square(errors)))) if errors else None,
+        max_error_mm=float(np.max(errors)) if errors else None,
         errors_mm=errors,
         dropped=len(samples) - len(errors),
         n_samples=len(samples),
@@ -383,9 +383,14 @@ class TestTrackMatchesPerSampleChain:
         weak = TwinAssembly(fivebar=FIVEBAR, calibrations=assembly.calibrations,
                             indenter_force_n=0.01)
         reconstructed, report = track(weak, s_path)
-        _, _, reasons = track_per_sample(weak, s_path)
+        _, expected_report, reasons = track_per_sample(weak, s_path)
         assert reasons == {"NoContactError": len(s_path)}
         assert reconstructed == [] and report.dropped == len(s_path)
+        # no error was measured, so none reads 0.0; null survives the JSON round trip
+        doc = report.to_dict()
+        assert (doc["rms_error_mm"], doc["max_error_mm"]) == (None, None)
+        assert doc == expected_report.to_dict()
+        assert TrackingReport.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
 
 
 class TestTrackBatching:
