@@ -68,7 +68,6 @@ from .sensor import (
     NoiseModel,
     SensorConfig,
     Stimulus,
-    SweepRow,
     channel_intensities,
     measure_snr_db,
     position_transmission,
@@ -82,7 +81,6 @@ from .spectral import (
     DyeProfile,
     Spectrum,
     attenuate,
-    band_effective_decay,
     boxcar_channel,
     default_bank,
     default_red_dye,

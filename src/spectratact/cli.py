@@ -147,13 +147,10 @@ def cmd_simulate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     positions = _parse_value_list(args.positions, "--positions")
     forces = _parse_value_list(args.forces, "--forces")
-    rows = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
+    xs, fs, values = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
     header = ["position_mm", "force_n"] + [f"ch_{n}" for n in config.bank.names] + ["below_floor"]
-    csv_rows = [
-        [r.position_mm, r.force_n, *[float(v) for v in r.reading.values],
-         int(r.reading.below_floor)]
-        for r in rows
-    ]
+    csv_rows = [[x, f, *vs, below] for x, f, vs, below in zip(
+        xs.tolist(), fs.tolist(), values.tolist(), (~values.any(axis=1)).astype(int).tolist())]
     return ({"sweep.csv": (header, csv_rows)},
             f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
 
@@ -248,8 +245,7 @@ def cmd_calibrate(args) -> tuple[dict, str]:
                       if len({forces[i] for i in rows}) >= 3]
         if candidates:
             p, rows = max(candidates, key=lambda item: len(item[1]))
-            forcecal = fit_force(names, channels[rows], force[rows], config,
-                                 known_position_mm=p)
+            forcecal = fit_force(names, channels[rows], force[rows], config, p)
 
     doc = {"position": poscal.to_dict()}
     if forcecal is not None:

@@ -287,14 +287,20 @@ def position_transmission(config: SensorConfig, position_mm: float) -> float:
 
 
 def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarray:
-    """Channel rows after noise (one draw per row from ``rngs``) and the floor."""
+    """Channel rows after noise (one draw per row from ``rngs``) and the floor.
+
+    A noisy value past the float range raises ``ValueError`` instead of reading as zero.
+    """
     values = channel_intensities(config, positions, forces)
     if noise is not None:
         draws = np.empty_like(values)
         for row, rng in zip(draws, rngs, strict=True):
             rng.standard_normal(out=row)
-        draws *= noise.sigma_vector(values)
+        with np.errstate(over="ignore"):
+            draws *= noise.sigma_vector(values)
         draws += values
+        if not np.isfinite(draws).all():
+            raise ValueError("channel intensities must be finite and nonnegative")
         values = draws
     # the floor is >= 0, so this also clamps noise below zero
     values[values < config._optics.floor] = 0.0
@@ -324,13 +330,6 @@ def measure_snr_db(config: SensorConfig, stim: Stimulus, noise: NoiseModel) -> f
     if sigma_total == 0:
         return math.inf
     return 20.0 * math.log10(signal / sigma_total)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    position_mm: float
-    force_n: float
-    reading: ChannelReading
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -478,20 +477,17 @@ def sweep(
     forces_n,
     noise: NoiseModel | None = None,
     seed: int = 0,
-) -> list[SweepRow]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a position-major grid of stimuli, one row each.
 
-    Row i draws from an RNG substream derived from (seed, i), so the
-    table is reproducible and rows could be computed in any order.
+    Returns ``(positions, forces, values)``: the stimulus of each row and
+    its (rows, channels) readings in the bank's channel order.  Row i
+    draws from an RNG substream derived from (seed, i), so the table is
+    reproducible and rows could be computed in any order.
     """
     positions = [float(p) for p in positions_mm]
     forces = [float(f) for f in forces_n]
     xs = np.repeat(positions, len(forces))
     fs = np.tile(forces, len(positions))
     rngs = rng_substreams(seed, xs.size) if noise is not None else None
-    values = _readings(config, xs, fs, noise, rngs)
-    names = config.bank.names
-    return [
-        SweepRow(p, f, ChannelReading(v, names))
-        for p, f, v in zip(xs.tolist(), fs.tolist(), values)
-    ]
+    return xs, fs, _readings(config, xs, fs, noise, rngs)

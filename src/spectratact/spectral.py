@@ -310,34 +310,3 @@ def log_ratios(num, den) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         ratios = (num[lit] / den[lit]).tolist()
     return lit, np.array([math.log(r) if r else -math.inf for r in ratios], dtype=float)
-
-
-def band_effective_decay(
-    dye: DyeProfile,
-    channel: Channel,
-    source: Spectrum,
-    max_path_mm: float = 85.0,
-    n_paths: int = 86,
-) -> float:
-    """Best-fit single decay exponent for a band-integrated signal.
-
-    The band signal is not exactly exponential when the decay varies
-    across the channel; this fits ``ln I(x)`` against path length by
-    ordinary least squares over ``n_paths`` samples of [0, max_path_mm]
-    and returns the negated slope.
-    """
-    _require_same_grid(dye.wavelengths_nm, channel.wavelengths_nm)
-    _require_same_grid(dye.wavelengths_nm, source.wavelengths_nm)
-    if n_paths < 2:
-        raise ValueError("need at least 2 path samples")
-    widths = _sample_widths(source.wavelengths_nm)
-    weight = source.intensities * channel.response * widths
-    if not np.any(weight > 0):
-        raise ValueError("channel has zero overlap with the source support")
-    paths = np.linspace(0.0, float(max_path_mm), int(n_paths))
-    k_eff = dye.concentration_scale * dye.decay_per_mm
-    signal = np.exp(-np.outer(paths, k_eff)) @ weight
-    y = np.log(signal)
-    x = paths - paths.mean()
-    slope = float(x @ (y - y.mean()) / (x @ x))
-    return -slope

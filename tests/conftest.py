@@ -25,18 +25,14 @@ def columns(samples):
 
 
 def calibrate_position(config, force_n=2.0, n=86):
-    rows = sweep(config, np.linspace(0.0, config.length_mm, n), [force_n])
-    return fit_position(*columns((r.position_mm, r.reading) for r in rows))
+    xs, _, values = sweep(config, np.linspace(0.0, config.length_mm, n), [force_n])
+    return fit_position(config.bank.names, values, xs)
 
 
 def calibrate_force(config, position_mm=42.5, f_max=10.0, n_knots=21):
     schedule = force_knot_schedule(config.coupling.f_threshold_n, f_max, n_knots)
-    rows = sweep(config, [position_mm], schedule)
-    return fit_force(
-        *columns((r.force_n, r.reading) for r in rows),
-        config,
-        known_position_mm=position_mm,
-    )
+    _, fs, values = sweep(config, [position_mm], schedule)
+    return fit_force(config.bank.names, values, fs, config, position_mm)
 
 
 @pytest.fixture(scope="session")

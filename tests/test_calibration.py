@@ -83,8 +83,8 @@ class TestFitPosition:
         config = SensorConfig.default(
             source=source, bank=line_bank([("B", 450.0), ("R", 650.0)])
         )
-        rows = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
-        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
+        xs, _, values = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
+        cal = fit_position(config.bank.names, values, xs)
         k = config.dye.decay_per_mm
         k_b = k[np.searchsorted(grid, 450.0)]
         k_r = k[np.searchsorted(grid, 650.0)]
@@ -96,8 +96,8 @@ class TestFitPosition:
 
     def test_mixed_forces_share_one_line(self, line_config):
         # force cancels in the ratio, so a force-varying sweep calibrates too
-        rows = sweep(line_config, np.linspace(5.0, 80.0, 16), [0.5, 2.0, 8.0])
-        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
+        xs, _, values = sweep(line_config, np.linspace(5.0, 80.0, 16), [0.5, 2.0, 8.0])
+        cal = fit_position(line_config.bank.names, values, xs)
         assert cal.r_squared > 1.0 - 1e-9
 
     def test_doubling_concentration_doubles_slope(self, line_config):
@@ -106,18 +106,17 @@ class TestFitPosition:
                 bank=line_config.bank,
                 dye=line_config.dye.with_concentration(scale),
             )
-            rows = sweep(config, np.linspace(0.0, 85.0, 18), [2.0])
-            return fit_position(*columns((r.position_mm, r.reading) for r in rows)).slope
+            xs, _, values = sweep(config, np.linspace(0.0, 85.0, 18), [2.0])
+            return fit_position(config.bank.names, values, xs).slope
 
         assert slope_for(2.0) == pytest.approx(2.0 * slope_for(1.0), rel=1e-9)
 
     def test_dead_zone_rows_reported(self, line_config):
-        rows = sweep(line_config, np.linspace(10.0, 70.0, 5), [2.0])
-        samples = [(r.position_mm, r.reading) for r in rows]
-        samples.insert(2, (40.0, reading(0.0, 0.0)))
-        samples.append((80.0, reading(0.0, 1.0)))
+        xs, _, values = sweep(line_config, np.linspace(10.0, 70.0, 5), [2.0])
+        xs = np.append(np.insert(xs, 2, 40.0), 80.0)
+        values = np.vstack([values[:2], [0.0, 0.0], values[2:], [0.0, 1.0]])
         with pytest.raises(UnusableSampleError) as excinfo:
-            fit_position(*columns(samples))
+            fit_position(line_config.bank.names, values, xs)
         assert excinfo.value.rows == (2, 6)
 
     def test_too_few_samples(self):
@@ -130,11 +129,12 @@ class TestFitPosition:
             fit_position(*columns(samples))
 
     def test_r_squared_definition_and_bounds(self, default_config):
-        rows = sweep(default_config, np.linspace(0.0, 85.0, 40), [2.0],
-                     NoiseModel("snr_db", 25.0), seed=3)
-        cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
-        x = np.array([r.position_mm for r in rows])
-        y = np.array([math.log(r.reading["B"] / r.reading["R"]) for r in rows])
+        x, _, values = sweep(default_config, np.linspace(0.0, 85.0, 40), [2.0],
+                             NoiseModel("snr_db", 25.0), seed=3)
+        names = default_config.bank.names
+        cal = fit_position(names, values, x)
+        y = np.array([math.log(b / r) for b, r in zip(values[:, names.index("B")].tolist(),
+                                                      values[:, names.index("R")].tolist())])
         ss_res = np.sum((y - (cal.slope * x + cal.intercept)) ** 2)
         ss_tot = np.sum((y - y.mean()) ** 2)
         assert cal.r_squared == pytest.approx(1.0 - ss_res / ss_tot, abs=1e-12)
@@ -168,7 +168,7 @@ class TestFitForce:
             for tweak in (0.99, 1.01):
                 samples.append((float(force),
                                 ChannelReading(base.values * tweak, base.channel_names)))
-        cal = fit_force(*columns(samples), default_config, known_position_mm=42.5)
+        cal = fit_force(*columns(samples), default_config, 42.5)
         assert len(cal.forces_n) == 11
         base_cal = calibrate_force(default_config, n_knots=11)
         assert np.allclose(cal.normalized, base_cal.normalized, rtol=1e-9)
@@ -179,7 +179,7 @@ class TestFitForce:
             for f in (0.0, 0.02, 0.05, 0.08)
         ]
         with pytest.raises(NonMonotoneDataError):
-            fit_force(*columns(samples), default_config, known_position_mm=42.5)
+            fit_force(*columns(samples), default_config, 42.5)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneDataError):
@@ -199,22 +199,19 @@ class TestFitForce:
             for f in (1.0, 2.0)
         ]
         with pytest.raises(DegenerateFitError):
-            fit_force(*columns(samples), default_config, known_position_mm=42.5)
+            fit_force(*columns(samples), default_config, 42.5)
 
-    def test_decoded_positions_feed_normalization(self, line_config, line_poscal):
-        # no known position: each sample's position is decoded from its ratio
+    def test_normalization_recovers_the_coupling_law(self, line_config):
+        # dividing by the transmission at the press position leaves the coupled fraction
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
-        samples = [
-            (float(f), simulate_reading(line_config, Stimulus(30.0, float(f))))
-            for f in schedule[1:]
-        ]
-        cal = fit_force(*columns(samples), line_config, poscal=line_poscal)
+        _, fs, values = sweep(line_config, [30.0], schedule[1:])
+        cal = fit_force(line_config.bank.names, values, fs, line_config, 30.0)
         law = line_config.coupling
         for force in cal.forces_n[2::3]:
             expected = law.gain * (float(force) - law.f_threshold_n) ** law.exponent
             assert cal.evaluate(float(force)) == pytest.approx(expected, rel=1e-9)
 
-    def test_one_transmission_call_for_all_samples(self, line_config, line_poscal, monkeypatch):
+    def test_one_transmission_call_for_all_samples(self, line_config, monkeypatch):
         calls = []
 
         def counted(config, positions_mm):
@@ -223,10 +220,9 @@ class TestFitForce:
 
         monkeypatch.setattr(calibration, "transmission_factors", counted)
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
-        samples = [(float(f), simulate_reading(line_config, Stimulus(p, float(f))))
-                   for f in schedule[1:] for p in (20.0, 30.0)]
-        fit_force(*columns(samples), line_config, poscal=line_poscal)
-        assert calls == [len(samples)]
+        _, fs, values = sweep(line_config, [30.0], np.repeat(schedule[1:], 2))
+        fit_force(line_config.bank.names, values, fs, line_config, 30.0)
+        assert calls == [1]
 
     def test_serialization_round_trip(self, default_forcecal):
         doc = json.loads(json.dumps(default_forcecal.to_dict()))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as stn
 
-from spectratact import SensorConfig, cli
+from spectratact import NoiseModel, SensorConfig, cli, sweep
 from spectratact.cli import CliError, main
 from spectratact.errors import (ConfigError, DegenerateFitError, NonMonotoneDataError,
                                 UnreachableError, UnsupportedRegimeError, UnusableSampleError)
@@ -555,6 +555,21 @@ class TestBadInput:
         assert f"noise value must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_overflowing_noise_sigma_exits_2(self, command, band_config_path, twin_config_path,
+                                             tmp_path, capsys):
+        # sigma * draw past the float range escaped main as a RuntimeWarning, and
+        # without the warning a -inf was clamped to zero and written as a reading
+        argv = {
+            "simulate": ["--config", band_config_path, "--positions", "10:80:50",
+                         "--forces", "1,2"],
+            "track": ["--config", twin_config_path, "--generate", "circle:30:40:120:50"],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--noise-sigma", "1e308"] + argv) == 2
+        assert "channel intensities must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("generate", ["line:10:nan:120:5", "line:inf:40:120:5"])
     def test_non_finite_generated_path_exits_2(self, generate, twin_config_path, tmp_path,
                                                capsys):
@@ -1009,4 +1024,61 @@ class TestOptionProperties:
                                     noise, level):
         code = main(["simulate", "--config", band_config_path, "--out", str(tmp_path / "o"),
                      "--positions", positions, "--forces", forces, noise, level])
+        assert code in (0, 2, 3, 4)
+
+
+def stimulus_values(lo, hi):
+    """Up to three stimulus values in [lo, hi], as the comma list simulate takes."""
+    return stn.lists(stn.floats(lo, hi), min_size=1, max_size=3)
+
+
+TRAJECTORY_FIELDS = (stn.sampled_from(["nan", "inf", "-inf", "1e309", "", "abc", " 3 ", "-0.0",
+                                       "40", "125", "1e300"])
+                     | stn.floats().map(repr) | stn.floats(-20.0, 160.0).map(repr))
+
+
+@stn.composite
+def trajectory_texts(draw):
+    """A trajectory CSV: shuffled, extra or missing columns with odd fields, or any text."""
+    if draw(stn.booleans()):
+        return draw(stn.text(max_size=80))
+    columns = draw(stn.permutations(["t_s", "x_mm", "y_mm", "z"]))[:draw(stn.integers(3, 4))]
+    rows = draw(stn.lists(stn.lists(TRAJECTORY_FIELDS, max_size=4), max_size=4))
+    return "\n".join(",".join(row) for row in [columns] + rows)
+
+
+class TestCsvProperties:
+    @TestDocumentProperties.SETTINGS
+    @given(positions=stimulus_values(0.0, 85.0), forces=stimulus_values(0.0, 20.0),
+           noise=stn.none() | stn.tuples(stn.just("snr_db"), stn.floats(1.0, 80.0))
+           | stn.tuples(stn.just("absolute_sigma"), stn.floats(0.0, 10.0)),
+           seed=stn.integers(0, 2**64))
+    def test_samples_csv_reads_back_as_the_sweep(self, band_config_path, tmp_path, positions,
+                                                 forces, noise, seed):
+        flags = [] if noise is None else \
+            [{"snr_db": "--snr-db", "absolute_sigma": "--noise-sigma"}[noise[0]], repr(noise[1])]
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", band_config_path, "--out", str(out),
+                     "--positions", ",".join(map(repr, positions)),
+                     "--forces", ",".join(map(repr, forces)), "--seed", str(seed)] + flags) == 0
+        config = SensorConfig.default()
+        model = None if noise is None else NoiseModel(*noise, seed)
+        xs, fs, values = sweep(config, positions, forces, model, seed=seed)
+
+        names, channels, position, force, parsed = cli._read_samples(str(out / "sweep.csv"))
+        assert names == config.bank.names
+        assert parsed.all()
+        for got, want in ((position, xs), (force, fs), (channels, values)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _, rows = csv_rows(out / "sweep.csv")
+        assert [int(row[-1]) for row in rows] == (~values.any(axis=1)).tolist()
+
+    @TestDocumentProperties.SETTINGS
+    @given(text=trajectory_texts())
+    @example(text="t_s,x_mm,y_mm\n")
+    def test_any_trajectory_csv_exits_cleanly(self, twin_config_path, tmp_path, text):
+        trajectory = tmp_path / "trajectory.csv"
+        trajectory.write_text(text, encoding="utf-8")
+        code = main(["track", "--config", twin_config_path, "--trajectory", str(trajectory),
+                     "--out", str(tmp_path / "o")])
         assert code in (0, 2, 3, 4)

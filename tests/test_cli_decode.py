@@ -209,8 +209,9 @@ class TestDecodeExtremeRows:
 
 SWEEP_HEADER = ["position_mm", "force_n", "ch_B", "ch_G", "ch_R", "below_floor"]
 # noise-free band-sensor rows inside the band calibration's span and knots
-REAL_ROWS = [[repr(r.position_mm), repr(r.force_n), *map(repr, r.reading.values.tolist()), "0"]
-             for r in sweep(SensorConfig.default(), [25.0, 40.0, 55.0], [1.0, 3.0, 6.0])]
+_XS, _FS, _VALUES = sweep(SensorConfig.default(), [25.0, 40.0, 55.0], [1.0, 3.0, 6.0])
+REAL_ROWS = [[repr(x), repr(f), *map(repr, vs), "0"]
+             for x, f, vs in zip(_XS.tolist(), _FS.tolist(), _VALUES.tolist())]
 FIELDS = stn.one_of(
     stn.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "0", "5e-324", "1e-300", "1e300",
                       "1.7e308", "1e309", "abc", "", " 3 ", "1_0"]),

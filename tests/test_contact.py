@@ -16,8 +16,6 @@ from spectratact import (
 )
 from spectratact.twin import encoder_sensor_config
 
-from conftest import columns
-
 
 class TestCoupledFraction:
     def test_zero_force(self):
@@ -86,8 +84,8 @@ class TestStrainedDye:
         # 1/(1+e) times the unstrained slope
         def slope_at(strain):
             config = line_config.with_perturbation(PerturbationState(strain=strain))
-            rows = sweep(config, np.linspace(0.0, 80.0, 9), [2.0])
-            return fit_position(*columns((r.position_mm, r.reading) for r in rows)).slope
+            xs, _, values = sweep(config, np.linspace(0.0, 80.0, 9), [2.0])
+            return fit_position(config.bank.names, values, xs).slope
 
         base = slope_at(0.0)
         assert slope_at(0.25) == pytest.approx(0.8 * base, rel=1e-9)
@@ -95,8 +93,8 @@ class TestStrainedDye:
     def test_strained_response_stays_affine(self, line_config):
         for strain in (0.1, 0.25):
             config = line_config.with_perturbation(PerturbationState(strain=strain))
-            rows = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
-            cal = fit_position(*columns((r.position_mm, r.reading) for r in rows))
+            xs, _, values = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
+            cal = fit_position(config.bank.names, values, xs)
             assert cal.r_squared > 1.0 - 1e-9
 
     def test_compression_limit(self):

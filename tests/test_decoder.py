@@ -22,7 +22,7 @@ from spectratact import (
 
 from spectratact.decoder import _decode_positions
 
-from conftest import calibrate_position, columns
+from conftest import calibrate_position
 
 
 class TestDecodePosition:
@@ -48,9 +48,8 @@ class TestDecodePosition:
             decode_position(reading, line_poscal)
 
     def test_out_of_span_flag_and_clamp(self, line_config):
-        poscal = fit_position(*columns(
-            (r.position_mm, r.reading)
-            for r in sweep(line_config, np.linspace(20.0, 60.0, 21), [2.0])))
+        xs, _, values = sweep(line_config, np.linspace(20.0, 60.0, 21), [2.0])
+        poscal = fit_position(line_config.bank.names, values, xs)
         reading = simulate_reading(line_config, Stimulus(5.0, 2.0))
         decoded = decode_position(reading, poscal)
         assert decoded.out_of_span

@@ -208,6 +208,5 @@ def test_sweep_matches_row_reference(make, noise):
     config = make()
     positions = np.linspace(0.0, config.length_mm, 41)
     forces = [0.0, 0.1, 0.2, 1.0, 4.0, 20.0]
-    rows = sweep(config, positions, forces, noise, seed=11)
-    got = np.array([r.reading.values for r in rows])
+    _, _, got = sweep(config, positions, forces, noise, seed=11)
     assert np.array_equal(got, reference_sweep(config, positions, forces, noise, 11))

@@ -91,8 +91,7 @@ def test_resolution_formulas_match_simulation(calibrations, default_forcecal, sn
     assert report.spatial_resolution_mm * 1e3 == pytest.approx(predicted_um, rel=1e-4)
     assert report.force_resolution_n * 1e3 == pytest.approx(predicted_mn, rel=1e-3)
 
-    channels = np.array([row.reading.values
-                         for row in sweep(config, [42.5], [0.5] * 4000, noise)])
+    _, _, channels = sweep(config, [42.5], [0.5] * 4000, noise)
     names = config.bank.names
     lit, log = log_ratios(channels[:, names.index(poscal.numerator_ch)],
                           channels[:, names.index(poscal.denominator_ch)])

@@ -264,25 +264,28 @@ class TestMeasureSnr:
 
 class TestSweep:
     def test_empty_positions(self, default_config):
-        assert sweep(default_config, [], [2.0]) == []
+        xs, fs, values = sweep(default_config, [], [2.0])
+        assert xs.shape == fs.shape == (0,)
+        assert values.shape == (0, len(default_config.bank.names))
 
     def test_monotone_log_ratio_column(self, default_config):
-        rows = sweep(default_config, np.linspace(0.0, 85.0, 86), [2.0])
-        assert len(rows) == 86
-        ratios = [log_ratio(r.reading, "B", "R") for r in rows]
+        _, _, values = sweep(default_config, np.linspace(0.0, 85.0, 86), [2.0])
+        assert len(values) == 86
+        names = default_config.bank.names
+        ratios = [log_ratio(dict(zip(names, row)), "B", "R") for row in values.tolist()]
         assert np.all(np.diff(ratios) < 0)  # blue decays faster than red
 
     def test_seed_reproducibility(self, default_config):
         noise = NoiseModel("snr_db", 25.0)
-        a = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=5)
-        b = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=5)
-        assert all(ra.reading == rb.reading for ra, rb in zip(a, b))
-        c = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=6)
-        assert any(ra.reading != rc.reading for ra, rc in zip(a, c))
+        _, _, a = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=5)
+        _, _, b = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=5)
+        assert np.array_equal(a, b)
+        _, _, c = sweep(default_config, [10.0, 40.0], [1.0, 2.0], noise, seed=6)
+        assert not np.array_equal(a, c)
 
     def test_row_order_position_major(self, default_config):
-        rows = sweep(default_config, [10.0, 20.0], [1.0, 2.0])
-        assert [(r.position_mm, r.force_n) for r in rows] == [
+        xs, fs, _ = sweep(default_config, [10.0, 20.0], [1.0, 2.0])
+        assert list(zip(xs.tolist(), fs.tolist())) == [
             (10.0, 1.0), (10.0, 2.0), (20.0, 1.0), (20.0, 2.0),
         ]
 

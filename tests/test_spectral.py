@@ -13,8 +13,6 @@ from spectratact import (
     GridMismatchError,
     Spectrum,
     attenuate,
-    band_effective_decay,
-    boxcar_channel,
     default_bank,
     default_red_dye,
     default_wavelength_grid,
@@ -144,48 +142,6 @@ class TestLogRatio:
     def test_zero_denominator_raises(self):
         with pytest.raises(BelowFloorError):
             log_ratio({"B": 1.0, "R": 0.0}, "B", "R")
-
-
-def brute_force_decay_fit(signal, paths, k_lo=0.0, k_hi=0.2, n=20001):
-    """Independent 1-D oracle: dense scan of the squared log-error."""
-    log_signal = np.log(signal)
-    candidates = np.linspace(k_lo, k_hi, n)
-    shifted = log_signal[None, :] + np.outer(candidates, paths)
-    sse = np.sum((shifted - shifted.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    return candidates[np.argmin(sse)]
-
-
-class TestBandEffectiveDecay:
-    def test_constant_profile_is_exact(self):
-        channel = boxcar_channel("B", 400.0, 500.0)
-        khat = band_effective_decay(constant_dye(0.025), channel, Spectrum.flat())
-        assert khat == pytest.approx(0.025, rel=1e-12)
-
-    def test_linear_profile_bounded_by_band(self):
-        decay = 0.01 + 0.0001 * (GRID - GRID[0])
-        dye = DyeProfile(GRID, decay)
-        channel = boxcar_channel("B", 400.0, 500.0)
-        khat = band_effective_decay(dye, channel, Spectrum.flat())
-        in_band = decay[(GRID >= 400.0) & (GRID < 500.0)]
-        assert in_band.min() <= khat <= in_band.max()
-
-    def test_default_dye_blue_band_against_brute_force(self):
-        dye = default_red_dye()
-        channel = boxcar_channel("B", 400.0, 500.0)
-        source = Spectrum.flat()
-        khat = band_effective_decay(dye, channel, source, max_path_mm=85.0, n_paths=86)
-
-        paths = np.linspace(0.0, 85.0, 86)
-        weight = source.intensities * channel.response
-        signal = np.exp(-np.outer(paths, dye.decay_per_mm)) @ weight
-        oracle = brute_force_decay_fit(signal, paths)
-        assert abs(khat - oracle) <= 1e-5  # oracle grid resolution
-
-    def test_zero_overlap_rejected(self):
-        channel = boxcar_channel("B", 400.0, 500.0)
-        source = Spectrum(GRID, np.where(GRID >= 600.0, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            band_effective_decay(default_red_dye(), channel, source)
 
 
 class TestDefaults:
