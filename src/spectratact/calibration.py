@@ -27,7 +27,8 @@ from .errors import (
     SaturatedError,
     UnusableSampleError,
 )
-from .sensor import NoiseModel, SensorConfig, channel_intensities, transmission_factors
+from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_transmission,
+                     transmission_factors)
 from .spectral import log_ratios
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
@@ -288,7 +289,6 @@ def force_knot_schedule(
 
 
 def fit_force(
-    names,
     channels,
     forces_n,
     config: SensorConfig,
@@ -296,7 +296,7 @@ def fit_force(
 ) -> ForceCalibration:
     """Build the monotone force interpolant from readings pressed at ``position_mm``.
 
-    ``names`` and ``channels`` are as in :func:`fit_position`.  Each total
+    ``channels`` holds one row of channel intensities per force.  Each total
     intensity is divided by ``config``'s transmission factor at the press
     position (one :func:`transmission_factors` call) before knot
     construction, so the interpolant lives in coupled-fraction units and
@@ -363,7 +363,7 @@ def estimate_resolution(
     spatial_resolution = math.hypot(s_num / num, s_den / den) / abs(poscal.slope)
 
     sigma_total = float(np.sqrt(np.sum(sigma ** 2)))
-    transmission = float(transmission_factors(config, [position_mm])[0])
+    transmission = position_transmission(config, position_mm)
     slope_force = forcecal.derivative(force_n)
     if slope_force <= 0:
         raise DegenerateFitError("force law has nonpositive slope at operating point")

@@ -245,7 +245,7 @@ def cmd_calibrate(args) -> tuple[dict, str]:
                       if len({forces[i] for i in rows}) >= 3]
         if candidates:
             p, rows = max(candidates, key=lambda item: len(item[1]))
-            forcecal = fit_force(names, channels[rows], force[rows], config, p)
+            forcecal = fit_force(channels[rows], force[rows], config, p)
 
     doc = {"position": poscal.to_dict()}
     if forcecal is not None:

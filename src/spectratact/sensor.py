@@ -289,7 +289,8 @@ def position_transmission(config: SensorConfig, position_mm: float) -> float:
 def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarray:
     """Channel rows after noise (one draw per row from ``rngs``) and the floor.
 
-    A noisy value past the float range raises ``ValueError`` instead of reading as zero.
+    A value past the float range, noisy or not, raises ``ValueError``
+    instead of reading as zero or decoding as a pose.
     """
     values = channel_intensities(config, positions, forces)
     if noise is not None:
@@ -299,9 +300,9 @@ def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarra
         with np.errstate(over="ignore"):
             draws *= noise.sigma_vector(values)
         draws += values
-        if not np.isfinite(draws).all():
-            raise ValueError("channel intensities must be finite and nonnegative")
         values = draws
+    if not np.isfinite(values).all():
+        raise ValueError("channel intensities must be finite and nonnegative")
     # the floor is >= 0, so this also clamps noise below zero
     values[values < config._optics.floor] = 0.0
     return values

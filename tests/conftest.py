@@ -17,7 +17,8 @@ def line_config():
 
 
 def columns(samples):
-    """``(x, ChannelReading)`` pairs as the ``(names, channels, x)`` columns the fits take."""
+    """``(x, ChannelReading)`` pairs as the ``(names, channels, x)`` columns of
+    ``fit_position``; ``fit_force`` takes the last two."""
     samples = list(samples)
     names = samples[0][1].channel_names if samples else ()
     channels = np.array([reading.values for _, reading in samples]).reshape(-1, len(names))
@@ -32,7 +33,7 @@ def calibrate_position(config, force_n=2.0, n=86):
 def calibrate_force(config, position_mm=42.5, f_max=10.0, n_knots=21):
     schedule = force_knot_schedule(config.coupling.f_threshold_n, f_max, n_knots)
     _, fs, values = sweep(config, [position_mm], schedule)
-    return fit_force(config.bank.names, values, fs, config, position_mm)
+    return fit_force(values, fs, config, position_mm)
 
 
 @pytest.fixture(scope="session")

@@ -168,7 +168,7 @@ class TestFitForce:
             for tweak in (0.99, 1.01):
                 samples.append((float(force),
                                 ChannelReading(base.values * tweak, base.channel_names)))
-        cal = fit_force(*columns(samples), default_config, 42.5)
+        cal = fit_force(*columns(samples)[1:], default_config, 42.5)
         assert len(cal.forces_n) == 11
         base_cal = calibrate_force(default_config, n_knots=11)
         assert np.allclose(cal.normalized, base_cal.normalized, rtol=1e-9)
@@ -179,7 +179,7 @@ class TestFitForce:
             for f in (0.0, 0.02, 0.05, 0.08)
         ]
         with pytest.raises(NonMonotoneDataError):
-            fit_force(*columns(samples), default_config, 42.5)
+            fit_force(*columns(samples)[1:], default_config, 42.5)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneDataError):
@@ -199,13 +199,13 @@ class TestFitForce:
             for f in (1.0, 2.0)
         ]
         with pytest.raises(DegenerateFitError):
-            fit_force(*columns(samples), default_config, 42.5)
+            fit_force(*columns(samples)[1:], default_config, 42.5)
 
     def test_normalization_recovers_the_coupling_law(self, line_config):
         # dividing by the transmission at the press position leaves the coupled fraction
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
         _, fs, values = sweep(line_config, [30.0], schedule[1:])
-        cal = fit_force(line_config.bank.names, values, fs, line_config, 30.0)
+        cal = fit_force(values, fs, line_config, 30.0)
         law = line_config.coupling
         for force in cal.forces_n[2::3]:
             expected = law.gain * (float(force) - law.f_threshold_n) ** law.exponent
@@ -221,7 +221,7 @@ class TestFitForce:
         monkeypatch.setattr(calibration, "transmission_factors", counted)
         schedule = force_knot_schedule(line_config.coupling.f_threshold_n, 8.0, 9)
         _, fs, values = sweep(line_config, [30.0], np.repeat(schedule[1:], 2))
-        fit_force(line_config.bank.names, values, fs, line_config, 30.0)
+        fit_force(values, fs, line_config, 30.0)
         assert calls == [1]
 
     def test_serialization_round_trip(self, default_forcecal):

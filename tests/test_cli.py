@@ -570,6 +570,25 @@ class TestBadInput:
         assert "channel intensities must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_overflowing_source_exits_2(self, command, tmp_path, capsys):
+        # a finite source near the float maximum overflows the noise-free forward
+        # model; its inf channels must not be written as readings or decode as poses
+        sensor = SensorConfig.default().to_dict()
+        sensor["source"]["values"] = [1e308] * len(sensor["source"]["values"])
+        if command == "simulate":
+            doc, argv = sensor, ["--positions", "10,40", "--forces", "2"]
+        else:
+            doc = dict(TwinAssembly().to_dict(), sensors=[sensor, sensor])
+            argv = ["--generate", "circle:30:40:120:5"]
+        config, out = tmp_path / "config.json", tmp_path / "o"
+        config.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from the bank integral
+            code = main([command, "--config", str(config), "--out", str(out)] + argv)
+        assert code == 2
+        assert "channel intensities must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("generate", ["line:10:nan:120:5", "line:inf:40:120:5"])
     def test_non_finite_generated_path_exits_2(self, generate, twin_config_path, tmp_path,
                                                capsys):
