@@ -7,7 +7,7 @@ intensity against force, built on knots clustered toward the contact
 threshold where the response has unbounded slope.  The interpolant is
 implemented here in numpy and matches scipy's ``PchipInterpolator`` bit
 for bit (the tests use scipy as the oracle), so importing the package
-does not import scipy.
+does not import scipy.  Each calibration owns its inverse.
 """
 
 from __future__ import annotations
@@ -76,8 +76,23 @@ class PositionCalibration(Record):
                 f"{abs(self.slope) * (hi - lo):g} across the span, not above the rounding "
                 f"floor {floor:g}: no position signal")
 
-    def position_for_log_ratio(self, value: float) -> float:
-        return (value - self.intercept) / self.slope
+    def decode(self, num, den):
+        """``(lit, position_mm, raw_mm, out_of_span)`` of numerator/denominator channel columns.
+
+        ``lit`` is as :func:`log_ratios` gives it; the rest hold one value per
+        lit row: raw x = (log_ratio - intercept) / slope, x clamped into the
+        span, and x beyond the span by more than 3 * residual_std / |slope|.
+        A ratio past the float range gives an infinite x, clamped and flagged.
+        """
+        lit, log = log_ratios(num, den)
+        with np.errstate(over="ignore"):
+            raw = (log - self.intercept) / self.slope
+        lo, hi = self.span_mm
+        # min(max(raw, lo), hi) as Python computes it, so a -0.0 estimate stays -0.0
+        above_lo = np.where(lo > raw, lo, raw)
+        position = np.where(hi < above_lo, hi, above_lo)
+        slack = 3.0 * self.residual_std / abs(self.slope)
+        return lit, position, raw, (raw < lo - slack) | (raw > hi + slack)
 
 
 def _ratio_channels(names, numerator_ch, denominator_ch):
@@ -89,7 +104,10 @@ def _ratio_channels(names, numerator_ch, denominator_ch):
 
 
 def _ratio_pair(values: np.ndarray, names, num: str, den: str):
-    """Columns of channels ``num`` and ``den`` of ``values`` (last axis: channels)."""
+    """Columns of channels ``num`` and ``den`` of ``values`` (last axis: channels), or KeyError."""
+    for name in (num, den):
+        if name not in names:
+            raise KeyError(f"no channel named {name!r}")
     return values[..., names.index(num)], values[..., names.index(den)]
 
 
@@ -118,7 +136,7 @@ def fit_position(
     if not usable.all():
         rows = np.flatnonzero(~usable).tolist()
         raise UnusableSampleError(f"{len(rows)} sample(s) in the dead zone or with a {num}/{den} "
-                                  f"ratio past the float range at rows {rows}", rows=rows)
+                                  f"ratio past the float range", rows)
     if np.unique(x).size < 2:
         raise DegenerateFitError("all samples share one position; fit is rank-deficient")
     xc = x - x.mean()
@@ -316,6 +334,40 @@ def fit_force(
 
 
 @dataclass(frozen=True)
+class Transmission(Record):
+    """The transmission factor at each press position of the span, for the force decode."""
+
+    positions_mm: np.ndarray = spec(ARRAY)
+    factors: np.ndarray = spec(ARRAY)
+
+    def __post_init__(self):
+        # force decoding divides by the interpolated factor: NaN would flag
+        # garbage "ok", zero would divide by zero
+        grid, factors = self.positions_mm, self.factors
+        if not (factors.size and grid.shape == factors.shape
+                and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+            raise ValueError("transmission needs strictly increasing finite positions_mm, "
+                             "one per factor")
+        if not (np.isfinite(factors).all() and np.all(factors > 0)):
+            raise ValueError("transmission factors must be finite and positive")
+
+
+@dataclass(frozen=True)
+class CalibrationFile(Record):
+    """``calibration.json``, as ``calibrate`` writes it and ``decode`` reads it."""
+
+    position: PositionCalibration = spec(PositionCalibration)
+    transmission: Transmission = spec(Transmission)
+    force: ForceCalibration | None = spec(ForceCalibration, None)
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        if self.force is None:  # a position-only calibration has no force key, not null
+            del doc["force"]
+        return doc
+
+
+@dataclass(frozen=True)
 class ResolutionReport:
     """First-order resolution and held-out accuracy at an operating point."""
 
@@ -373,10 +425,9 @@ def estimate_resolution(
         lo, hi = poscal.span_mm
         held_out_positions = np.linspace(lo, hi, 33)[1:-1]
     xs = np.asarray(held_out_positions, dtype=float)
-    lit, log = log_ratios(*_ratio_pair(
+    lit, _, raw, _ = poscal.decode(*_ratio_pair(
         channel_intensities(config, xs, np.full(xs.shape, force_n)), *ratio))
-    decoded = poscal.position_for_log_ratio(log)
-    spatial_accuracy = float(np.mean(np.abs(decoded - xs[lit])))
+    spatial_accuracy = float(np.mean(np.abs(raw - xs[lit])))
 
     if held_out_forces is None:
         held_out_forces = 0.5 * (forcecal.forces_n[1:] + forcecal.forces_n[:-1])

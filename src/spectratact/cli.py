@@ -34,14 +34,14 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
-    ForceCalibration,
-    PositionCalibration,
+    CalibrationFile,
+    Transmission,
     _ratio_channels,
+    _ratio_pair,
     fit_force,
     fit_position,
 )
-from .codec import ARRAY, INT, OBJECT, STR, Bound, Record, load, spec
-from .decoder import _decode_positions
+from .codec import INT, OBJECT, STR, Bound, Record, load, spec
 from .errors import (
     DegenerateFitError,
     KinematicError,
@@ -205,9 +205,24 @@ def _read_samples(path: str):
             stimulus_columns.get("position_mm"), stimulus_columns.get("force_n"), parsed)
 
 
+def _ratio_columns(path: str, names, channels, num: str, den: str):
+    """Columns of ratio channels ``num`` and ``den``; an empty file (no header) has empty ones."""
+    try:
+        return _ratio_pair(channels, names, num, den)
+    except KeyError:
+        if not names:
+            return np.empty(0), np.empty(0)
+        name = den if num in names else num
+        raise CliError(f"{path}: no ch_{name} column for the calibration's ratio "
+                       f"channel {name!r}") from None
+
+
 def cmd_calibrate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     names, channels, position, force, parsed = _read_samples(args.samples)
+    if position is None:
+        raise CliError(f"{args.samples}: no position_mm column for the position fit",
+                       EXIT_DEGENERATE)
     if not parsed.all():
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
                        EXIT_DEGENERATE)
@@ -216,27 +231,21 @@ def cmd_calibrate(args) -> tuple[dict, str]:
     # channels positive, as in spectral.log_ratios) that were pressed past
     # the contact threshold; below it a reading is noise alone.  Force
     # sweeps hold such rows, and they stay available to the force fit.
-    fit_rows, skipped = [], {}
-    if position is not None:
-        num, den = (_ratio_column(names, channels, name, args.samples)
-                    for name in _ratio_channels(names, args.numerator, args.denominator))
-        lit = (num > 0) & (den > 0)
-        pressed = np.ones(lit.size, dtype=bool) if force is None \
-            else force > config.coupling.f_threshold_n
-        skipped = {"at or below the contact threshold": ~pressed,
-                   "with a ratio channel at zero": pressed & ~lit}
-        fit_rows = np.flatnonzero(pressed & lit)
+    ratio = _ratio_channels(names, args.numerator, args.denominator)
+    num, den = _ratio_columns(args.samples, names, channels, *ratio)
+    lit = (num > 0) & (den > 0)
+    pressed = np.ones(lit.size, dtype=bool) if force is None \
+        else force > config.coupling.f_threshold_n
+    skipped = {"at or below the contact threshold": ~pressed,
+               "with a ratio channel at zero": pressed & ~lit}
+    fit_rows = np.flatnonzero(pressed & lit)
     try:
-        poscal = fit_position(names, channels[fit_rows],
-                              [] if position is None else position[fit_rows],
-                              args.numerator, args.denominator)
+        poscal = fit_position(names, channels[fit_rows], position[fit_rows], *ratio)
     except UnusableSampleError as exc:  # name data rows of the CSV, not of the fitted subset
-        rows = fit_rows[list(exc.rows)].tolist()
-        raise UnusableSampleError(f"{str(exc).rpartition(' at rows ')[0]} at rows {rows}",
-                                  rows) from None
+        raise UnusableSampleError(exc.reason, fit_rows[list(exc.rows)].tolist()) from None
 
     forcecal = None
-    if position is not None and force is not None:
+    if force is not None:
         forces = force.tolist()
         by_position: dict[float, list[int]] = {}
         for i, p in enumerate(position.tolist()):
@@ -247,15 +256,9 @@ def cmd_calibrate(args) -> tuple[dict, str]:
             p, rows = max(candidates, key=lambda item: len(item[1]))
             forcecal = fit_force(channels[rows], force[rows], config, p)
 
-    doc = {"position": poscal.to_dict()}
-    if forcecal is not None:
-        doc["force"] = forcecal.to_dict()
-    lo, hi = poscal.span_mm
-    grid = [float(x) for x in np.linspace(lo, hi, 129)]
-    doc["transmission"] = {
-        "positions_mm": grid,
-        "factors": transmission_factors(config, grid).tolist(),
-    }
+    grid = np.linspace(*poscal.span_mm, 129)
+    calibration = CalibrationFile(poscal, Transmission(grid, transmission_factors(config, grid)),
+                                  forcecal)
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
@@ -263,50 +266,12 @@ def cmd_calibrate(args) -> tuple[dict, str]:
     if any(counts.values()):
         summary += ", position fit skipped " + ", ".join(
             f"{n} row(s) {reason}" for reason, n in counts.items() if n)
-    return {"calibration.json": doc}, summary
+    return {"calibration.json": calibration.to_dict()}, summary
 
 
 # decoded.csv flags by code: 0/1 from the parse, 2/3 from position, 4/5 from force
 _DECODE_FLAGS = np.array(["corrupt_row", "no_contact", "ok", "out_of_span",
                           "below_threshold", "saturated"], dtype=object)
-
-
-def _ratio_column(names, channels, name: str, path: str) -> np.ndarray:
-    """The column of channel ``name``; an empty file (no header, no rows) needs none."""
-    if name in names:
-        return channels[:, names.index(name)]
-    if names:
-        raise CliError(f"{path}: no ch_{name} column for the calibration's ratio "
-                       f"channel {name!r}")
-    return np.empty(0)
-
-
-@dataclass(frozen=True)
-class Transmission(Record):
-    """The transmission factor at each press position of the span, for the force decode."""
-
-    positions_mm: np.ndarray = spec(ARRAY)
-    factors: np.ndarray = spec(ARRAY)
-
-    def __post_init__(self):
-        # force decoding divides by the interpolated factor: NaN would flag
-        # garbage "ok", zero would divide by zero
-        grid, factors = self.positions_mm, self.factors
-        if not (factors.size and grid.shape == factors.shape
-                and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
-            raise ValueError("transmission needs strictly increasing finite positions_mm, "
-                             "one per factor")
-        if not (np.isfinite(factors).all() and np.all(factors > 0)):
-            raise ValueError("transmission factors must be finite and positive")
-
-
-@dataclass(frozen=True)
-class CalibrationFile(Record):
-    """``calibration.json``; ``calibrate`` writes ``force`` only when it fitted one."""
-
-    position: PositionCalibration = spec(PositionCalibration)
-    transmission: Transmission = spec(Transmission)
-    force: ForceCalibration | None = spec(ForceCalibration, None)
 
 
 def cmd_decode(args) -> tuple[dict, str]:
@@ -318,10 +283,10 @@ def cmd_decode(args) -> tuple[dict, str]:
     grid, factors = calibration.transmission.positions_mm, calibration.transmission.factors
 
     names, channels, _, _, parsed = _read_samples(args.readings)
-    num, den = (_ratio_column(names, channels, name, args.readings)
-                for name in (poscal.numerator_ch, poscal.denominator_ch))
-    # unparsed rows are NaN, so the kernel leaves them unlit
-    lit, position, _, out_of_span = _decode_positions(num, den, poscal)
+    num, den = _ratio_columns(args.readings, names, channels, poscal.numerator_ch,
+                              poscal.denominator_ch)
+    # unparsed rows are NaN, so the decode leaves them unlit
+    lit, position, _, out_of_span = poscal.decode(num, den)
     rows = np.flatnonzero(lit)
     code = parsed.astype(int)
     code[rows] = 2 + out_of_span

@@ -1,24 +1,18 @@
 """Inverting readings into position, force and joint angle.
 
-Position has one array kernel, :func:`_decode_positions`: on the columns
-of the calibration's ratio channels it finds the lit rows (both channels
-positive), inverts the affine log-ratio model x = (log - intercept) /
-slope, clamps x into the calibrated span and flags estimates beyond the
-span by more than 3 * residual_std / |slope|.  :func:`decode_position`
-is that kernel on one reading.
+Each calibration owns its inverse: :meth:`PositionCalibration.decode`
+for position and :meth:`ForceCalibration.invert` for force.  The
+functions here apply them to one :class:`ChannelReading`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calibration import ForceCalibration, PositionCalibration
 from .codec import NONNEGATIVE, NUMBER, POSITIVE, Record, spec
 from .errors import BelowThresholdError, NoContactError
 from .sensor import ChannelReading, SensorConfig, position_transmission
-from .spectral import log_ratios
 
 
 @dataclass(frozen=True)
@@ -48,34 +42,14 @@ class DecodedPosition:
     out_of_span: bool
 
 
-def _decode_positions(num, den, poscal: PositionCalibration):
-    """Position decode of numerator/denominator channel columns.
-
-    Returns ``(lit, position_mm, raw_mm, out_of_span)``: ``lit`` as
-    :func:`log_ratios` gives it (unlit rows have no contact to decode),
-    the other three one value per lit row, as :class:`DecodedPosition`
-    describes.  A ratio past the float range decodes to an infinite raw
-    estimate, clamped and flagged out of span.
-    """
-    lit, log = log_ratios(num, den)
-    with np.errstate(over="ignore"):
-        raw = (log - poscal.intercept) / poscal.slope
-    lo, hi = poscal.span_mm
-    # min(max(raw, lo), hi) as Python computes it, so a -0.0 estimate stays -0.0
-    above_lo = np.where(lo > raw, lo, raw)
-    position = np.where(hi < above_lo, hi, above_lo)
-    slack = 3.0 * poscal.residual_std / abs(poscal.slope)
-    return lit, position, raw, (raw < lo - slack) | (raw > hi + slack)
-
-
 def decode_position(reading: ChannelReading, poscal: PositionCalibration) -> DecodedPosition:
     """Invert the affine log-ratio model: x = (log_ratio - intercept) / slope.
 
-    :func:`_decode_positions` on one reading; a ratio channel at or below
-    zero raises :class:`NoContactError`.
+    :meth:`PositionCalibration.decode` on one reading; a ratio channel at
+    or below zero raises :class:`NoContactError`.
     """
     num, den = reading.channel(poscal.numerator_ch), reading.channel(poscal.denominator_ch)
-    lit, position, raw, out_of_span = _decode_positions([num], [den], poscal)
+    lit, position, raw, out_of_span = poscal.decode([num], [den])
     if not lit[0]:
         raise NoContactError(f"no contact to decode: {poscal.numerator_ch}={num:g}, "
                              f"{poscal.denominator_ch}={den:g}")

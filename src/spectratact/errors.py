@@ -36,12 +36,13 @@ class UndefinedSnrError(SpectraTactError):
 class UnusableSampleError(SpectraTactError):
     """Calibration input contains dead-zone rows.
 
-    ``rows`` holds the indices of the offending samples.
+    ``reason`` says what is wrong with them and ``rows`` holds the indices
+    of the offending samples; the message is "<reason> at rows [<rows>]".
     """
 
-    def __init__(self, message: str, rows=()):
-        super().__init__(message)
-        self.rows = tuple(rows)
+    def __init__(self, reason: str, rows=()):
+        self.reason, self.rows = reason, tuple(rows)
+        super().__init__(f"{reason} at rows {list(self.rows)}")
 
 
 class DegenerateFitError(SpectraTactError):

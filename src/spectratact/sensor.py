@@ -82,6 +82,11 @@ class SensorConfig(Record):
         if not np.array_equal(self.source.wavelengths_nm, self.dye.wavelengths_nm) or \
            not np.array_equal(self.source.wavelengths_nm, self.bank.wavelengths_nm):
             raise ValueError("source, dye and bank must share one wavelength grid")
+        # no noise-free reading exceeds this full-scale total, so it bounds the forward model
+        with np.errstate(over="ignore"):
+            full_scale = integrate_channels(self.source, self.bank).sum()
+        if not full_scale < math.inf:
+            raise ValueError("source values integrated over the channel bank must be finite")
 
     @classmethod
     def default(cls, length_mm: float = 85.0, **overrides) -> "SensorConfig":

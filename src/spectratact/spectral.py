@@ -43,6 +43,16 @@ def _as_grid(wavelengths) -> np.ndarray:
     return grid
 
 
+def _samples(values, grid: np.ndarray, field: str) -> np.ndarray:
+    """``values`` as floats, one per sample of ``grid``, finite and >= 0, or ValueError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"{field} must match the wavelength grid shape")
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{field} must be finite and nonnegative")
+    return values
+
+
 def _require_same_grid(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or not np.array_equal(a, b):
         raise GridMismatchError(
@@ -59,13 +69,8 @@ class Spectrum(Record):
 
     def __post_init__(self):
         grid = _as_grid(self.wavelengths_nm)
-        inten = np.asarray(self.intensities, dtype=float)
-        if inten.shape != grid.shape:
-            raise ValueError("intensities must match the wavelength grid shape")
-        if np.any(inten < 0) or not np.all(np.isfinite(inten)):
-            raise ValueError("intensities must be finite and nonnegative")
+        object.__setattr__(self, "intensities", _samples(self.intensities, grid, "intensities"))
         object.__setattr__(self, "wavelengths_nm", grid)
-        object.__setattr__(self, "intensities", inten)
 
     @classmethod
     def flat(cls, intensity: float = 1.0, wavelengths_nm=None) -> "Spectrum":
@@ -90,13 +95,8 @@ class DyeProfile(Record):
     def __post_init__(self):
         super().__post_init__()
         grid = _as_grid(self.wavelengths_nm)
-        decay = np.asarray(self.decay_per_mm, dtype=float)
-        if decay.shape != grid.shape:
-            raise ValueError("decay_per_mm must match the wavelength grid shape")
-        if np.any(decay < 0) or not np.all(np.isfinite(decay)):
-            raise ValueError("decay coefficients must be finite and nonnegative")
+        object.__setattr__(self, "decay_per_mm", _samples(self.decay_per_mm, grid, "decay_per_mm"))
         object.__setattr__(self, "wavelengths_nm", grid)
-        object.__setattr__(self, "decay_per_mm", decay)
 
     def with_concentration(self, scale: float) -> "DyeProfile":
         return replace(self, concentration_scale=float(scale))
@@ -135,11 +135,7 @@ class Channel:
 
     def __post_init__(self):
         grid = _as_grid(self.wavelengths_nm)
-        resp = np.asarray(self.response, dtype=float)
-        if resp.shape != grid.shape:
-            raise ValueError("response must match the wavelength grid shape")
-        if np.any(resp < 0) or not np.all(np.isfinite(resp)):
-            raise ValueError("channel response must be finite and nonnegative")
+        resp = _samples(self.response, grid, "response")
         if not np.any(resp > 0):
             raise ValueError(f"channel {self.name!r} has zero integral")
         object.__setattr__(self, "wavelengths_nm", grid)

@@ -216,11 +216,11 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
 
     One forward-model call per distinct sensor: joints that share one
     sensor object go through a single call on interleaved (sample, joint)
-    rows.  Each row decodes inline as ``position_for_log_ratio``, the span
-    clamp and ``angle_for_position`` do, operation for operation, with
-    ``math.log``, whose rounding ``np.log`` does not share.  It stays
-    scalar: on a one-sample ``track`` the fixed numpy cost of
-    ``decoder._decode_positions`` raised the median step time by 40-80 us.
+    rows.  Each row decodes inline as :meth:`PositionCalibration.decode`'s
+    inverse and span clamp and ``angle_for_position`` do, operation for
+    operation, with ``math.log``, whose rounding ``np.log`` does not share.
+    It stays scalar: on a one-sample ``track`` the fixed numpy cost of that
+    array decode raised the median step time by 40-80 us.
     For the same reason the readings reach Python in one
     ``values.T.tolist()``, one list per channel, and each joint takes every
     ``len(joints)``-th entry of its two ratio channels by list slicing: the

@@ -3,14 +3,16 @@
 ``benchmarks/run.py --trace 1`` wraps every function in its ``TRACED``
 table by module attribute, and the pipelines and the set-up probe call
 library modules by attribute (``fivebar.working_branch``), so a rename
-or removal in ``src/`` breaks the benchmark.  This checks both without
-running it.
+or removal in ``src/`` breaks the benchmark.  This checks both, and runs
+each pipeline once in process at its tiny size, so that a changed call
+shape or result fails here rather than as a failed benchmark run.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -59,3 +61,27 @@ def test_every_library_attribute_the_benchmark_uses_exists(script):
         for name in path:
             assert hasattr(owner, name), chain
             owner = getattr(owner, name)
+
+
+@pytest.fixture(scope="module")
+def pipelines():
+    """``benchmarks/pipelines.py``, imported as the benchmark imports it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(BENCHMARKS)  # pipelines imports its sibling hostspeed
+        spec = importlib.util.spec_from_file_location(
+            "bench_pipelines", os.path.join(BENCHMARKS, "pipelines.py"))
+        module = importlib.util.module_from_spec(spec)
+        patch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("name", ["sensor_chain", "twin_track", "workspace_map"])
+def test_each_pipeline_passes_its_own_check_at_tiny_size(pipelines, name, tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    pipeline = pipelines.PIPELINES[name](str(work), 1, **pipelines.SIZES["tiny"][name])
+    result = pipeline.run(str(tmp_path / "pass"))
+    assert result.error is None, result.error
+    assert pipeline.items() > 0
+    assert pipeline.check(result) == 0

@@ -118,6 +118,16 @@ class TestFitPosition:
         with pytest.raises(UnusableSampleError) as excinfo:
             fit_position(line_config.bank.names, values, xs)
         assert excinfo.value.rows == (2, 6)
+        assert excinfo.value.reason == ("2 sample(s) in the dead zone or with a B/R ratio "
+                                        "past the float range")
+        assert str(excinfo.value) == f"{excinfo.value.reason} at rows [2, 6]"
+
+    @pytest.mark.parametrize("ratio", [("Q", None), (None, "Q")])
+    def test_missing_ratio_channel_is_a_key_error(self, line_config, ratio):
+        xs, _, values = sweep(line_config, np.linspace(10.0, 70.0, 5), [2.0])
+        with pytest.raises(KeyError) as excinfo:
+            fit_position(line_config.bank.names, values, xs, *ratio)
+        assert excinfo.value.args == ("no channel named 'Q'",)
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateFitError):

@@ -173,6 +173,45 @@ class TestCalibrate:
         code, _, _ = self.run_pipeline(line_config_path, tmp_path, positions="10,10")
         assert code == 3
 
+    def test_position_only_calibration_has_no_force_key(self, line_config_path, tmp_path):
+        code, cal, _ = self.run_pipeline(line_config_path, tmp_path, positions="0:85:12")
+        assert code == 0
+        assert sorted(json.loads(read(cal / "calibration.json"))) == ["position", "transmission"]
+
+    def test_unloadable_transmission_is_not_written(self, tmp_path, capsys):
+        # noise lights far rows whose noise-free transmission underflows to zero;
+        # calibrate wrote that zero factor, which decode then refused to load
+        config = SensorConfig.default()
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(replace(config, dye=config.dye.with_concentration(5000.0))
+                                   .to_dict()))
+        code, cal, _ = self.run_pipeline(str(path), tmp_path, positions="0:85:20",
+                                         noise=("--noise-sigma", "0.5", "--seed", "1"))
+        assert code == 2
+        assert "transmission factors must be finite and positive" in capsys.readouterr().err
+        assert not cal.exists()
+
+    @pytest.mark.parametrize("text", ["", "force_n,ch_B,ch_R\n1,1,1\n2,2,1\n3,3,1\n"])
+    def test_samples_without_positions_exit_3_naming_the_column(self, text, line_config_path,
+                                                               tmp_path, capsys):
+        samples, out = tmp_path / "samples.csv", tmp_path / "o"
+        samples.write_text(text)
+        assert main(["calibrate", "--config", line_config_path, "--out", str(out),
+                     "--samples", str(samples)]) == 3
+        assert capsys.readouterr().err == (f"error: {samples}: no position_mm column for the "
+                                           "position fit\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--numerator", "--denominator"])
+    def test_missing_ratio_channel_exits_2(self, option, line_config_path, tmp_path, capsys):
+        _, _, sim = self.run_pipeline(line_config_path, tmp_path, positions="0:85:12")
+        out = tmp_path / "o"
+        assert main(["calibrate", "--config", line_config_path, "--out", str(out),
+                     "--samples", str(sim / "sweep.csv"), option, "Q"]) == 2
+        assert capsys.readouterr().err == (f"error: {sim / 'sweep.csv'}: no ch_Q column for "
+                                           "the calibration's ratio channel 'Q'\n")
+        assert not out.exists()
+
 
 class TestDecode:
     def test_round_trip_positions(self, line_config_path, tmp_path):
@@ -573,7 +612,8 @@ class TestBadInput:
     @pytest.mark.parametrize("command", ["simulate", "track"])
     def test_overflowing_source_exits_2(self, command, tmp_path, capsys):
         # a finite source near the float maximum overflows the noise-free forward
-        # model; its inf channels must not be written as readings or decode as poses
+        # model; its inf channels must not be written as readings or decode as poses,
+        # and numpy's overflow warning from the bank integral must not escape main
         sensor = SensorConfig.default().to_dict()
         sensor["source"]["values"] = [1e308] * len(sensor["source"]["values"])
         if command == "simulate":
@@ -583,10 +623,9 @@ class TestBadInput:
             argv = ["--generate", "circle:30:40:120:5"]
         config, out = tmp_path / "config.json", tmp_path / "o"
         config.write_text(json.dumps(doc))
-        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from the bank integral
-            code = main([command, "--config", str(config), "--out", str(out)] + argv)
-        assert code == 2
-        assert "channel intensities must be finite" in capsys.readouterr().err
+        assert main([command, "--config", str(config), "--out", str(out)] + argv) == 2
+        assert (f"{config}: source values integrated over the channel bank must be finite"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("generate", ["line:10:nan:120:5", "line:inf:40:120:5"])

@@ -142,7 +142,7 @@ class TestDecodeOracle:
         text = every_flag_readings(tmp_path, config_path)
         calls = {"invert": 0, "kernel": 0}
         invert = ForceCalibration.invert
-        kernel = spectratact.cli._decode_positions
+        kernel = PositionCalibration.decode
 
         def counted_invert(self, value):
             calls["invert"] += 1
@@ -156,7 +156,7 @@ class TestDecodeOracle:
             raise AssertionError("decode made a per-row call")
 
         monkeypatch.setattr(ForceCalibration, "invert", counted_invert)
-        monkeypatch.setattr(spectratact.cli, "_decode_positions", counted_kernel)
+        monkeypatch.setattr(PositionCalibration, "decode", counted_kernel)
         # every module attribute bound to a per-row function, as a tracer would wrap it
         for name in ("decode_position", "decode_force", "log_ratio"):
             original = getattr(spectratact, name)
@@ -196,8 +196,14 @@ class TestDecodeExtremeRows:
         text = "position_mm,force_n,ch_X,ch_G,ch_R,below_floor\n40.0,3.0,1.0,1.0,1.0,0\n"
         code, decoded = decode(calibration, text, tmp_path)
         assert code == 2
-        assert "ch_B" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'readings.csv'}: no ch_B column "
+                                           "for the calibration's ratio channel 'B'\n")
         assert not decoded.exists()
+
+    def test_empty_file_decodes_to_no_rows(self, band_calibration, tmp_path):
+        code, decoded = decode(band_calibration[1], "", tmp_path)
+        assert code == 0
+        assert read(decoded) == "position_mm,force_n,flag\n"
 
     def test_field_past_csv_limit_exits_2(self, band_calibration, tmp_path, capsys):
         _, calibration = band_calibration

@@ -4,20 +4,27 @@ The sha256 pins cover ``json.dumps(x.to_dict())`` without ``sort_keys``,
 so the key order of each record counts as well as its values.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import MISSING, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, JointEncoderModel,
                          PerturbationState, PositionCalibration, SensorConfig, TrackingReport,
                          default_red_dye, line_channel)
-from spectratact.cli import CalibrationFile, Manifest, Transmission
-from spectratact.codec import NUMBER, Record, _table, load, read
+from spectratact.calibration import CalibrationFile, Transmission
+from spectratact.cli import Manifest, main
+from spectratact.codec import (ARRAY, BOOL, FLOATS, INT, LIST, NUMBER, OBJECT, STR, Record,
+                               _table, load, read)
 from spectratact.errors import ConfigError
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
@@ -215,3 +222,147 @@ def test_load_names_the_file(tmp_path):
     path.write_text("{")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: Expecting property name"):
         load(TwinAssembly, str(path))
+
+
+# Documents generated from the field tables: each field of each record, at any
+# depth, kept, dropped where it has a default, or broken.  Whether a value is
+# of a field's kind is judged here without the codec.
+
+
+def is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+IS_KIND = {
+    NUMBER: is_number,
+    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    STR: lambda v: isinstance(v, str),
+    BOOL: lambda v: isinstance(v, bool),
+    ARRAY: lambda v: isinstance(v, list) and all(map(is_number, v)),
+    FLOATS: lambda v: isinstance(v, list) and all(map(is_number, v)),
+    LIST: lambda v: isinstance(v, list),
+    OBJECT: lambda v: isinstance(v, dict),
+}
+# values of a plain kind, as a bound sees them
+OF_KIND = {NUMBER: (stn.floats(), float), STR: (stn.text(max_size=8), str),
+           FLOATS: (stn.lists(stn.floats(), max_size=4), tuple)}
+JSON_VALUES = stn.recursive(
+    stn.none() | stn.booleans() | stn.integers() | stn.floats() | stn.text(max_size=4)
+    | stn.just(10**400),  # past the float range
+    lambda inner: stn.lists(inner, max_size=3) | stn.dictionaries(stn.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=5)
+RECORDS = [cls for cls in SERVED if issubclass(cls, Record)]
+DELETE = object()
+
+
+def of_kind(kind, default, value) -> bool:
+    """Whether ``value`` reads as a field of ``kind`` with this read default."""
+    if value is None:
+        return default is None
+    if isinstance(kind, tuple):
+        return isinstance(value, list)
+    if isinstance(kind, type):  # a nested record or ChannelBank
+        return isinstance(value, dict)
+    return IS_KIND[kind](value)
+
+
+@stn.composite
+def valid_documents(draw, cls, doc):
+    """``doc`` with each field kept, or dropped or nulled where the table gives a default."""
+    doc = dict(doc)
+    for _, key, _, _, default in _table(cls):
+        choices = ["keep"] + ["drop"] * (default is not MISSING) + ["null"] * (default is None)
+        choice = draw(stn.sampled_from(choices))
+        if choice == "drop":
+            doc.pop(key, None)
+        elif choice == "null":
+            doc[key] = None
+    return doc
+
+
+@stn.composite
+def broken_documents(draw, cls, doc, path=""):
+    """``(doc with one field broken, the JSON path of that field)``, the field at any depth.
+
+    A field breaks by a value of another kind, a value of its kind outside its
+    bound, or, when it has no default, by being absent.
+    """
+    doc = copy.deepcopy(doc)
+    _, key, kind, bound, default = draw(stn.sampled_from(_table(cls)))
+    at = f"{path}.{key}" if path else key
+    value = doc.get(key)
+    if isinstance(kind, tuple) and value and draw(stn.booleans()):
+        i = draw(stn.integers(0, len(value) - 1))
+        value[i], at = draw(broken_documents(kind[0], value[i], f"{at}[{i}]"))
+        return doc, at
+    if isinstance(kind, type) and issubclass(kind, Record) and isinstance(value, dict) \
+            and draw(stn.booleans()):
+        doc[key], at = draw(broken_documents(kind, value, at))
+        return doc, at
+    breaks = [JSON_VALUES.filter(lambda v: not of_kind(kind, default, v))]
+    if bound is not None:
+        values, as_read = OF_KIND[kind]
+        breaks.append(values.filter(lambda v: not bound.test(as_read(v))))
+    if default is MISSING:
+        breaks.append(stn.just(DELETE))
+    broken = draw(stn.one_of(breaks))
+    if broken is DELETE:
+        del doc[key]
+    else:
+        doc[key] = broken
+    return doc, at
+
+
+def names_path(at: str) -> str:
+    """How a ConfigError message starts for a field at ``at`` (or an item of it)."""
+    return rf"'{re.escape(at)}(\[\d+\])?' (must|is missing)"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=5, deadline=None)
+@given(data=stn.data())
+def test_generated_valid_document_reads(examples, cls, data):
+    doc = data.draw(valid_documents(cls, examples[cls].to_dict()))
+    again = cls.from_dict(json.loads(json.dumps(doc))).to_dict()
+    assert cls.from_dict(again).to_dict() == again
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=stn.data())
+def test_generated_broken_field_names_its_path(examples, cls, data):
+    doc, at = data.draw(broken_documents(cls, examples[cls].to_dict()))
+    with pytest.raises(ConfigError, match="^" + names_path(at)):
+        cls.from_dict(json.loads(json.dumps(doc)))
+
+
+# the records a CLI command reads from a file, and how it is given
+CLI_READS = {
+    SensorConfig: ["simulate", "--config", "{doc}", "--positions", "10", "--forces", "2"],
+    TwinAssembly: ["track", "--config", "{doc}", "--generate", "circle:30:40:120:5"],
+    CalibrationFile: ["decode", "--calibration", "{doc}", "--readings", "{doc}"],
+    Manifest: ["replay", "--manifest", "{doc}"],
+}
+
+
+@pytest.mark.parametrize("cls", CLI_READS, ids=lambda cls: cls.__name__)
+@settings(max_examples=8, deadline=None)
+@given(data=stn.data())
+def test_cli_exits_2_on_a_generated_broken_field(examples, cls, data, tmp_path_factory):
+    doc, at = data.draw(broken_documents(cls, examples[cls].to_dict()))
+    path = tmp_path_factory.mktemp("doc") / "input.json"
+    path.write_text(json.dumps(doc))
+    out = path.parent / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([arg.format(doc=path) for arg in CLI_READS[cls]] + ["--out", str(out)])
+    assert code == 2
+    assert re.match(f"^error: {re.escape(str(path))}: {names_path(at)}", err.getvalue())
+    assert not out.exists()

@@ -20,8 +20,6 @@ from spectratact import (
     sweep,
 )
 
-from spectratact.decoder import _decode_positions
-
 from conftest import calibrate_position
 
 
@@ -68,7 +66,7 @@ class TestDecodePosition:
         rng = np.random.default_rng(7)
         num = np.concatenate([rng.uniform(0.0, 2.0, 300), [0.0, 1.0, math.nan, 5e-324, 1e300]])
         den = np.concatenate([rng.uniform(0.0, 2.0, 300), [1.0, 0.0, 1.0, 1e300, 5e-324]])
-        lit, position, raw, out_of_span = _decode_positions(num, den, line_poscal)
+        lit, position, raw, out_of_span = line_poscal.decode(num, den)
         lo, hi = line_poscal.span_mm
         slack = 3.0 * line_poscal.residual_std / abs(line_poscal.slope)
         expected = []

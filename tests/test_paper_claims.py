@@ -23,6 +23,17 @@ with simulation, 40 dB         0.5 N: 103.67 um, 5.505 mN;      rows within 3 %
                                rows: 102.22 um, 5.421 mN
 Same, 60 dB                    10.367 um, 0.5505 mN; rows:      within 3 %
                                10.219 um, 0.5421 mN
+7 um spatial and 5 mN force    channel SNR at 42.5 mm, 0.5 N:   63.41 dB, 0.372 mN,
+resolution                     63.41 dB for 7 um, where force   40.84 dB, each
+                               reads 0.372 mN; 40.84 dB for     +- 0.005 dB or 0.5 uN
+                               5 mN alone
+Known model limit: spatial     noise-free held-out spatial      31.3 um +- 0.05, and
+accuracy (bias of the affine   accuracy at 42.5 mm, 0.5 N       coarser than 7 um
+fit) vs 7 um resolution        (31.32 um)
+Noise-free round trip over     CLI simulate -> calibrate ->     every row "ok",
+strain <= 0.5, bend <= 180     decode, 32 held-out rows per     <= 70 um and <= 1 %
+deg, concentration scale       sensor; max 68.1 um and 0.89 %
+0.05 to 1.5                    of force (scale 1.5, no strain)
 =============================  ===============================  ======================
 
 Noise-free R^2 is far above the paper's 0.996 because the model's
@@ -31,15 +42,36 @@ bound pins the model, not the paper's margin.  The resolution rows use
 the 21-knot force calibration at 42.5 mm (``conftest.calibrate_force``)
 and decode force at the known press position, as the formula assumes;
 decoding the position first widens the 40 dB force spread to 6.13 mN.
+
+The 7 um and 5 mN row reads one operating point, so each SNR is the one
+that gives that figure there; resolution scales as 10**(-SNR/20).  The
+model limit row is recorded, not fixed: the affine fit's bias (31 um) is
+coarser than the 7 um the noise supports, which would take changing the
+physics to close.  The round trip draws strain, bend and concentration
+scale and calibrates each sensor from its own 18-position, 21-knot sweep.
+Its bound comes from a scan of the scale at 0.025 steps: both errors grow
+with the effective scale, scale / (1 + strain), and peak at its top.
+Above 1.5 the weakest held-out rows (0.3 N at 81 mm) start to fall below
+the intensity floor and decode as no contact.
 """
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
-from spectratact import NoiseModel, SensorConfig, estimate_resolution, sweep
-from spectratact.contact import PerturbationState
+from spectratact import NoiseModel, SensorConfig, estimate_resolution, force_knot_schedule, sweep
+from spectratact.cli import main
+from spectratact.contact import MAX_BEND_DEG, MAX_STRAIN, PerturbationState
 from spectratact.sensor import position_transmission
-from spectratact.spectral import log_ratios
 from spectratact.twin import TwinAssembly, calibrate_encoder, snr_db_for_angle_sigma
 
 STRAINS = (0.0, 0.1, 0.25, 0.5)
@@ -93,10 +125,77 @@ def test_resolution_formulas_match_simulation(calibrations, default_forcecal, sn
 
     _, _, channels = sweep(config, [42.5], [0.5] * 4000, noise)
     names = config.bank.names
-    lit, log = log_ratios(channels[:, names.index(poscal.numerator_ch)],
-                          channels[:, names.index(poscal.denominator_ch)])
+    lit, _, positions, _ = poscal.decode(channels[:, names.index(poscal.numerator_ch)],
+                                         channels[:, names.index(poscal.denominator_ch)])
     assert lit.all()
-    positions = poscal.position_for_log_ratio(log)
     forces = default_forcecal.invert(channels.sum(axis=1) / position_transmission(config, 42.5))
     assert np.std(positions, ddof=1) == pytest.approx(report.spatial_resolution_mm, rel=0.03)
     assert np.std(forces, ddof=1) == pytest.approx(report.force_resolution_n, rel=0.03)
+
+
+def resolution_at(calibrations, forcecal, snr_db):
+    """``estimate_resolution`` of the ledger's calibrations at 42.5 mm and 0.5 N."""
+    return estimate_resolution(SensorConfig.default(), calibrations[0.0, 0.0], forcecal,
+                               NoiseModel("snr_db", snr_db), 42.5, 0.5)
+
+
+def test_paper_resolution_at_one_operating_point(calibrations, default_forcecal):
+    at_40 = resolution_at(calibrations, default_forcecal, 40.0)
+    snr_7um = 40.0 + 20.0 * math.log10(at_40.spatial_resolution_mm / 7e-3)
+    snr_5mn = 40.0 + 20.0 * math.log10(at_40.force_resolution_n / 5e-3)
+    assert snr_7um == pytest.approx(63.41, abs=0.005)
+    assert snr_5mn == pytest.approx(40.84, abs=0.005)
+    at_7um = resolution_at(calibrations, default_forcecal, snr_7um)
+    assert at_7um.spatial_resolution_mm == pytest.approx(7e-3, rel=1e-12)
+    assert at_7um.force_resolution_n * 1e3 == pytest.approx(0.372, abs=5e-4)
+    at_5mn = resolution_at(calibrations, default_forcecal, snr_5mn)
+    assert at_5mn.force_resolution_n == pytest.approx(5e-3, rel=1e-12)
+
+
+def test_noise_free_spatial_accuracy_is_coarser_than_the_resolution(calibrations,
+                                                                    default_forcecal):
+    # a known limit of the model, recorded as it is
+    accuracy_um = resolution_at(calibrations, default_forcecal, 63.41).spatial_accuracy_mm * 1e3
+    assert accuracy_um == pytest.approx(31.3, abs=0.05)
+    assert accuracy_um > 7.0
+
+
+HELD_POSITIONS = np.linspace(4.0, 81.0, 8)
+HELD_FORCES = (0.3, 1.0, 3.0, 9.0)  # inside the knots, from near the threshold to 9 N
+KNOTS = ",".join(repr(float(f)) for f in force_knot_schedule(0.1, 10.0, 21))
+
+
+def cli_round_trip(config, tmp) -> list[list[str]]:
+    """decoded.csv rows of held-out readings, through a calibration of ``config`` itself."""
+    path = os.path.join(tmp, "sensor.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config.to_dict(), fh)
+    positions = ",".join(repr(float(x)) for x in HELD_POSITIONS)
+    forces = ",".join(map(repr, HELD_FORCES))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["simulate", "--out", f"{tmp}/cal", "--positions", "0:85:18",
+                      "--forces", KNOTS],
+                     ["calibrate", "--out", f"{tmp}/calib", "--samples", f"{tmp}/cal/sweep.csv"],
+                     ["simulate", "--out", f"{tmp}/held", "--positions", positions,
+                      "--forces", forces]):
+            assert main(argv + ["--config", path]) == 0
+        assert main(["decode", "--out", f"{tmp}/dec", "--readings", f"{tmp}/held/sweep.csv",
+                     "--calibration", f"{tmp}/calib/calibration.json"]) == 0
+    with open(f"{tmp}/dec/decoded.csv", encoding="utf-8") as fh:
+        return [line.split(",") for line in fh.read().splitlines()[1:]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(strain=stn.floats(0.0, MAX_STRAIN), bend=stn.floats(0.0, MAX_BEND_DEG),
+       scale=stn.floats(0.05, 1.5))
+def test_noise_free_round_trip_across_the_validated_regime(strain, bend, scale):
+    base = SensorConfig.default()
+    config = replace(base, dye=base.dye.with_concentration(scale),
+                     perturbation=PerturbationState(strain, bend))
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = cli_round_trip(config, tmp)
+    truth = [(x, f) for x in HELD_POSITIONS for f in HELD_FORCES]
+    assert [flag for _, _, flag in rows] == ["ok"] * len(truth)
+    decoded = np.array([[float(x), float(f)] for x, f, _ in rows])
+    assert np.max(np.abs(decoded[:, 0] - [x for x, _ in truth])) <= 0.070
+    assert np.max(np.abs(decoded[:, 1] / [f for _, f in truth] - 1.0)) <= 0.01

@@ -308,6 +308,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SensorConfig.default(source=Spectrum(grid, np.ones_like(grid)))
 
+    def test_source_past_the_float_range_in_full_scale_is_refused(self, default_config):
+        # each sample is finite, but the bank integral overflows: refused at
+        # construction, without numpy's overflow warning (an error in this suite)
+        source = Spectrum(default_config.source.wavelengths_nm,
+                          np.full_like(default_config.source.intensities, 1e308))
+        with pytest.raises(ValueError, match="^source values integrated over the channel "
+                                             "bank must be finite$"):
+            SensorConfig.default(source=source)
+
     def test_transmission_factor_recovers_coupling(self, default_config):
         # total / transmission == coupled fraction, exactly in-model
         stim = Stimulus(55.0, 3.0)

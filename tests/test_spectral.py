@@ -20,7 +20,7 @@ from spectratact import (
     line_bank,
     log_ratio,
 )
-from spectratact.spectral import log_ratios
+from spectratact.spectral import Channel, log_ratios
 
 GRID = default_wavelength_grid()
 
@@ -209,3 +209,22 @@ class TestSerialization:
             DyeProfile(GRID, -np.ones_like(GRID))
         with pytest.raises(ValueError):
             DyeProfile(GRID, np.ones_like(GRID), concentration_scale=-1.0)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda values: Spectrum(GRID, values), "intensities"),
+        (lambda values: DyeProfile(GRID, values), "decay_per_mm"),
+        (lambda values: Channel("B", GRID, values), "response"),
+    ], ids=["Spectrum", "DyeProfile", "Channel"])
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones(GRID.size - 1), "must match the wavelength grid shape"),
+        (np.full(GRID.size, -1.0), "must be finite and nonnegative"),
+        (np.full(GRID.size, math.nan), "must be finite and nonnegative"),
+        (np.full(GRID.size, math.inf), "must be finite and nonnegative"),
+    ], ids=["shape", "negative", "nan", "inf"])
+    def test_each_sample_check_names_its_field(self, make, field, bad, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            make(bad)
+
+    def test_all_zero_channel_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^channel 'B' has zero integral$"):
+            Channel("B", GRID, np.zeros_like(GRID))
