@@ -44,7 +44,6 @@ from .errors import (
     SaturatedError,
     SingularError,
     SpectraTactError,
-    UndefinedSnrError,
     UnreachableError,
     UnsupportedRegimeError,
     UnusableSampleError,
@@ -69,7 +68,6 @@ from .sensor import (
     SensorConfig,
     Stimulus,
     channel_intensities,
-    measure_snr_db,
     position_transmission,
     simulate_reading,
     sweep,

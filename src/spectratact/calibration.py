@@ -343,13 +343,15 @@ class Transmission(Record):
     def __post_init__(self):
         # force decoding divides by the interpolated factor: NaN would flag
         # garbage "ok", zero would divide by zero
-        grid, factors = self.positions_mm, self.factors
-        if not (factors.size and grid.shape == factors.shape
+        grid, factors = (np.asarray(v, dtype=float) for v in (self.positions_mm, self.factors))
+        if not (factors.size and grid.ndim == 1 and grid.shape == factors.shape
                 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
             raise ValueError("transmission needs strictly increasing finite positions_mm, "
                              "one per factor")
         if not (np.isfinite(factors).all() and np.all(factors > 0)):
             raise ValueError("transmission factors must be finite and positive")
+        object.__setattr__(self, "positions_mm", grid)
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)

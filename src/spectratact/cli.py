@@ -12,7 +12,9 @@ Exit codes, which :func:`main` returns: 0 success (and ``--help``,
 ``--version``); 2 usage, config or input error, including every
 :class:`~spectratact.errors.ConfigError` (a JSON value missing, of the
 wrong kind or out of bounds, named by file and JSON path); 3 degenerate
-data; 4 unreachable/kinematic error.
+data; 4 unreachable/kinematic error.  Every typed
+:class:`~spectratact.errors.SpectraTactError` exits 2 unless it is a data
+error (3) or a kinematic error (4).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     DegenerateFitError,
     KinematicError,
     NonMonotoneDataError,
-    UnsupportedRegimeError,
+    SpectraTactError,
     UnusableSampleError,
 )
 from .sensor import NoiseModel, SensorConfig, sweep, transmission_factors
@@ -257,8 +259,12 @@ def cmd_calibrate(args) -> tuple[dict, str]:
             forcecal = fit_force(channels[rows], force[rows], config, p)
 
     grid = np.linspace(*poscal.span_mm, 129)
-    calibration = CalibrationFile(poscal, Transmission(grid, transmission_factors(config, grid)),
-                                  forcecal)
+    factors = transmission_factors(config, grid)
+    if not factors.all():  # noise lit rows where the noise-free transmission is 0
+        raise CliError(f"{args.samples}: noise-free transmission underflows to 0 at "
+                       f"{grid[factors == 0][0]} mm of the fitted span {list(poscal.span_mm)} mm",
+                       EXIT_DEGENERATE)
+    calibration = CalibrationFile(poscal, Transmission(grid, factors), forcecal)
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
@@ -536,7 +542,7 @@ def main(argv=None) -> int:
     except KinematicError as exc:
         print(f"error: kinematics: {exc}", file=sys.stderr)
         return EXIT_KINEMATIC
-    except (OSError, ValueError, KeyError, UnsupportedRegimeError) as exc:
+    except (OSError, ValueError, KeyError, SpectraTactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -40,11 +40,6 @@ class CouplingLaw(Record):
     exponent: float = spec(NUMBER, _DEFAULT_EXPONENT,
                            bound=Bound("lie in (0, 2]", lambda v: 0 < v <= 2))
 
-    @property
-    def saturation_force_n(self) -> float:
-        """Force at which the coupled fraction reaches 1."""
-        return self.f_threshold_n + self.gain ** (-1.0 / self.exponent)
-
 
 @dataclass(frozen=True)
 class PerturbationState(Record):

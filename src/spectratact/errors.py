@@ -29,10 +29,6 @@ class UnsupportedRegimeError(SpectraTactError):
     """Perturbation lies outside the range the model is validated for."""
 
 
-class UndefinedSnrError(SpectraTactError):
-    """SNR is undefined because the noise-free reading is zero."""
-
-
 class UnusableSampleError(SpectraTactError):
     """Calibration input contains dead-zone rows.
 

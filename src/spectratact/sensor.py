@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .codec import NONNEGATIVE, NUMBER, Record, spec, within
 from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
-from .errors import OutOfSpanError, UndefinedSnrError
+from .errors import OutOfSpanError
 from .spectral import (
     ChannelBank,
     DyeProfile,
@@ -55,7 +55,6 @@ class _Optics:
     neg_decay: np.ndarray   # -c * k of the strained dye per kept sample, per mm
     widths: np.ndarray      # rectangle-rule widths of the kept samples
     responses: np.ndarray   # (channels, kept samples)
-    gain: float             # bending gain
     full_scale: float       # total of the unattenuated source through the bank
     floor: float            # readings below this are clamped to zero
 
@@ -94,6 +93,7 @@ class SensorConfig(Record):
 
     @cached_property
     def _optics(self) -> _Optics:
+        bending_gain(self.perturbation)  # 1 inside the validated regime; raises outside it
         dye = strained_dye(self.dye, self.perturbation.strain)
         full_scale = float(integrate_channels(self.source, self.bank).sum())
         responses = self.bank.responses
@@ -104,13 +104,9 @@ class SensorConfig(Record):
             neg_decay=(-dye.concentration_scale * dye.decay_per_mm)[keep],
             widths=_sample_widths(self.source.wavelengths_nm)[keep],
             responses=responses[:, keep],
-            gain=bending_gain(self.perturbation),
             full_scale=full_scale,
             floor=RELATIVE_INTENSITY_FLOOR * full_scale,
         )
-
-    def with_perturbation(self, perturbation: PerturbationState) -> "SensorConfig":
-        return replace(self, perturbation=perturbation)
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,6 @@ def channel_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndar
     law = config.coupling
     fraction = {f: coupled_fraction(law, f) for f in dict.fromkeys(forces)}
     integrals *= np.array([fraction[f] * c for f, c in zip(forces, clear)])[:, None]
-    integrals *= config._optics.gain
     return integrals
 
 
@@ -278,7 +273,7 @@ def transmission_factors(config: SensorConfig, positions_mm) -> np.ndarray:
     fraction, the position-free quantity the force calibration inverts.
     """
     clear, integrals = _filtered(config, positions_mm)
-    return np.array(clear) * integrals.sum(axis=1) * config._optics.gain
+    return np.array(clear) * integrals.sum(axis=1)
 
 
 def noise_free_channels(config: SensorConfig, stim: Stimulus) -> np.ndarray:
@@ -324,18 +319,6 @@ def simulate_reading(
         rng = substream(noise.seed)
     values = _readings(config, [stim.position_mm], [stim.force_n], noise, [rng])[0]
     return ChannelReading(values, config.bank.names)
-
-
-def measure_snr_db(config: SensorConfig, stim: Stimulus, noise: NoiseModel) -> float:
-    """SNR of the total intensity: 20*log10(signal / total noise sigma)."""
-    values = noise_free_channels(config, stim)
-    signal = float(values.sum())
-    if signal <= config._optics.floor:
-        raise UndefinedSnrError("dead-zone stimulus: noise-free reading is zero")
-    sigma_total = float(np.sqrt(np.sum(noise.sigma_vector(values) ** 2)))
-    if sigma_total == 0:
-        return math.inf
-    return 20.0 * math.log10(signal / sigma_total)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -194,12 +194,6 @@ class ChannelBank:
     def responses(self) -> np.ndarray:
         return np.stack([ch.response for ch in self.channels])
 
-    def channel(self, name: str) -> Channel:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise KeyError(f"no channel named {name!r}")
-
     def to_dict(self) -> dict:
         return {
             "wavelengths_nm": self.wavelengths_nm.tolist(),

@@ -75,6 +75,19 @@ class TestPositionCalibration:
             PositionCalibration.from_dict(dict(doc, slope=-1.1 * floor / (hi - lo)))
 
 
+class TestTransmission:
+    def test_lists_construct_and_round_trip(self):
+        # lists once failed on the check's array attributes
+        transmission = calibration.Transmission([0.0, 1.0], [1.0, 2.0])
+        assert transmission.positions_mm.dtype == transmission.factors.dtype == float
+        back = calibration.Transmission.from_dict(json.loads(json.dumps(transmission.to_dict())))
+        assert back.to_dict() == {"positions_mm": [0.0, 1.0], "factors": [1.0, 2.0]}
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(ValueError, match="transmission factors must be finite and positive"):
+            calibration.Transmission([0.0], [0.0])
+
+
 class TestFitPosition:
     def test_single_wavelength_slope_oracle(self):
         # slope must equal k_den - k_num and the intercept the source ratio

@@ -17,8 +17,10 @@ from hypothesis import strategies as stn
 
 from spectratact import NoiseModel, SensorConfig, cli, sweep
 from spectratact.cli import CliError, main
-from spectratact.errors import (ConfigError, DegenerateFitError, NonMonotoneDataError,
-                                UnreachableError, UnsupportedRegimeError, UnusableSampleError)
+from spectratact.errors import (BelowFloorError, BelowThresholdError, ConfigError,
+                                DegenerateFitError, GridMismatchError, NoContactError,
+                                NonMonotoneDataError, SaturatedError, UnreachableError,
+                                UnsupportedRegimeError, UnusableSampleError)
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
 
@@ -180,15 +182,17 @@ class TestCalibrate:
 
     def test_unloadable_transmission_is_not_written(self, tmp_path, capsys):
         # noise lights far rows whose noise-free transmission underflows to zero;
-        # calibrate wrote that zero factor, which decode then refused to load
+        # calibrate once wrote that zero factor, which decode then refused to load
         config = SensorConfig.default()
         path = tmp_path / "dense.json"
         path.write_text(json.dumps(replace(config, dye=config.dye.with_concentration(5000.0))
                                    .to_dict()))
         code, cal, _ = self.run_pipeline(str(path), tmp_path, positions="0:85:20",
                                          noise=("--noise-sigma", "0.5", "--seed", "1"))
-        assert code == 2
-        assert "transmission factors must be finite and positive" in capsys.readouterr().err
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'sim' / 'sweep.csv'}: noise-free transmission underflows to 0 "
+            "at 27.051809210526315 mm of the fitted span [0.0, 80.52631578947368] mm\n")
         assert not cal.exists()
 
     @pytest.mark.parametrize("text", ["", "force_n,ch_B,ch_R\n1,1,1\n2,2,1\n3,3,1\n"])
@@ -869,39 +873,63 @@ SAMPLES = "position_mm,force_n,ch_B,ch_G,ch_R\n"
 CALIBRATE = ["calibrate", "--config", "{band}", "--samples", "{tmp}/input"]
 TRACK_CSV = ["track", "--config", "{twin}", "--trajectory", "{tmp}/input"]
 
-# per exception class main maps: (the class a real input raises, the exit code, argv,
-# the text of {tmp}/input)
+# per exception class main maps, and per refusal no other test reaches: (the class a real
+# input raises, the exit code, argv, the text of {tmp}/input, the message after "error: ")
 EXIT_CASES = {
     "CliError-2": (CliError, 2, ["track", "--config", "{twin}", "--generate", "circle:30"],
-                   None),
-    "CliError-3": (CliError, 3, CALIBRATE, SAMPLES + "10,2,x,1,1\n20,2,0.5,1,1\n"),
+                   None, "cannot parse --generate spec 'circle:30' (shape:scale:cx:cy:n): "
+                   "not enough values to unpack (expected 5, got 2)"),
+    "CliError-2-positions": (CliError, 2, [
+        "simulate", "--config", "{band}", "--positions", "1:2", "--forces", "2"], None,
+        "cannot parse --positions spec '1:2': not enough values to unpack (expected 3, got 2)"),
+    "CliError-2-no-channels": (CliError, 2, CALIBRATE, "position_mm,force_n\n10,2\n",
+                               "{tmp}/input: no ch_* columns in header "
+                               "['position_mm', 'force_n']"),
+    "CliError-2-missing-samples": (CliError, 2, [
+        "calibrate", "--config", "{band}", "--samples", "{tmp}/missing.csv"], None,
+        "file not found: {tmp}/missing.csv"),
+    "CliError-3": (CliError, 3, CALIBRATE, SAMPLES + "10,2,x,1,1\n20,2,0.5,1,1\n",
+                   "{tmp}/input: unparsable rows at [0]"),
     "DegenerateFitError": (DegenerateFitError, 3, CALIBRATE,
-                           SAMPLES + "10,2,0.5,1,1\n20,2,0.4,1,1\n"),
+                           SAMPLES + "10,2,0.5,1,1\n20,2,0.4,1,1\n",
+                           "degenerate data: need at least 3 samples, got 2"),
     "NonMonotoneDataError": (NonMonotoneDataError, 3, CALIBRATE, SAMPLES + (
-        "10,2,0.5,1,1\n20,2,0.4,1,1\n30,1,0.3,1,1\n30,2,0.3,0.5,1\n30,3,0.3,0.2,1\n")),
+        "10,2,0.5,1,1\n20,2,0.4,1,1\n30,1,0.3,1,1\n30,2,0.3,0.5,1\n30,3,0.3,0.2,1\n"),
+        "degenerate data: normalized intensities must be strictly increasing with force"),
     "UnusableSampleError": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
-        "10,2,1e-300,1,1e30\n20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n")),
+        "10,2,1e-300,1,1e30\n20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n"),
+        "degenerate data: 1 sample(s) in the dead zone or with a B/R ratio past the float "
+        "range at rows [0]"),
     "KinematicError": (UnreachableError, 4, TRACK_CSV,
-                       "t_s,x_mm,y_mm\n0.0,40.0,500.0\n1.0,41.0,500.0\n"),
+                       "t_s,x_mm,y_mm\n0.0,40.0,500.0\n1.0,41.0,500.0\n",
+                       "kinematics: no trajectory sample is reachable on the working branch"),
     "OSError": (IsADirectoryError, 2,  # a directory as the config
-                ["simulate", "--config", "{tmp}", "--positions", "10", "--forces", "2"], None),
-    "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n"),
+                ["simulate", "--config", "{tmp}", "--positions", "10", "--forces", "2"], None,
+                "Is a directory: '{tmp}'"),
+    "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n",
+                   "trajectory sample 0 has a NaN time or coordinate"),
+    "ValueError-same-ratio-channel": (ValueError, 2, CALIBRATE + [
+        "--numerator", "B", "--denominator", "B"], SAMPLES + "10,2,0.5,1,1\n",
+        "numerator and denominator channels must differ"),
     "ConfigError": (ConfigError, 2, ["decode", "--calibration", "{tmp}/input",
-                                     "--readings", "{tmp}/input"], "[]"),
+                                     "--readings", "{tmp}/input"], "[]",
+                    "{tmp}/input: expected a JSON object, got an array"),
     "UnsupportedRegimeError": (UnsupportedRegimeError, 2, [
         "simulate", "--config", "{tmp}/input", "--positions", "10", "--forces", "2"],
-        json.dumps({"perturbation": {"bend_deg": 200.0}})),
+        json.dumps({"perturbation": {"bend_deg": 200.0}}),
+        "bend of 200.0 deg exceeds the supported 180.0 deg"),
 }
 
 
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_exit_code_contract(case, band_config_path, twin_config_path, tmp_path, capsys,
                             monkeypatch):
-    """Each exception class main maps is reached by a real input and exits with its code.
+    """Each exception class main maps is reached by a real input and exits with its code
+    and message.
 
     No CLI input is known to reach the KeyError that main also maps.
     """
-    cls, code, argv, text = EXIT_CASES[case]
+    cls, code, argv, text, message = EXIT_CASES[case]
     if text is not None:
         (tmp_path / "input").write_text(text)
     raised, run = [], cli._run
@@ -918,8 +946,22 @@ def test_exit_code_contract(case, band_config_path, twin_config_path, tmp_path, 
     out = tmp_path / "o"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
     assert raised == [cls]
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**paths) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [GridMismatchError, BelowFloorError, NoContactError,
+                                 BelowThresholdError, SaturatedError])
+def test_every_typed_error_is_mapped(cls, tmp_path, capsys, monkeypatch):
+    # these typed errors have no exit code of their own, and once escaped main as tracebacks
+    def run(args):
+        raise cls("typed")
+
+    monkeypatch.setattr(cli, "_run", run)
+    assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"),
+                 "--positions", "10", "--forces", "2"]) == 2
+    assert capsys.readouterr().err == "error: typed\n"
 
 
 TWIN_KEYS = ("fivebar", "sensors", "sensor", "encoders", "indenter_force_n")

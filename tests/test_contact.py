@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ class TestCoupledFraction:
     def test_saturates_at_one(self):
         law = CouplingLaw()
         assert coupled_fraction(law, 1e6) == 1.0
-        assert law.saturation_force_n > 10.0
+        assert coupled_fraction(law, 10.0) < 1.0
 
     def test_power_past_the_float_range_saturates(self):
         # (1e200 - f0) ** 2 raises OverflowError in Python floats
@@ -83,7 +85,7 @@ class TestStrainedDye:
         # chain rule through the affine law: slope under strain e is
         # 1/(1+e) times the unstrained slope
         def slope_at(strain):
-            config = line_config.with_perturbation(PerturbationState(strain=strain))
+            config = replace(line_config, perturbation=PerturbationState(strain=strain))
             xs, _, values = sweep(config, np.linspace(0.0, 80.0, 9), [2.0])
             return fit_position(config.bank.names, values, xs).slope
 
@@ -92,7 +94,7 @@ class TestStrainedDye:
 
     def test_strained_response_stays_affine(self, line_config):
         for strain in (0.1, 0.25):
-            config = line_config.with_perturbation(PerturbationState(strain=strain))
+            config = replace(line_config, perturbation=PerturbationState(strain=strain))
             xs, _, values = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
             cal = fit_position(config.bank.names, values, xs)
             assert cal.r_squared > 1.0 - 1e-9

@@ -164,13 +164,13 @@ class TestRobustnessDecoding:
     def test_bend_invariance_byte_identical(self, line_config, line_poscal):
         decoded = []
         for bend in (0.0, 45.0, 90.0, 135.0, 180.0):
-            config = line_config.with_perturbation(PerturbationState(bend_deg=bend))
+            config = replace(line_config, perturbation=PerturbationState(bend_deg=bend))
             reading = simulate_reading(config, Stimulus(33.25, 2.0))
             decoded.append(decode_position(reading, line_poscal).position_mm)
         assert len(set(decoded)) == 1
 
     def test_strain_refit_recovers_lab_positions(self, line_config):
-        strained = line_config.with_perturbation(PerturbationState(strain=0.25))
+        strained = replace(line_config, perturbation=PerturbationState(strain=0.25))
         poscal = calibrate_position(strained)
         for x in (12.0, 42.5, 71.0):
             reading = simulate_reading(strained, Stimulus(x, 2.0))

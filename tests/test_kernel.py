@@ -69,10 +69,11 @@ def stimuli(config, n, seed):
     positions = rng.uniform(0.0, config.length_mm, n)
     positions[:2] = (0.0, config.length_mm)[:n]
     law = config.coupling
+    saturation = law.f_threshold_n + law.gain ** (-1 / law.exponent)
     choices = np.array([0.0, law.f_threshold_n, 0.5 * law.f_threshold_n,
-                        law.saturation_force_n, 2.0 * law.saturation_force_n + 1.0])
+                        saturation, 2.0 * saturation + 1.0])
     forces = np.where(rng.random(n) < 0.5, rng.choice(choices, n),
-                      rng.uniform(0.0, 1.5 * law.saturation_force_n, n))
+                      rng.uniform(0.0, 1.5 * saturation, n))
     return positions, forces
 
 

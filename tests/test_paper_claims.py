@@ -83,7 +83,7 @@ def calibrations():
     """Noise-free position calibration per (strain, bend) of the default sensor."""
     base = SensorConfig.default()
     return {
-        (s, b): calibrate_encoder(base.with_perturbation(PerturbationState(s, b)), 1.0, 86)
+        (s, b): calibrate_encoder(replace(base, perturbation=PerturbationState(s, b)), 1.0, 86)
         for s in STRAINS for b in BENDS_DEG
     }
 

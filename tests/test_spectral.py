@@ -197,8 +197,8 @@ class TestSerialization:
             ],
         }
         bank = ChannelBank.from_dict(doc)
-        assert bank.channel("B").response.sum() == 100.0
-        assert bank.channel("R").response.sum() == 1.0
+        assert bank.responses[bank.names.index("B")].sum() == 100.0
+        assert bank.responses[bank.names.index("R")].sum() == 1.0
 
     def test_validation_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
