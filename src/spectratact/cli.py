@@ -24,6 +24,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -120,14 +121,16 @@ def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
 
 def _parse_value_list(spec: str, name: str) -> list[float]:
     """Either comma-separated values or a linspace 'start:stop:count'; never empty."""
+    is_range = ":" in spec
     try:
-        if ":" in spec:
+        if is_range:
             start, stop, count = spec.split(":")
             values = [float(v) for v in np.linspace(float(start), float(stop), int(count))]
         else:
             values = [float(v) for v in spec.split(",") if v != ""]
     except ValueError as exc:
-        raise CliError(f"cannot parse {name} spec {spec!r}: {exc}")
+        form = " (start:stop:count)" if is_range else ""
+        raise CliError(f"cannot parse {name} spec {spec!r}{form}: {exc}") from None
     if not values:
         raise CliError(f"{name} spec {spec!r} gives no values")
     return values
@@ -149,10 +152,13 @@ def cmd_simulate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
     positions = _parse_value_list(args.positions, "--positions")
     forces = _parse_value_list(args.forces, "--forces")
-    xs, fs, values = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
+    _, _, values = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
     header = ["position_mm", "force_n"] + [f"ch_{n}" for n in config.bank.names] + ["below_floor"]
-    csv_rows = [[x, f, *vs, below] for x, f, vs, below in zip(
-        xs.tolist(), fs.tolist(), values.tolist(), (~values.any(axis=1)).astype(int).tolist())]
+    # the stimulus text of sweep's position-major rows, made once per axis entry (not per
+    # float value, as 0.0 == -0.0): repr is what csv.writer writes for a float
+    stimuli = itertools.product(map(repr, positions), map(repr, forces))
+    csv_rows = [[x, f, *vs, below] for (x, f), vs, below in zip(
+        stimuli, values.tolist(), (~values.any(axis=1)).astype(int).tolist())]
     return ({"sweep.csv": (header, csv_rows)},
             f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
 

@@ -9,6 +9,7 @@ because the gap still isolates the waveguides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .codec import NONNEGATIVE, NUMBER, POSITIVE, Bound, Record, spec, within
@@ -51,8 +52,8 @@ class PerturbationState(Record):
 
 def coupled_fraction(law: CouplingLaw, force_n: float) -> float:
     """Fraction of source light coupled into the sensing waveguide."""
-    if not force_n >= 0:
-        raise ValueError(f"force_n must be >= 0, got {force_n}")
+    if not 0 <= force_n < math.inf:
+        raise ValueError(f"force_n must be finite and >= 0, got {force_n}")
     if force_n <= law.f_threshold_n:
         return 0.0
     try:

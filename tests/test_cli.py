@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import hashlib
 import io
@@ -881,7 +882,8 @@ EXIT_CASES = {
                    "not enough values to unpack (expected 5, got 2)"),
     "CliError-2-positions": (CliError, 2, [
         "simulate", "--config", "{band}", "--positions", "1:2", "--forces", "2"], None,
-        "cannot parse --positions spec '1:2': not enough values to unpack (expected 3, got 2)"),
+        "cannot parse --positions spec '1:2' (start:stop:count): "
+        "not enough values to unpack (expected 3, got 2)"),
     "CliError-2-no-channels": (CliError, 2, CALIBRATE, "position_mm,force_n\n10,2\n",
                                "{tmp}/input: no ch_* columns in header "
                                "['position_mm', 'force_n']"),
@@ -908,6 +910,9 @@ EXIT_CASES = {
                 "Is a directory: '{tmp}'"),
     "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n",
                    "trajectory sample 0 has a NaN time or coordinate"),
+    "ValueError-infinite-force": (ValueError, 2, [  # inf was written to sweep.csv, exit 0
+        "simulate", "--config", "{band}", "--positions", "10", "--forces", "2,1e400"], None,
+        "force_n must be finite and >= 0, got inf"),
     "ValueError-same-ratio-channel": (ValueError, 2, CALIBRATE + [
         "--numerator", "B", "--denominator", "B"], SAMPLES + "10,2,0.5,1,1\n",
         "numerator and denominator channels must differ"),
@@ -1120,11 +1125,20 @@ class TestOptionProperties:
     # argparse read each value as an option and raised SystemExit out of main
     @example(positions="10", forces="-1e300,1", noise="--snr-db", level="30")
     @example(positions="10", forces="2", noise="--snr-db", level="-1e300")
+    # an infinite force was written to sweep.csv, which calibrate then refused
+    @example(positions="10", forces="inf", noise="--snr-db", level="30")
     def test_simulate_option_values(self, band_config_path, tmp_path, positions, forces,
                                     noise, level):
-        code = main(["simulate", "--config", band_config_path, "--out", str(tmp_path / "o"),
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"  # tmp_path is shared by the examples
+        code = main(["simulate", "--config", band_config_path, "--out", str(out),
                      "--positions", positions, "--forces", forces, noise, level])
         assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert not out.exists()
+            return
+        _, _, position, force, parsed = cli._read_samples(str(out / "sweep.csv"))
+        assert parsed.all()  # every channel finite and nonnegative
+        assert np.isfinite(position).all() and np.isfinite(force).all()
 
 
 def stimulus_values(lo, hi):
@@ -1153,14 +1167,23 @@ class TestCsvProperties:
            noise=stn.none() | stn.tuples(stn.just("snr_db"), stn.floats(1.0, 80.0))
            | stn.tuples(stn.just("absolute_sigma"), stn.floats(0.0, 10.0)),
            seed=stn.integers(0, 2**64))
+    # simulate writes each axis value's text once, so repeats on both axes, a signed zero,
+    # the least subnormal and a repr with an exponent must still read back bit for bit
+    @example(positions=[10.0, 10.0, 20.0], forces=[0.0, 2.0, 2.0], noise=None, seed=4)
+    @example(positions=[10.0, 10.0, 20.0], forces=[0.0, 2.0, 2.0], noise=("snr_db", 30.0),
+             seed=4)
+    @example(positions=[-0.0, 0.0, -0.0], forces=[0.0, -0.0, 2.0], noise=None, seed=0)
+    @example(positions=[5e-324, 5e-324, 85.0], forces=[1e16, 5e-324, 1e16],
+             noise=("snr_db", 30.0), seed=1)
     def test_samples_csv_reads_back_as_the_sweep(self, band_config_path, tmp_path, positions,
                                                  forces, noise, seed):
         flags = [] if noise is None else \
             [{"snr_db": "--snr-db", "absolute_sigma": "--noise-sigma"}[noise[0]], repr(noise[1])]
         out = tmp_path / "o"
         assert main(["simulate", "--config", band_config_path, "--out", str(out),
-                     "--positions", ",".join(map(repr, positions)),
-                     "--forces", ",".join(map(repr, forces)), "--seed", str(seed)] + flags) == 0
+                     "--positions=" + ",".join(map(repr, positions)),  # "=": a list may
+                     "--forces=" + ",".join(map(repr, forces)),       # start with "-0.0"
+                     "--seed", str(seed)] + flags) == 0
         config = SensorConfig.default()
         model = None if noise is None else NoiseModel(*noise, seed)
         xs, fs, values = sweep(config, positions, forces, model, seed=seed)
@@ -1170,8 +1193,12 @@ class TestCsvProperties:
         assert parsed.all()
         for got, want in ((position, xs), (force, fs), (channels, values)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        _, rows = csv_rows(out / "sweep.csv")
-        assert [int(row[-1]) for row in rows] == (~values.any(axis=1)).tolist()
+        # and its rows are the bytes csv.writer writes for the float columns
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [x, f, *vs, int(not any(vs))]
+            for x, f, vs in zip(xs.tolist(), fs.tolist(), values.tolist()))
+        assert read(out / "sweep.csv").split("\n", 1)[1] == buf.getvalue()
 
     @TestDocumentProperties.SETTINGS
     @given(text=trajectory_texts())

@@ -28,6 +28,7 @@ from spectratact import (
     line_channel,
 )
 from spectratact.contact import bending_gain, coupled_fraction, strained_dye
+from spectratact.errors import OutOfSpanError
 from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_factors
 from spectratact.twin import encoder_sensor_config
 
@@ -113,12 +114,39 @@ def test_matches_closed_form(config, n, seed):
 @settings(max_examples=10, deadline=None)
 @given(config=configs(), seed=stn.integers(0, 2**32 - 1))
 def test_rows_independent_of_batch(config, seed):
+    """Each row equals the row computed alone, bit for bit, also where positions repeat.
+
+    Where at least half the rows repeat the row before them, the kernel
+    runs the optics once per distinct position and gathers the rows; the
+    second batch, in runs of three, makes it do so.  Both batches hold
+    adjacent repeats, repeats interleaved across a ``CHUNK_ROWS``
+    boundary, and ``0.0`` next to ``-0.0`` (one dict key), with ``-0.0``
+    seen first.
+    """
     n = 2 * CHUNK_ROWS + 3
-    positions, forces = stimuli(config, n, seed)
-    batch = channel_intensities(config, positions, forces)
-    for i in (0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS, n - 1):
-        alone = channel_intensities(config, positions[i:i + 1], forces[i:i + 1])
-        assert np.array_equal(batch[i], alone[0])
+    pool, forces = stimuli(config, n, seed)
+    for positions in (pool.copy(), pool[np.arange(n) // 3]):
+        positions[0] = -0.0
+        positions[5:8] = positions[4]
+        positions[8:10] = (0.0, -0.0)
+        positions[CHUNK_ROWS - 2:CHUNK_ROWS + 2] = positions[[2, 4, 2, 4]]
+        batch = channel_intensities(config, positions, forces)
+        transmission = transmission_factors(config, positions)
+        for i in (0, 4, 5, 6, 7, 8, 9, *range(CHUNK_ROWS - 2, CHUNK_ROWS + 2), 2 * CHUNK_ROWS,
+                  n - 1):
+            alone = channel_intensities(config, positions[i:i + 1], forces[i:i + 1])
+            assert batch[i].tobytes() == alone[0].tobytes()
+            assert transmission[i:i + 1].tobytes() == \
+                transmission_factors(config, positions[i:i + 1]).tobytes()
+    assert 2 * np.count_nonzero(positions[1:] == positions[:-1]) >= n  # it was gathered
+
+    # an out-of-span position that repeats is named at its first row, not in sorted order
+    outside = np.repeat([5.0, config.length_mm + 2.0, config.length_mm + 1.0,
+                         config.length_mm + 2.0, -1.0], 2)
+    for kernel in (lambda: channel_intensities(config, outside, np.ones(10)),
+                   lambda: transmission_factors(config, outside)):
+        with pytest.raises(OutOfSpanError, match=f"position {config.length_mm + 2.0!r} mm"):
+            kernel()
 
 
 def full_width(config, positions, forces):
