@@ -123,8 +123,9 @@ def fit_position(
     ``channels`` holds one reading per row of ``positions_mm``, its
     columns in the order of ``names``.  By default the ratio is first
     channel over last channel (B over R for the stock bank, the pair with
-    the largest decay contrast).  Dead-zone rows and rows whose ratio
-    leaves the float range raise :class:`UnusableSampleError` naming them.
+    the largest decay contrast).  Dead-zone rows, rows whose ratio leaves
+    the float range and rows with a non-finite position raise
+    :class:`UnusableSampleError` naming them.
     """
     x = np.asarray(positions_mm, dtype=float)
     if x.size < 3:
@@ -137,7 +138,12 @@ def fit_position(
         rows = np.flatnonzero(~usable).tolist()
         raise UnusableSampleError(f"{len(rows)} sample(s) in the dead zone or with a {num}/{den} "
                                   f"ratio past the float range", rows)
-    if np.unique(x).size < 2:
+    finite = np.isfinite(x)
+    if not finite.all():
+        rows = np.flatnonzero(~finite).tolist()
+        raise UnusableSampleError(f"{len(rows)} sample(s) with a non-finite position", rows)
+    # not np.unique, which imports all of numpy.ma (about 25 ms per process)
+    if x.min() == x.max():
         raise DegenerateFitError("all samples share one position; fit is rank-deficient")
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean()) / (xc @ xc))

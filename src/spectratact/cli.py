@@ -180,19 +180,25 @@ def _float_column(raws, col: int):
             values.append(math.nan)
 
 
-def _read_samples(path: str):
+def _read_samples(path: str, required=()):
     """A sweep-format CSV as columns: ``(names, channels, position, force, parsed)``.
 
     ``names`` are the channel names (the ``ch_*`` columns, empty for an
     empty file), ``channels`` an (n, channels) float array, ``position``
     and ``force`` float columns or None when the header lacks them.  A
-    row is unparsed when a field it needs is short or not a float, or a
+    header without a ``ch_*`` column or without one of the ``required``
+    columns exits 2, and so does an empty file when a column is required.
+    A row is unparsed when a field it needs is short or not a float, or a
     channel is negative or not finite (:class:`ChannelReading`'s check);
     ``parsed`` is False there and every value of the row is NaN.
     """
     header, raws = _read_csv(path)
-    if header is None:
+    if header is None and not required:
         return (), np.empty((0, 0)), None, None, np.zeros(0, dtype=bool)
+    header = header or []
+    for name in required:
+        if name not in header:
+            raise CliError(f"{path}: no {name} column in header {header}")
     channel_cols = [i for i, name in enumerate(header) if name.startswith("ch_")]
     if not channel_cols:
         raise CliError(f"{path}: no ch_* columns in header {header}")
@@ -227,13 +233,14 @@ def _ratio_columns(path: str, names, channels, num: str, den: str):
 
 def cmd_calibrate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
-    names, channels, position, force, parsed = _read_samples(args.samples)
-    if position is None:
-        raise CliError(f"{args.samples}: no position_mm column for the position fit",
-                       EXIT_DEGENERATE)
+    names, channels, position, force, parsed = _read_samples(args.samples, ("position_mm",))
     if not parsed.all():
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
                        EXIT_DEGENERATE)
+    finite = np.isfinite(position) & np.isfinite(position if force is None else force)
+    if not finite.all():
+        raise CliError(f"{args.samples}: non-finite position_mm or force_n at rows "
+                       f"{np.flatnonzero(~finite).tolist()}", EXIT_DEGENERATE)
 
     # The position fit reads only the rows decode can read (both ratio
     # channels positive, as in spectral.log_ratios) that were pressed past
@@ -490,7 +497,7 @@ def cmd_replay(args) -> int:
     # parse here, not in main, so that a bad manifest exits 2 naming its args, and so that
     # every key is one of the command's own options (argparse accepts abbreviations)
     try:
-        options = build_parser().parse_args(argv)
+        options = _parse_args(argv)
     except SystemExit:  # argparse has printed why
         raise CliError(f"{args.manifest}: 'args' do not parse as {manifest.command} "
                        f"options") from None
@@ -532,9 +539,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a list, which may start with '-' (as '-0.0,10')
+_VALUE_LISTS = frozenset({"--positions", "--forces", "--lengths", "--concentrations"})
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` (``sys.argv[1:]`` when None) as parsed, each value list joined to its option.
+
+    argparse reads a token that starts with '-' as an option unless it
+    looks like a plain negative number, so ``--positions -0.0,10`` would
+    lack its value.  A value list never starts with '--', so the token
+    after a value-list option is passed as ``--option=token`` unless it does.
+    """
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(tokens) - 1)):
+        if tokens[i] in _VALUE_LISTS and not tokens[i + 1].startswith("--"):
+            tokens[i:i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+    return build_parser().parse_args(tokens)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse has printed why: 2 for a usage error, 0 for --help
         return exc.code
     try:

@@ -83,7 +83,8 @@ class TwinAssembly(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        sensors = tuple(self.sensors or (encoder_sensor_config(), encoder_sensor_config()))
+        # by default both joints share one sensor object
+        sensors = tuple(self.sensors or (encoder_sensor_config(),) * 2)
         encoders = tuple(self.encoders or (JointEncoderModel(), JointEncoderModel()))
         if len(sensors) != 2 or len(encoders) != 2:
             raise ValueError(f"need one sensor and one encoder per joint, got "

@@ -151,6 +151,21 @@ class TestFitPosition:
         with pytest.raises(DegenerateFitError):
             fit_position(*columns(samples))
 
+    def test_signed_zeros_are_one_position(self):
+        samples = [(x, reading(1.0 + i, 2.0)) for i, x in enumerate([0.0, -0.0, 0.0, -0.0])]
+        with pytest.raises(DegenerateFitError, match="all samples share one position"):
+            fit_position(*columns(samples))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_reported(self, bad):
+        # they once reached the least-squares sums: a NaN slope, or a RuntimeWarning first
+        positions = [10.0, bad, 30.0, 40.0, bad]
+        samples = [(x, reading(1.0 + i, 2.0)) for i, x in enumerate(positions)]
+        with pytest.raises(UnusableSampleError) as excinfo:
+            fit_position(*columns(samples))
+        assert excinfo.value.rows == (1, 4)
+        assert excinfo.value.reason == "2 sample(s) with a non-finite position"
+
     def test_r_squared_definition_and_bounds(self, default_config):
         x, _, values = sweep(default_config, np.linspace(0.0, 85.0, 40), [2.0],
                              NoiseModel("snr_db", 25.0), seed=3)

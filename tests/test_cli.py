@@ -115,6 +115,36 @@ class TestSimulate:
                      "--forces", "2"])
         assert code == 2
 
+    def test_value_list_may_start_with_a_minus(self, line_config_path, tmp_path):
+        # argparse took "-0.0,10" for an option: "expected one argument", exit 2
+        base = ["simulate", "--config", line_config_path]
+        assert main(base + ["--positions", "-0.0,10", "--forces", "-0.0,2",
+                            "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--positions=-0.0,10", "--forces=-0.0,2",
+                            "--out", str(tmp_path / "b")]) == 0
+        assert main(["replay", "--manifest", str(tmp_path / "a" / "manifest.json"),
+                     "--out", str(tmp_path / "c")]) == 0
+        sweep_csv = read(tmp_path / "a" / "sweep.csv")
+        assert sweep_csv.split("\n")[1].startswith("-0.0,-0.0,")
+        assert read(tmp_path / "b" / "sweep.csv") == read(tmp_path / "c" / "sweep.csv") \
+            == sweep_csv
+
+    @pytest.mark.parametrize("argv, values", [
+        (["--lengths", "-1,85", "--concentrations", "-0.5"], ("-1,85", "-0.5")),
+        (["--concentrations", "-1:2:3", "--lengths", "-inf"], ("-inf", "-1:2:3")),
+        (["--lengths=-1", "--concentrations", "--x"], None),  # '--x' is no value list
+        (["--lengths", "1", "--concentrations"], None),
+    ])
+    def test_every_value_list_option_takes_a_leading_minus(self, argv, values, capsys):
+        argv = ["sweep-design", "--config", "c.json", "--out", "o"] + argv
+        if values is None:
+            with pytest.raises(SystemExit):
+                cli._parse_args(argv)
+            assert "--concentrations: expected one argument" in capsys.readouterr().err
+        else:
+            args = cli._parse_args(argv)
+            assert (args.lengths, args.concentrations) == values
+
 
 class TestCalibrate:
     def run_pipeline(self, config_path, tmp_path, positions="0:85:86", forces="2", noise=()):
@@ -197,14 +227,16 @@ class TestCalibrate:
         assert not cal.exists()
 
     @pytest.mark.parametrize("text", ["", "force_n,ch_B,ch_R\n1,1,1\n2,2,1\n3,3,1\n"])
-    def test_samples_without_positions_exit_3_naming_the_column(self, text, line_config_path,
+    def test_samples_without_positions_exit_2_naming_the_column(self, text, line_config_path,
                                                                tmp_path, capsys):
+        # a missing column is an input error, as a header without ch_* columns is (it exited 3)
         samples, out = tmp_path / "samples.csv", tmp_path / "o"
         samples.write_text(text)
         assert main(["calibrate", "--config", line_config_path, "--out", str(out),
-                     "--samples", str(samples)]) == 3
-        assert capsys.readouterr().err == (f"error: {samples}: no position_mm column for the "
-                                           "position fit\n")
+                     "--samples", str(samples)]) == 2
+        header = text.split("\n")[0].split(",") if text else []
+        assert capsys.readouterr().err == (f"error: {samples}: no position_mm column in header "
+                                           f"{header}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--numerator", "--denominator"])
@@ -892,6 +924,17 @@ EXIT_CASES = {
         "file not found: {tmp}/missing.csv"),
     "CliError-3": (CliError, 3, CALIBRATE, SAMPLES + "10,2,x,1,1\n20,2,0.5,1,1\n",
                    "{tmp}/input: unparsable rows at [0]"),
+    # NaN force was skipped as "at or below the contact threshold", exit 0; an infinite or
+    # NaN position exited 3 for a NaN slope, inf after a RuntimeWarning
+    "CliError-3-nan-force": (CliError, 3, CALIBRATE, SAMPLES + (
+        "10,nan,0.5,1,1\n20,2,0.4,1,1\n30,2,0.3,1,1\n40,2,0.2,1,1\n"),
+        "{tmp}/input: non-finite position_mm or force_n at rows [0]"),
+    "CliError-3-inf-position": (CliError, 3, CALIBRATE, SAMPLES + (
+        "10,2,0.5,1,1\n20,2,0.4,1,1\n-inf,2,0.3,1,1\n40,2,0.2,1,1\ninf,2,0.2,1,1\n"),
+        "{tmp}/input: non-finite position_mm or force_n at rows [2, 4]"),
+    "CliError-3-nan-position": (CliError, 3, CALIBRATE, SAMPLES + (
+        "10,2,0.5,1,1\nnan,2,0.4,1,1\n30,2,0.3,1,1\n40,2,0.2,1,1\n"),
+        "{tmp}/input: non-finite position_mm or force_n at rows [1]"),
     "DegenerateFitError": (DegenerateFitError, 3, CALIBRATE,
                            SAMPLES + "10,2,0.5,1,1\n20,2,0.4,1,1\n",
                            "degenerate data: need at least 3 samples, got 2"),
@@ -1181,8 +1224,8 @@ class TestCsvProperties:
             [{"snr_db": "--snr-db", "absolute_sigma": "--noise-sigma"}[noise[0]], repr(noise[1])]
         out = tmp_path / "o"
         assert main(["simulate", "--config", band_config_path, "--out", str(out),
-                     "--positions=" + ",".join(map(repr, positions)),  # "=": a list may
-                     "--forces=" + ",".join(map(repr, forces)),       # start with "-0.0"
+                     "--positions", ",".join(map(repr, positions)),  # may start with "-0.0"
+                     "--forces", ",".join(map(repr, forces)),
                      "--seed", str(seed)] + flags) == 0
         config = SensorConfig.default()
         model = None if noise is None else NoiseModel(*noise, seed)

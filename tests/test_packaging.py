@@ -1,10 +1,12 @@
-"""The package's import path stays free of scipy and of ``numpy.random``.
+"""The package's import path stays free of scipy and of lazily loaded numpy modules.
 
 scipy is a test dependency only (the oracle for the in-house PCHIP);
 importing it would add about half a second and tens of MB to every
-process that runs the CLI.  numpy loads ``numpy.random`` lazily, and the
-commands that draw no noise never need it (about 14 ms per process).
-A CLI process exits with the code :func:`spectratact.cli.main` returns.
+process that runs the CLI.  numpy loads ``numpy.random`` and ``numpy.ma``
+lazily: the commands that draw no noise never need the first (about
+14 ms per process), and nothing the package runs needs the second (about
+19 ms and 1.3 MB).  A CLI process exits with the code
+:func:`spectratact.cli.main` returns.
 """
 
 import json
@@ -54,6 +56,26 @@ def test_noise_free_cli_run_loads_no_numpy_random(command, tmp_path):
         "track": ["--generate", "circle:30:40:120:50"],  # 100 (sample, joint) rows
     }[command]]
     assert loaded("numpy.random", f"assert spectratact.cli.main({argv!r}) == 0; ") == "[]"
+
+
+def test_setup_and_calibrate_load_no_numpy_module(tmp_path):
+    # fit_position's np.unique imported all of numpy.ma in every set-up and calibrate
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SensorConfig.default().to_dict()))
+    sim, cal = tmp_path / "sim", tmp_path / "cal"
+    simulate = ["simulate", "--config", str(config), "--out", str(sim),  # noise-free
+                "--positions", "0:85:18", "--forces", "0.1,2,10"]
+    calibrate = ["calibrate", "--config", str(config), "--out", str(cal),
+                 "--samples", str(sim / "sweep.csv")]
+    probe = ("import sys, numpy; before = set(sys.modules); "
+             "from spectratact import SensorConfig, cli; "
+             "from spectratact.twin import TwinAssembly; "
+             "SensorConfig.default().to_dict(); TwinAssembly().to_dict(); "
+             f"assert cli.main({simulate!r}) == 0 and cli.main({calibrate!r}) == 0; "
+             "print(sorted(m for m in set(sys.modules) - before "
+             "if m.startswith('numpy.')))")
+    assert python("-c", probe).stdout.strip().splitlines()[-1] == "[]"
+    assert (cal / "calibration.json").exists()
 
 
 @pytest.mark.parametrize("argv, code, printed", [
