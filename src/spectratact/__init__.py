@@ -20,7 +20,6 @@ from .calibration import (
 from .contact import (
     CouplingLaw,
     PerturbationState,
-    bending_gain,
     coupled_fraction,
     strained_dye,
 )
@@ -45,7 +44,6 @@ from .errors import (
     SingularError,
     SpectraTactError,
     UnreachableError,
-    UnsupportedRegimeError,
     UnusableSampleError,
 )
 from .fivebar import (

@@ -33,6 +33,7 @@ from .spectral import log_ratios
 
 INVERT_REL_TOL = 1e-10  # invert's bisection stop: bracket width over max(1, |force|)
 SLOPE_FLOOR_ULPS = 16  # PositionCalibration's floor on the log-ratio change across the span
+KNOT_CLUSTERING = 3.0  # force_knot_schedule's exponent: cubic clustering toward the threshold
 
 
 def _like(query, result: np.ndarray):
@@ -295,10 +296,8 @@ class ForceCalibration(Record):
         return _like(normalized_value, forces.reshape(values.shape))
 
 
-def force_knot_schedule(
-    f_threshold_n: float, f_max_n: float, n_knots: int = 21, clustering: float = 3.0
-) -> np.ndarray:
-    """Knot forces clustered toward the threshold.
+def force_knot_schedule(f_threshold_n: float, f_max_n: float, n_knots: int = 21) -> np.ndarray:
+    """Knot forces clustered toward the threshold, as ``u ** KNOT_CLUSTERING`` on [0, 1].
 
     The response grows like a sub-unity power just past the threshold,
     with unbounded slope there; cubic clustering keeps the interpolant's
@@ -308,7 +307,7 @@ def force_knot_schedule(
         raise ValueError("f_max_n must exceed f_threshold_n")
     if n_knots < 3:
         raise ValueError("need at least 3 knots")
-    u = np.linspace(0.0, 1.0, int(n_knots)) ** clustering
+    u = np.linspace(0.0, 1.0, int(n_knots)) ** KNOT_CLUSTERING
     return f_threshold_n + u * (f_max_n - f_threshold_n)
 
 

@@ -549,12 +549,16 @@ def _parse_args(argv) -> argparse.Namespace:
     argparse reads a token that starts with '-' as an option unless it
     looks like a plain negative number, so ``--positions -0.0,10`` would
     lack its value.  A value list never starts with '--', so the token
-    after a value-list option is passed as ``--option=token`` unless it does.
+    after a value-list option, or after an abbreviation of one (``--pos``),
+    is passed as ``--option=token`` unless it does; argparse then resolves
+    the abbreviation as it does for the '=' form.
     """
     tokens = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(tokens) - 1)):
-        if tokens[i] in _VALUE_LISTS and not tokens[i + 1].startswith("--"):
-            tokens[i:i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+        option = tokens[i]  # a name or an abbreviation of one; no name holds '='
+        if len(option) > 2 and any(name.startswith(option) for name in _VALUE_LISTS) \
+                and not tokens[i + 1].startswith("--"):
+            tokens[i:i + 2] = [f"{option}={tokens[i + 1]}"]
     return build_parser().parse_args(tokens)
 
 

@@ -3,8 +3,9 @@
 Two stacked waveguides separated by an air gap couple no light until the
 applied force closes the gap; past that threshold the coupled fraction
 grows with contact area.  Uniaxial strain dilutes the dye (Poisson
-effect), and moderate bending leaves the optical response untouched
-because the gap still isolates the waveguides.
+effect).  Bending up to a half turn leaves the optical response
+untouched because the gap still isolates the waveguides; that limit is a
+bound of :class:`PerturbationState`, so a config past it does not load.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .codec import NONNEGATIVE, NUMBER, POSITIVE, Bound, Record, spec, within
-from .errors import UnsupportedRegimeError
 from .spectral import DyeProfile
 
 # Normalization point for the default power law: half of the available
@@ -44,10 +44,14 @@ class CouplingLaw(Record):
 
 @dataclass(frozen=True)
 class PerturbationState(Record):
-    """Off-axis deformation applied to the whole sensor."""
+    """Off-axis deformation applied to the whole sensor.
+
+    Both limits are bounds, checked when the state is built; up to a
+    half-turn bend, bending leaves every reading bit-identical.
+    """
 
     strain: float = spec(NUMBER, 0.0, bound=within(0.0, MAX_STRAIN))
-    bend_deg: float = spec(NUMBER, 0.0, bound=NONNEGATIVE)
+    bend_deg: float = spec(NUMBER, 0.0, bound=within(0.0, MAX_BEND_DEG))
 
 
 def coupled_fraction(law: CouplingLaw, force_n: float) -> float:
@@ -76,16 +80,3 @@ def strained_dye(dye: DyeProfile, strain: float) -> DyeProfile:
         return dye
     return replace(dye, decay_per_mm=dye.decay_per_mm / (1.0 + strain))
 
-
-def bending_gain(state: PerturbationState) -> float:
-    """Optical gain under an initial bend: exactly 1 within [0, 180] deg.
-
-    The air gap isolates the waveguides, so the model asserts full
-    rejection of the bending deformation up to a half turn; beyond that
-    the sensor leaves its validated regime.
-    """
-    if state.bend_deg > MAX_BEND_DEG:
-        raise UnsupportedRegimeError(
-            f"bend of {state.bend_deg} deg exceeds the supported {MAX_BEND_DEG} deg"
-        )
-    return 1.0

@@ -25,10 +25,6 @@ class OutOfSpanError(SpectraTactError, ValueError):
     """Press position lies outside the sensor's span."""
 
 
-class UnsupportedRegimeError(SpectraTactError):
-    """Perturbation lies outside the range the model is validated for."""
-
-
 class UnusableSampleError(SpectraTactError):
     """Calibration input contains dead-zone rows.
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .codec import NONNEGATIVE, NUMBER, Record, spec, within
-from .contact import CouplingLaw, PerturbationState, bending_gain, coupled_fraction, strained_dye
+from .contact import CouplingLaw, PerturbationState, coupled_fraction, strained_dye
 from .errors import OutOfSpanError
 from .spectral import (
     ChannelBank,
@@ -93,7 +93,6 @@ class SensorConfig(Record):
 
     @cached_property
     def _optics(self) -> _Optics:
-        bending_gain(self.perturbation)  # 1 inside the validated regime; raises outside it
         dye = strained_dye(self.dye, self.perturbation.strain)
         full_scale = float(integrate_channels(self.source, self.bank).sum())
         responses = self.bank.responses

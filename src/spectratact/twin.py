@@ -17,7 +17,7 @@ and the batched run gives the per-sample chain's result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,12 +73,16 @@ def calibrate_encoder(
 
 @dataclass(frozen=True)
 class TwinAssembly(Record):
-    """Five-bar linkage with one soft encoder per driven joint; JSON omits the calibrations."""
+    """Five-bar linkage with one soft encoder per driven joint, as its JSON says.
+
+    The calibrations are fitted, never set: :func:`calibrate_encoder` of each
+    distinct sensor at ``indenter_force_n``, once, when the assembly is built.
+    """
 
     fivebar: FiveBarConfig = spec(FiveBarConfig, factory=FiveBarConfig)
     sensors: tuple[SensorConfig, SensorConfig] = spec((SensorConfig,), None)
     encoders: tuple[JointEncoderModel, JointEncoderModel] = spec((JointEncoderModel,), None)
-    calibrations: tuple[PositionCalibration, PositionCalibration] = None
+    calibrations: tuple[PositionCalibration, PositionCalibration] = field(init=False)
     indenter_force_n: float = spec(NUMBER, DEFAULT_INDENTER_FORCE_N, bound=POSITIVE)
 
     def __post_init__(self):
@@ -92,16 +96,12 @@ class TwinAssembly(Record):
         if sensors[0] is not sensors[1] and sensors[0].to_dict() == sensors[1].to_dict():
             # one shared object: calibrated once, one kernel call per track
             sensors = (sensors[0], sensors[0])
-        calibrations = tuple(self.calibrations or ())
-        if not calibrations:
-            first = calibrate_encoder(sensors[0], self.indenter_force_n)
-            calibrations = (first, first if sensors[1] is sensors[0]
-                            else calibrate_encoder(sensors[1], self.indenter_force_n))
-        if len(calibrations) != 2:
-            raise ValueError(f"need one calibration per joint, got {len(calibrations)}")
+        first = calibrate_encoder(sensors[0], self.indenter_force_n)
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "encoders", encoders)
-        object.__setattr__(self, "calibrations", calibrations)
+        object.__setattr__(self, "calibrations", (
+            first, first if sensors[1] is sensors[0]
+            else calibrate_encoder(sensors[1], self.indenter_force_n)))
 
     @classmethod
     def from_dict(cls, doc, path: str = "") -> "TwinAssembly":
@@ -152,8 +152,9 @@ def track(
     are unreachable, off a sensor's span, without contact or past the FK
     limits are dropped and counted; they never abort the run.  A
     trajectory with no pose on the working branch is rejected, and so is a
-    sample with a NaN time or coordinate.  IK and FK run as ``fivebar._ik``
-    and ``_fk``, scalar ``math`` on plain floats (the ``fivebar`` docstring says why).
+    sample with a NaN coordinate or a time that is not finite.  IK and FK
+    run as ``fivebar._ik`` and ``_fk``, scalar ``math`` on plain floats (the
+    ``fivebar`` docstring says why).
     """
     samples = list(trajectory)
     if not samples:
@@ -165,8 +166,11 @@ def track(
     on_branch = False
     for i, sample in enumerate(samples):
         t, x, y = sample.t_s, sample.pose.x_mm, sample.pose.y_mm
-        if t != t or x != x or y != y:  # a NaN pose is neither reachable nor unreachable
-            raise ValueError(f"trajectory sample {i} has a NaN time or coordinate")
+        if not math.isfinite(t) or x != x or y != y:
+            # a NaN pose is neither reachable nor unreachable; an infinite one is unreachable
+            what = "a NaN time or coordinate" if t != t or x != x or y != y \
+                else f"the infinite time {t}"
+            raise ValueError(f"trajectory sample {i} has {what}")
         if i and not t > samples[i - 1].t_s:
             raise ValueError(f"trajectory times must be strictly increasing at sample {i}")
         try:

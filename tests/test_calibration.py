@@ -272,12 +272,16 @@ class TestFitForce:
 
 @stn.composite
 def knot_sets(draw):
-    """Strictly increasing knots: clustered like the calibration or unevenly spaced."""
+    """Strictly increasing knots: clustered like the calibration or unevenly spaced.
+
+    Clustered knots are ``force_knot_schedule``'s, ``f0 + u**c * (f1 - f0)``,
+    with the exponent ``c`` drawn around its ``KNOT_CLUSTERING``.
+    """
     n = draw(stn.integers(3, 40))
     steps = stn.floats(-4.0, 1.0)  # log10 of a knot spacing
     if draw(stn.booleans()):
-        forces = force_knot_schedule(draw(stn.floats(0.0, 0.5)), draw(stn.floats(1.0, 20.0)),
-                                     n, draw(stn.floats(1.0, 4.0)))
+        f0, f1 = draw(stn.floats(0.0, 0.5)), draw(stn.floats(1.0, 20.0))
+        forces = f0 + np.linspace(0.0, 1.0, n) ** draw(stn.floats(1.0, 4.0)) * (f1 - f0)
     else:
         start = draw(stn.floats(-5.0, 5.0))
         forces = start + np.cumsum(10.0 ** np.array(draw(stn.lists(steps, min_size=n,

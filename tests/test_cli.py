@@ -21,7 +21,7 @@ from spectratact.cli import CliError, main
 from spectratact.errors import (BelowFloorError, BelowThresholdError, ConfigError,
                                 DegenerateFitError, GridMismatchError, NoContactError,
                                 NonMonotoneDataError, SaturatedError, UnreachableError,
-                                UnsupportedRegimeError, UnusableSampleError)
+                                UnusableSampleError)
 from spectratact.twin import TwinAssembly, encoder_sensor_config
 
 
@@ -129,11 +129,21 @@ class TestSimulate:
         assert read(tmp_path / "b" / "sweep.csv") == read(tmp_path / "c" / "sweep.csv") \
             == sweep_csv
 
+    def test_abbreviated_value_list_may_start_with_a_minus(self, line_config_path, tmp_path):
+        # only the full option names were joined: "--pos -0.0,10" exited 2
+        base = ["simulate", "--config", line_config_path]
+        assert main(base + ["--pos", "-0.0,10", "--for", "-0.0,2",
+                            "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--positions=-0.0,10", "--forces=-0.0,2",
+                            "--out", str(tmp_path / "b")]) == 0
+        assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
     @pytest.mark.parametrize("argv, values", [
         (["--lengths", "-1,85", "--concentrations", "-0.5"], ("-1,85", "-0.5")),
         (["--concentrations", "-1:2:3", "--lengths", "-inf"], ("-inf", "-1:2:3")),
         (["--lengths=-1", "--concentrations", "--x"], None),  # '--x' is no value list
         (["--lengths", "1", "--concentrations"], None),
+        (["--lengths", "85", "--conc", "-1"], ("85", "-1")),  # as --concentrations=-1
     ])
     def test_every_value_list_option_takes_a_leading_minus(self, argv, values, capsys):
         argv = ["sweep-design", "--config", "c.json", "--out", "o"] + argv
@@ -615,7 +625,10 @@ class TestBadInput:
         }[command]
         code = main([command, "--config", str(config), "--out", str(tmp_path / "o")] + argv)
         assert code == 2
-        assert "bend" in capsys.readouterr().err
+        at = "sensor.perturbation.bend_deg" if command == "track" else "perturbation.bend_deg"
+        assert capsys.readouterr().err == \
+            f"error: {config}: '{at}' must lie in [0, 180], got 200.0\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "track"])
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--snr-db"])
@@ -953,6 +966,9 @@ EXIT_CASES = {
                 "Is a directory: '{tmp}'"),
     "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n",
                    "trajectory sample 0 has a NaN time or coordinate"),
+    "ValueError-infinite-time": (ValueError, 2, TRACK_CSV,  # -inf and inf were written, exit 0
+                                 "t_s,x_mm,y_mm\n-inf,40.0,120.0\n0,40.0,121.0\ninf,40.0,122.0\n",
+                                 "trajectory sample 0 has the infinite time -inf"),
     "ValueError-infinite-force": (ValueError, 2, [  # inf was written to sweep.csv, exit 0
         "simulate", "--config", "{band}", "--positions", "10", "--forces", "2,1e400"], None,
         "force_n must be finite and >= 0, got inf"),
@@ -962,10 +978,10 @@ EXIT_CASES = {
     "ConfigError": (ConfigError, 2, ["decode", "--calibration", "{tmp}/input",
                                      "--readings", "{tmp}/input"], "[]",
                     "{tmp}/input: expected a JSON object, got an array"),
-    "UnsupportedRegimeError": (UnsupportedRegimeError, 2, [
+    "ConfigError-bend": (ConfigError, 2, [
         "simulate", "--config", "{tmp}/input", "--positions", "10", "--forces", "2"],
         json.dumps({"perturbation": {"bend_deg": 200.0}}),
-        "bend of 200.0 deg exceeds the supported 180.0 deg"),
+        "{tmp}/input: 'perturbation.bend_deg' must lie in [0, 180], got 200.0"),
 }
 
 

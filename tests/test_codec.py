@@ -114,7 +114,7 @@ OUT_OF_BOUNDS = [
     (CouplingLaw, "gain", 0.0),
     (CouplingLaw, "exponent", 2.5),
     (PerturbationState, "strain", 0.6),
-    (PerturbationState, "bend_deg", math.nan),
+    (PerturbationState, "bend_deg", 181.0),
     (SensorConfig, "length_mm", 20.0),
     (SensorConfig, "clear_loss_per_mm", math.inf),
     (JointEncoderModel, "arc_gain_mm_per_deg", math.inf),

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as stn
 
 from spectratact import (
+    ConfigError,
     CouplingLaw,
     PerturbationState,
-    UnsupportedRegimeError,
-    bending_gain,
+    channel_intensities,
     coupled_fraction,
     default_red_dye,
     fit_position,
@@ -107,13 +107,18 @@ class TestStrainedDye:
 
 
 class TestBendingGain:
+    """The optical gain under a bend is exactly 1 up to a half turn, the bound of ``bend_deg``."""
+
     @pytest.mark.parametrize("bend", [0.0, 45.0, 90.0, 135.0, 180.0])
-    def test_identity_within_supported_range(self, bend):
-        assert bending_gain(PerturbationState(bend_deg=bend)) == 1.0
+    def test_identity_within_supported_range(self, default_config, bend):
+        bent = replace(default_config, perturbation=PerturbationState(bend_deg=bend))
+        xs, forces = np.linspace(0.0, 85.0, 18), np.full(18, 2.0)
+        assert channel_intensities(bent, xs, forces).tobytes() == \
+            channel_intensities(default_config, xs, forces).tobytes()
 
     def test_beyond_half_turn_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            bending_gain(PerturbationState(bend_deg=181.0))
+        with pytest.raises(ConfigError, match=r"^'bend_deg' must lie in \[0, 180\], got 181.0$"):
+            PerturbationState(bend_deg=181.0)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import pytest
 
 from spectratact import NoiseModel, SensorConfig, sweep
 from spectratact.cli import main
-from spectratact.contact import bending_gain, coupled_fraction, strained_dye
+from spectratact.contact import coupled_fraction, strained_dye
 from spectratact.fivebar import FiveBarConfig, GridSpec, deviation_map, workspace_mask
 from spectratact.sensor import RELATIVE_INTENSITY_FLOOR
 from spectratact.spectral import attenuate, integrate_channels
@@ -189,8 +189,7 @@ def reference_sweep(config, positions, forces, noise, seed):
         fraction = coupled_fraction(config.coupling, force)
         clear = math.exp(-config.clear_loss_per_mm * position)
         filtered = attenuate(config.source, dye, position)
-        values = (fraction * clear * integrate_channels(filtered, config.bank)
-                  * bending_gain(config.perturbation))
+        values = fraction * clear * integrate_channels(filtered, config.bank)
         if noise is not None:
             sigma = noise.sigma_vector(values)
             values = np.maximum(values + rng.standard_normal(len(values)) * sigma, 0.0)

@@ -27,7 +27,7 @@ from spectratact import (
     boxcar_channel,
     line_channel,
 )
-from spectratact.contact import bending_gain, coupled_fraction, strained_dye
+from spectratact.contact import coupled_fraction, strained_dye
 from spectratact.errors import OutOfSpanError
 from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_factors
 from spectratact.twin import encoder_sensor_config
@@ -154,8 +154,8 @@ def full_width(config, positions, forces):
 
     Each row is the stacked matmul of the full response matrix with the
     filtered source, in blocks of ``CHUNK_ROWS``, times the clear-path loss
-    in ``math``, the coupled fraction and the bending gain, as
-    ``channel_intensities`` and ``transmission_factors`` order them.
+    in ``math`` and the coupled fraction, as ``channel_intensities`` and
+    ``transmission_factors`` order them.
     """
     dye = strained_dye(config.dye, config.perturbation.strain)
     neg_decay = -dye.concentration_scale * dye.decay_per_mm
@@ -169,8 +169,7 @@ def full_width(config, positions, forces):
     clear = [math.exp(-config.clear_loss_per_mm * p) for p in positions.tolist()]
     fraction = [coupled_fraction(config.coupling, f) for f in forces.tolist()]
     scale = np.array([f * c for f, c in zip(fraction, clear)])
-    gain = bending_gain(config.perturbation)
-    return scale[:, None] * integrals * gain, np.array(clear) * integrals.sum(axis=1) * gain
+    return scale[:, None] * integrals, np.array(clear) * integrals.sum(axis=1)
 
 
 # The kernel integrates only the samples that line channels read; a sum with

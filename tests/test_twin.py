@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from spectratact import (
 )
 from spectratact import sensor, twin
 from spectratact.decoder import JointEncoderModel, decode_joint_angle
-from spectratact.errors import KinematicError, NoContactError, OutOfSpanError
+from spectratact.errors import KinematicError, NoContactError, OutOfSpanError, UnusableSampleError
 from spectratact.fivebar import JointAngles, _ik_batch, forward_kinematics, inverse_kinematics
 from spectratact.sensor import Stimulus, simulate_reading, substream
-from spectratact.twin import TrackingReport, TrajectorySample, TwinAssembly, encoder_sensor_config
+from spectratact.twin import (TrackingReport, TrajectorySample, TwinAssembly, calibrate_encoder,
+                              encoder_sensor_config)
 
 FIVEBAR = FiveBarConfig(d_mm=80.0, l_mm=100.0)
 S_CENTER = (40.0, 120.0)
@@ -379,12 +381,13 @@ class TestTrackMatchesPerSampleChain:
         assert reconstructed == expected
         assert report.to_dict() == expected_report.to_dict()
 
-    def test_below_threshold_force_drops_every_sample(self, assembly, s_path):
-        weak = TwinAssembly(fivebar=FIVEBAR, calibrations=assembly.calibrations,
-                            indenter_force_n=0.01)
-        reconstructed, report = track(weak, s_path)
-        _, expected_report, reasons = track_per_sample(weak, s_path)
-        assert reasons == {"NoContactError": len(s_path)}
+    def test_every_sample_dropped_reports_null_metrics(self, s_path):
+        # an encoder offset that puts every press past the 85 mm span
+        off_span = TwinAssembly(fivebar=FIVEBAR, encoders=(JointEncoderModel(offset_mm=200.0),
+                                                           JointEncoderModel()))
+        reconstructed, report = track(off_span, s_path)
+        _, expected_report, reasons = track_per_sample(off_span, s_path)
+        assert reasons == {"OutOfSpanError": len(s_path)}
         assert reconstructed == [] and report.dropped == len(s_path)
         # no error was measured, so none reads 0.0; null survives the JSON round trip
         doc = report.to_dict()
@@ -490,12 +493,23 @@ class TestOneSampleStream:
 
 
 class TestAssembly:
-    def test_dict_round_trip_tracks_identically(self, assembly, s_path):
-        doc = json.loads(json.dumps(assembly.to_dict()))
-        again = TwinAssembly.from_dict(doc)
-        _, a = track(assembly, s_path, NoiseModel("snr_db", 45.0), seed=4)
-        _, b = track(again, s_path, NoiseModel("snr_db", 45.0), seed=4)
-        assert a.to_dict() == b.to_dict()
+    def test_dict_round_trip_tracks_identically(self, assembly, distinct, s_path):
+        # the calibrations are fitted from the document, so they come back bit for bit
+        noise = NoiseModel("snr_db", 45.0)
+        for twin_ in (assembly, distinct):
+            again = TwinAssembly.from_dict(json.loads(json.dumps(twin_.to_dict())))
+            assert [json.dumps(cal.to_dict()) for cal in again.calibrations] == \
+                [json.dumps(cal.to_dict()) for cal in twin_.calibrations]
+            assert track(again, s_path, noise, seed=4) == track(twin_, s_path, noise, seed=4)
+
+    def test_replace_fits_the_calibrations_again(self, assembly):
+        lighter = replace(assembly, indenter_force_n=1.0)
+        assert lighter.calibrations[0] is lighter.calibrations[1]
+        assert lighter.calibrations[0] is not assembly.calibrations[0]
+        assert lighter.calibrations[0].to_dict() == \
+            calibrate_encoder(assembly.sensors[0], 1.0).to_dict()
+        with pytest.raises(UnusableSampleError):  # below the contact threshold: no light to fit
+            replace(assembly, indenter_force_n=0.01)
 
     def test_shared_sensor_document(self):
         doc = {"fivebar": {"d_mm": 80.0, "l_mm": 100.0},
@@ -510,8 +524,7 @@ class TestAssembly:
         assert assembly.sensors[0] is assembly.sensors[1]
         assert assembly.calibrations[0] is assembly.calibrations[1]
 
-    @pytest.mark.parametrize("field, count", [("sensors", 1), ("encoders", 3),
-                                              ("calibrations", 1)])
+    @pytest.mark.parametrize("field, count", [("sensors", 1), ("encoders", 3)])
     def test_one_part_per_joint_required(self, assembly, field, count):
         parts = getattr(assembly, field)
         with pytest.raises(ValueError, match="per joint"):
