@@ -72,18 +72,17 @@ from .sensor import (
     transmission_factors,
 )
 from .spectral import (
-    Channel,
     ChannelBank,
     DyeProfile,
     Spectrum,
     attenuate,
-    boxcar_channel,
+    boxcar_response,
     default_bank,
     default_red_dye,
     default_wavelength_grid,
     integrate_channels,
     line_bank,
-    line_channel,
+    line_response,
     log_ratio,
 )
 from .twin import (

@@ -296,7 +296,7 @@ _DECODE_FLAGS = np.array(["corrupt_row", "no_contact", "ok", "out_of_span",
 def cmd_decode(args) -> tuple[dict, str]:
     try:
         calibration = load(CalibrationFile, args.calibration)
-    except DegenerateFitError as exc:  # a calibration file that does not load is an input error
+    except (DegenerateFitError, NonMonotoneDataError) as exc:  # a bad file is an input error
         raise CliError(f"invalid calibration {args.calibration}: {exc}") from None
     poscal, forcecal = calibration.position, calibration.force
     grid, factors = calibration.transmission.positions_mm, calibration.transmission.factors
@@ -382,7 +382,7 @@ def cmd_sweep_design(args) -> tuple[dict, str]:
             point = f"design point length={length} conc={conc}"
             try:
                 variant = replace(config, length_mm=length,
-                                  dye=config.dye.with_concentration(conc))
+                                  dye=replace(config.dye, concentration_scale=conc))
                 poscal = calibrate_encoder(variant, args.probe_force,
                                            max(int(round(length)) + 1, 3))
             except _DEGENERATE_ERRORS as exc:

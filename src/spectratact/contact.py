@@ -71,11 +71,11 @@ def strained_dye(dye: DyeProfile, strain: float) -> DyeProfile:
 
     Stretching conserves dye mass while the volume grows, so the decay
     coefficient scales by 1/(1+strain) at every wavelength; press positions
-    stay in stretched (laboratory) coordinates.  Small negative strains
-    (compression) are tolerated down to -0.05.
+    stay in stretched (laboratory) coordinates.  It refuses what the bound
+    of :attr:`PerturbationState.strain` refuses.
     """
-    if strain < -0.05:
-        raise ValueError(f"strain below supported range, got {strain}")
+    if not 0 <= strain <= MAX_STRAIN:
+        raise ValueError(f"strain must lie in [0, {MAX_STRAIN:g}], got {strain}")
     if strain == 0:
         return dye
     return replace(dye, decay_per_mm=dye.decay_per_mm / (1.0 + strain))

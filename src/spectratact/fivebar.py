@@ -76,8 +76,6 @@ def _ik(config: FiveBarConfig, x: float, y: float) -> tuple[float, float]:
         raise UnreachableError(f"pose y={y} mm outside the working half-plane (y > 0)")
     r1 = math.hypot(x, y)
     r2 = math.hypot(d - x, y)
-    if r1 == 0 or r2 == 0:
-        raise SingularError("pose coincides with a base joint")
     ratio1, ratio2 = r1 / (2.0 * l), r2 / (2.0 * l)
     if ratio1 > 1.0 + REACH_REL_TOL or ratio2 > 1.0 + REACH_REL_TOL:
         r = r1 if ratio1 > 1.0 + REACH_REL_TOL else r2

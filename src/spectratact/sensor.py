@@ -88,8 +88,8 @@ class SensorConfig(Record):
             raise ValueError("source values integrated over the channel bank must be finite")
 
     @classmethod
-    def default(cls, length_mm: float = 85.0, **overrides) -> "SensorConfig":
-        return cls(length_mm=length_mm, **overrides)
+    def default(cls) -> "SensorConfig":
+        return cls()
 
     @cached_property
     def _optics(self) -> _Optics:

@@ -15,7 +15,7 @@ identical and raise :class:`GridMismatchError` otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +73,10 @@ class Spectrum(Record):
         object.__setattr__(self, "wavelengths_nm", grid)
 
     @classmethod
-    def flat(cls, intensity: float = 1.0, wavelengths_nm=None) -> "Spectrum":
-        """Uniform spectrum, the default model for a white LED source."""
-        grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
-        return cls(grid, np.full_like(grid, float(intensity)))
+    def flat(cls) -> "Spectrum":
+        """Uniform unit spectrum on the default grid, the model of a white LED source."""
+        grid = default_wavelength_grid()
+        return cls(grid, np.ones_like(grid))
 
 
 @dataclass(frozen=True)
@@ -98,149 +98,115 @@ class DyeProfile(Record):
         object.__setattr__(self, "decay_per_mm", _samples(self.decay_per_mm, grid, "decay_per_mm"))
         object.__setattr__(self, "wavelengths_nm", grid)
 
-    def with_concentration(self, scale: float) -> "DyeProfile":
-        return replace(self, concentration_scale=float(scale))
 
+def default_red_dye() -> DyeProfile:
+    """Smooth logistic-shaped red-dye profile on the default grid.
 
-def default_red_dye(
-    blue_decay_per_mm: float = 0.15,
-    red_decay_per_mm: float = 0.005,
-    crossover_nm: float = 560.0,
-    width_nm: float = 25.0,
-    wavelengths_nm=None,
-    concentration_scale: float = 1.0,
-) -> DyeProfile:
-    """Smooth logistic-shaped red-dye profile.
-
-    Decay falls monotonically from ``blue_decay_per_mm`` at the short end
-    to ``red_decay_per_mm`` at the long end: blue is absorbed sharply, red
-    passes.  The defaults give the stock sensor a log-ratio slope around
-    -0.136 /mm over the blue/red band pair.
+    Decay falls monotonically from 0.15 /mm at the short end to 0.005 /mm
+    at the long end, crossing over at 560 nm with a 25 nm width: blue is
+    absorbed sharply, red passes.  This gives the stock sensor a log-ratio
+    slope around -0.136 /mm over the blue/red band pair.
     """
-    grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
-    lo, hi = float(red_decay_per_mm), float(blue_decay_per_mm)
-    if not 0 <= lo <= hi:
-        raise ValueError("need 0 <= red_decay_per_mm <= blue_decay_per_mm")
-    sigmoid = 1.0 / (1.0 + np.exp(-(grid - crossover_nm) / width_nm))
-    return DyeProfile(grid, hi - (hi - lo) * sigmoid, concentration_scale)
+    grid = default_wavelength_grid()
+    sigmoid = 1.0 / (1.0 + np.exp(-(grid - 560.0) / 25.0))
+    return DyeProfile(grid, 0.15 - (0.15 - 0.005) * sigmoid)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One named detector channel: a nonnegative response curve."""
-
-    name: str
-    wavelengths_nm: np.ndarray
-    response: np.ndarray
-
-    def __post_init__(self):
-        grid = _as_grid(self.wavelengths_nm)
-        resp = _samples(self.response, grid, "response")
-        if not np.any(resp > 0):
-            raise ValueError(f"channel {self.name!r} has zero integral")
-        object.__setattr__(self, "wavelengths_nm", grid)
-        object.__setattr__(self, "response", resp)
+def boxcar_response(grid: np.ndarray, lo_nm: float, hi_nm: float,
+                    closed_hi: bool = False) -> np.ndarray:
+    """Unit response on [lo, hi) of ``grid`` ([lo, hi] when ``closed_hi``), zero elsewhere."""
+    upper = grid <= hi_nm if closed_hi else grid < hi_nm
+    return ((grid >= lo_nm) & upper).astype(float)
 
 
-def boxcar_channel(name: str, lo_nm: float, hi_nm: float, wavelengths_nm=None,
-                   closed_hi: bool = False) -> Channel:
-    grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
-    if closed_hi:
-        mask = (grid >= lo_nm) & (grid <= hi_nm)
-    else:
-        mask = (grid >= lo_nm) & (grid < hi_nm)
-    return Channel(name, grid, mask.astype(float))
-
-
-def line_channel(name: str, wavelength_nm: float, wavelengths_nm=None) -> Channel:
-    """Channel responding at the grid sample nearest ``wavelength_nm``, within the grid."""
-    grid = default_wavelength_grid() if wavelengths_nm is None else _as_grid(wavelengths_nm)
+def line_response(grid: np.ndarray, wavelength_nm: float) -> np.ndarray:
+    """Unit response at the sample of ``grid`` nearest ``wavelength_nm``, within the grid."""
     if not grid[0] <= wavelength_nm <= grid[-1]:
-        raise ValueError(f"line channel {name!r} at {wavelength_nm} nm lies outside the "
+        raise ValueError(f"line at {wavelength_nm} nm lies outside the "
                          f"wavelength grid [{grid[0]:g}, {grid[-1]:g}] nm")
-    idx = int(np.argmin(np.abs(grid - wavelength_nm)))
     resp = np.zeros_like(grid)
-    resp[idx] = 1.0
-    return Channel(name, grid, resp)
+    resp[np.argmin(np.abs(grid - wavelength_nm))] = 1.0
+    return resp
 
 
 @dataclass(frozen=True)
 class ChannelBank:
-    """Ordered collection of channels sharing one wavelength grid."""
+    """Named detector channels on one wavelength grid: one response row per name.
 
-    channels: tuple[Channel, ...]
+    ``responses`` is a (channels, samples) matrix of nonnegative curves,
+    each with some response; it may be given as any sequence of rows.
+    """
+
+    wavelengths_nm: np.ndarray
+    names: tuple[str, ...]
+    responses: np.ndarray
 
     def __post_init__(self):
-        channels = tuple(self.channels)
-        if not channels:
+        grid = _as_grid(self.wavelengths_nm)
+        names = tuple(self.names)
+        if not names:
             raise ValueError("channel bank must not be empty")
-        grid = channels[0].wavelengths_nm
-        for ch in channels[1:]:
-            _require_same_grid(grid, ch.wavelengths_nm)
-        names = [ch.name for ch in channels]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate channel names: {names}")
-        object.__setattr__(self, "channels", channels)
-
-    @property
-    def wavelengths_nm(self) -> np.ndarray:
-        return self.channels[0].wavelengths_nm
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(ch.name for ch in self.channels)
-
-    @property
-    def responses(self) -> np.ndarray:
-        return np.stack([ch.response for ch in self.channels])
+            raise ValueError(f"duplicate channel names: {list(names)}")
+        rows = [_samples(row, grid, "response") for row in self.responses]
+        if len(rows) != len(names):
+            raise ValueError(f"{len(rows)} response rows for {len(names)} channel names")
+        for name, row in zip(names, rows):
+            if not np.any(row > 0):
+                raise ValueError(f"channel {name!r} has zero integral")
+        object.__setattr__(self, "wavelengths_nm", grid)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "responses", np.stack(rows))
 
     def to_dict(self) -> dict:
         return {
             "wavelengths_nm": self.wavelengths_nm.tolist(),
-            "channels": [
-                {"name": ch.name, "values": ch.response.tolist()}
-                for ch in self.channels
-            ],
+            "channels": [{"name": name, "values": row}
+                         for name, row in zip(self.names, self.responses.tolist())],
         }
 
     @classmethod
     def from_dict(cls, doc, path: str = "") -> "ChannelBank":
         """Each channel of the JSON form is ``values`` on the bank's ``wavelengths_nm``, a
         ``band_nm`` boxcar [lo, hi) (``closed_hi``: [lo, hi]) or a ``line_nm`` line channel."""
-        grid = read(doc, "wavelengths_nm", ARRAY, path, None)
-        extent = default_wavelength_grid() if grid is None else _as_grid(grid)
-        channels = []
+        given = read(doc, "wavelengths_nm", ARRAY, path, None)
+        grid = default_wavelength_grid() if given is None else _as_grid(given)
+        names, rows = [], []
         for i, entry in enumerate(read(doc, "channels", LIST, path)):
             at = f"{join(path, 'channels')}[{i}]"
-            name = read(entry, "name", STR, at)
+            names.append(read(entry, "name", STR, at))
             if "values" in entry:
-                if grid is None:
+                if given is None:
                     raise ConfigError(f"'{at}' has explicit values, which need wavelengths_nm")
-                channels.append(Channel(name, grid, read(entry, "values", ARRAY, at)))
+                rows.append(read(entry, "values", ARRAY, at))
             elif "band_nm" in entry:
                 lo, hi = read(entry, "band_nm", FLOATS, at, bound=PAIR)
                 closed = read(entry, "closed_hi", BOOL, at, False)
-                channels.append(boxcar_channel(name, lo, hi, grid, closed_hi=closed))
+                rows.append(boxcar_response(grid, lo, hi, closed))
             elif "line_nm" in entry:
-                line = read(entry, "line_nm", NUMBER, at, bound=within(extent[0], extent[-1]))
-                channels.append(line_channel(name, line, grid))
+                line = read(entry, "line_nm", NUMBER, at, bound=within(grid[0], grid[-1]))
+                rows.append(line_response(grid, line))
             else:
                 raise ConfigError(f"'{at}' needs values, band_nm or line_nm")
-        return cls(tuple(channels))
+        return cls(grid, names, rows)
 
 
-def default_bank(wavelengths_nm=None) -> ChannelBank:
+def default_bank() -> ChannelBank:
     """Three boxcar channels: B [400,500), G [500,600), R [600,700]."""
-    return ChannelBank((
-        boxcar_channel("B", 400.0, 500.0, wavelengths_nm),
-        boxcar_channel("G", 500.0, 600.0, wavelengths_nm),
-        boxcar_channel("R", 600.0, 700.0, wavelengths_nm, closed_hi=True),
-    ))
+    grid = default_wavelength_grid()
+    return ChannelBank(grid, ("B", "G", "R"), [
+        boxcar_response(grid, 400.0, 500.0),
+        boxcar_response(grid, 500.0, 600.0),
+        boxcar_response(grid, 600.0, 700.0, closed_hi=True),
+    ])
 
 
-def line_bank(pairs, wavelengths_nm=None) -> ChannelBank:
-    """Bank of single-sample channels from (name, wavelength_nm) pairs."""
-    return ChannelBank(tuple(line_channel(n, w, wavelengths_nm) for n, w in pairs))
+def line_bank(pairs) -> ChannelBank:
+    """Bank of single-sample channels on the default grid from (name, wavelength_nm) pairs."""
+    grid = default_wavelength_grid()
+    pairs = list(pairs)
+    return ChannelBank(grid, [name for name, _ in pairs],
+                       [line_response(grid, line) for _, line in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,13 @@ class TrackingReport(Record):
     max_error_mm: float | None = spec(NUMBER, None)
 
 
-def encoder_sensor_config(length_mm: float = 85.0, **overrides) -> SensorConfig:
+def encoder_sensor_config() -> SensorConfig:
     """Sensor variant used as a joint encoder: narrowband blue/red readout.
 
     Single-sample channels keep the log-ratio exactly affine in position,
     which makes the noise-free twin chain invertible to round-off.
     """
-    overrides.setdefault("bank", line_bank([("B", 450.0), ("R", 650.0)]))
-    return SensorConfig.default(length_mm=length_mm, **overrides)
+    return SensorConfig(bank=line_bank([("B", 450.0), ("R", 650.0)]))
 
 
 def calibrate_encoder(
@@ -260,9 +259,8 @@ def generate_path(
     scale_mm: float,
     n_samples: int,
     config: FiveBarConfig | None = None,
-    duration_s: float = 1.0,
 ) -> list[TrajectorySample]:
-    """Synthetic terminal path: "line", "circle" or "S".
+    """Synthetic terminal path: "line", "circle" or "S", timed evenly from 0 to 1 s.
 
     ``scale_mm`` is the full extent (line length, circle diameter, S
     height).  When a linkage config is given, every generated pose is
@@ -299,10 +297,9 @@ def generate_path(
         ys[~top] = cy - radius + radius * np.sin(a_bot)
     else:
         raise ValueError(f"unknown path shape {shape!r}")
-    times = u * float(duration_s)
     path = [
         TrajectorySample(float(t), TerminalPose(float(x), float(y)))
-        for t, x, y in zip(times, xs, ys)
+        for t, x, y in zip(u, xs, ys)
     ]
     if config is not None and not (keep := _ik_batch(config, xs, ys)[2]).all():
         i = int(np.argmin(keep))  # the first False

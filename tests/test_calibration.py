@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,9 +94,7 @@ class TestFitPosition:
         # slope must equal k_den - k_num and the intercept the source ratio
         grid = default_wavelength_grid()
         source = Spectrum(grid, np.where(grid < 550.0, 3.0, 1.2))
-        config = SensorConfig.default(
-            source=source, bank=line_bank([("B", 450.0), ("R", 650.0)])
-        )
+        config = SensorConfig(source=source, bank=line_bank([("B", 450.0), ("R", 650.0)]))
         xs, _, values = sweep(config, np.linspace(0.0, 85.0, 86), [2.0])
         cal = fit_position(config.bank.names, values, xs)
         k = config.dye.decay_per_mm
@@ -115,10 +114,7 @@ class TestFitPosition:
 
     def test_doubling_concentration_doubles_slope(self, line_config):
         def slope_for(scale):
-            config = SensorConfig.default(
-                bank=line_config.bank,
-                dye=line_config.dye.with_concentration(scale),
-            )
+            config = replace(line_config, dye=replace(line_config.dye, concentration_scale=scale))
             xs, _, values = sweep(config, np.linspace(0.0, 85.0, 18), [2.0])
             return fit_position(config.bank.names, values, xs).slope
 

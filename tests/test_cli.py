@@ -75,6 +75,15 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["config_sha256"]
 
+    def test_failed_write_leaves_no_temporary_file(self, line_config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "sweep.csv").mkdir(parents=True)  # os.replace cannot put a file there
+        assert main(["simulate", "--config", line_config_path, "--out", str(out),
+                     "--positions", "10", "--forces", "2"]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+        assert not any((out / "sweep.csv").iterdir())
+
     def test_rerun_byte_identical(self, line_config_path, tmp_path):
         args = ["simulate", "--config", line_config_path, "--positions", "0:85:10",
                 "--forces", "2", "--snr-db", "30", "--seed", "11"]
@@ -226,8 +235,8 @@ class TestCalibrate:
         # calibrate once wrote that zero factor, which decode then refused to load
         config = SensorConfig.default()
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(replace(config, dye=config.dye.with_concentration(5000.0))
-                                   .to_dict()))
+        dye = replace(config.dye, concentration_scale=5000.0)
+        path.write_text(json.dumps(replace(config, dye=dye).to_dict()))
         code, cal, _ = self.run_pipeline(str(path), tmp_path, positions="0:85:20",
                                          noise=("--noise-sigma", "0.5", "--seed", "1"))
         assert code == 3
@@ -501,8 +510,8 @@ class TestSlopeFloor:
     def test_zero_dye_calibrate_exits_3(self, tmp_path, capsys):
         config = SensorConfig.default()
         path = tmp_path / "clear.json"
-        path.write_text(json.dumps(replace(config, dye=config.dye.with_concentration(0.0))
-                                   .to_dict()))
+        dye = replace(config.dye, concentration_scale=0.0)
+        path.write_text(json.dumps(replace(config, dye=dye).to_dict()))
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", str(path), "--out", str(sim),
                      "--positions", "0:85:18", "--forces", "2"]) == 0
@@ -917,7 +926,20 @@ class TestBadInput:
 
 SAMPLES = "position_mm,force_n,ch_B,ch_G,ch_R\n"
 CALIBRATE = ["calibrate", "--config", "{band}", "--samples", "{tmp}/input"]
+DECODE = ["decode", "--calibration", "{tmp}/input", "--readings", "{tmp}/input"]
 TRACK_CSV = ["track", "--config", "{twin}", "--trajectory", "{tmp}/input"]
+TRACK_NOISY = ["track", "--config", "{twin}", "--generate", "circle:30:40:125:10",
+               "--angle-sigma-deg"]
+
+
+def calibration_text(**force) -> str:
+    """A calibration.json that loads but for the force knots updated by ``force``."""
+    return json.dumps({
+        "position": {"slope": -0.14, "intercept": 0.1, "r_squared": 1.0, "residual_std": 0.0,
+                     "numerator_ch": "B", "denominator_ch": "R", "span_mm": [0.0, 85.0]},
+        "transmission": {"positions_mm": [0.0, 85.0], "factors": [100.0, 50.0]},
+        "force": dict({"forces_n": [0.5, 1.0, 2.0], "normalized": [0.1, 0.2, 0.4]}, **force)})
+
 
 # per exception class main maps, and per refusal no other test reaches: (the class a real
 # input raises, the exit code, argv, the text of {tmp}/input, the message after "error: ")
@@ -975,9 +997,21 @@ EXIT_CASES = {
     "ValueError-same-ratio-channel": (ValueError, 2, CALIBRATE + [
         "--numerator", "B", "--denominator", "B"], SAMPLES + "10,2,0.5,1,1\n",
         "numerator and denominator channels must differ"),
-    "ConfigError": (ConfigError, 2, ["decode", "--calibration", "{tmp}/input",
-                                     "--readings", "{tmp}/input"], "[]",
+    "ValueError-angle-sigma-zero": (ValueError, 2, TRACK_NOISY + ["0"], None,
+                                    "sigma_deg must be > 0"),
+    "ValueError-angle-sigma-huge": (ValueError, 2, TRACK_NOISY + ["1e6"], None,
+                                    "target angle noise exceeds the sensor's dynamic range"),
+    "ConfigError": (ConfigError, 2, DECODE, "[]",
                     "{tmp}/input: expected a JSON object, got an array"),
+    # NonMonotoneDataError from the knots once left decode with exit 3, naming no file
+    "CliError-2-reversed-forces": (CliError, 2, DECODE,
+                                   calibration_text(forces_n=[2.0, 1.0, 0.5]),
+                                   "invalid calibration {tmp}/input: "
+                                   "knot forces must be strictly increasing"),
+    "CliError-2-reversed-normalized": (CliError, 2, DECODE,
+                                       calibration_text(normalized=[0.4, 0.2, 0.1]),
+                                       "invalid calibration {tmp}/input: normalized "
+                                       "intensities must be strictly increasing with force"),
     "ConfigError-bend": (ConfigError, 2, [
         "simulate", "--config", "{tmp}/input", "--positions", "10", "--forces", "2"],
         json.dumps({"perturbation": {"bend_deg": 200.0}}),

@@ -20,7 +20,7 @@ from hypothesis import strategies as stn
 
 from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, JointEncoderModel,
                          PerturbationState, PositionCalibration, SensorConfig, TrackingReport,
-                         default_red_dye, line_channel)
+                         default_red_dye, default_wavelength_grid, line_response)
 from spectratact.calibration import CalibrationFile, Transmission
 from spectratact.cli import Manifest, main
 from spectratact.codec import (ARRAY, BOOL, FLOATS, INT, LIST, NUMBER, OBJECT, STR, Record,
@@ -85,7 +85,7 @@ def examples(default_poscal, default_forcecal):
     config = SensorConfig.default()
     transmission = Transmission(np.linspace(0.0, 85.0, 5), np.linspace(2.0, 1.0, 5))
     return {record.__class__: record for record in [
-        config.source, default_red_dye(concentration_scale=1.7),
+        config.source, replace(default_red_dye(), concentration_scale=1.7),
         ChannelBank.from_dict(BANK_DOC), CouplingLaw(0.2, 0.1, 0.5),
         PerturbationState(0.1, 45.0), replace(config, length_mm=60.0),
         JointEncoderModel(0.4, 40.0), FiveBarConfig(70.0, 110.0), default_poscal,
@@ -177,7 +177,7 @@ def test_null_reads_as_a_default_of_none():
 @pytest.mark.parametrize("line_nm", [math.nan, 1e6, -5.0])
 def test_line_channel_off_the_grid_is_refused(line_nm):
     with pytest.raises(ValueError, match="outside the wavelength grid"):
-        line_channel("B", line_nm)
+        line_response(default_wavelength_grid(), line_nm)
     with pytest.raises(ConfigError,
                        match=r"^'bank\.channels\[1\]\.line_nm' must lie in \[400, 700\]"):
         SensorConfig.from_dict({"bank": {"channels": [{"name": "B", "line_nm": 450.0},

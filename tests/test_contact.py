@@ -100,10 +100,12 @@ class TestStrainedDye:
             assert cal.r_squared > 1.0 - 1e-9
 
     def test_compression_limit(self):
+        # exactly the bound of PerturbationState.strain: no compression, at most MAX_STRAIN
         dye = default_red_dye()
-        strained_dye(dye, -0.03)  # tolerated
-        with pytest.raises(ValueError):
-            strained_dye(dye, -0.06)
+        strained_dye(dye, 0.5)
+        for strain in (-0.03, 0.6):
+            with pytest.raises(ValueError, match=r"^strain must lie in \[0, 0\.5\]"):
+                strained_dye(dye, strain)
 
 
 class TestBendingGain:

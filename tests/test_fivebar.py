@@ -136,8 +136,9 @@ class TestInverseKinematics:
         with pytest.raises(UnreachableError):
             inverse_kinematics(CONFIG, TerminalPose(40.0, -10.0))
 
-    def test_base_joint_singular(self):
-        with pytest.raises((SingularError, UnreachableError)):
+    def test_base_joint_is_unreachable(self):
+        # y <= 0 is refused first, so a base joint (y = 0) never reaches the distance test
+        with pytest.raises(UnreachableError):
             inverse_kinematics(CONFIG, TerminalPose(0.0, 0.0))
 
 

@@ -24,8 +24,9 @@ from spectratact import (
     PerturbationState,
     SensorConfig,
     Spectrum,
-    boxcar_channel,
-    line_channel,
+    boxcar_response,
+    default_wavelength_grid,
+    line_response,
 )
 from spectratact.contact import coupled_fraction, strained_dye
 from spectratact.errors import OutOfSpanError
@@ -33,6 +34,7 @@ from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_fac
 from spectratact.twin import encoder_sensor_config
 
 REL_TOL = 1e-12
+GRID = default_wavelength_grid()
 ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
 
 
@@ -46,18 +48,18 @@ def configs(draw):
     dye = DyeProfile(grid, rng.uniform(0.0, 0.2, n), draw(stn.floats(0.0, 4.0)))
     picks = rng.choice(n, size=draw(stn.integers(2, 4)), replace=False)
     if draw(stn.booleans()):
-        channels = [line_channel(f"c{i}", grid[p], grid) for i, p in enumerate(picks)]
+        responses = [line_response(grid, grid[p]) for p in picks]
     else:
         ends = np.minimum(picks + rng.integers(0, 10, picks.size), n - 1)
-        channels = [boxcar_channel(f"c{i}", grid[p], grid[e], grid, closed_hi=True)
-                    for i, (p, e) in enumerate(zip(picks, ends))]
+        responses = [boxcar_response(grid, grid[p], grid[e], closed_hi=True)
+                     for p, e in zip(picks, ends)]
     coupling = CouplingLaw(draw(stn.floats(0.0, 1.0)), draw(stn.floats(0.05, 2.0)),
                            draw(stn.floats(0.2, 2.0)))
     return SensorConfig(
         length_mm=draw(stn.floats(30.0, 200.0)),
         source=source,
         dye=dye,
-        bank=ChannelBank(tuple(channels)),
+        bank=ChannelBank(grid, [f"c{i}" for i in range(picks.size)], responses),
         coupling=coupling,
         clear_loss_per_mm=draw(stn.floats(0.0, 0.01)),
         perturbation=PerturbationState(strain=draw(stn.floats(0.0, 0.5))),
@@ -179,7 +181,7 @@ def full_width(config, positions, forces):
 @pytest.mark.parametrize("config", [
     encoder_sensor_config(),
     SensorConfig.default(),
-    SensorConfig.default(bank=ChannelBank((boxcar_channel("G", 500.0, 600.0),))),
+    SensorConfig(bank=ChannelBank(GRID, ["G"], [boxcar_response(GRID, 500.0, 600.0)])),
 ], ids=["encoder_line_bank", "default_bank", "g_only_boxcar"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bits_equal_full_width_arithmetic(config, seed):

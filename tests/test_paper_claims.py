@@ -40,6 +40,14 @@ span reads as before           max noise-free decode error of   39.54 um, each
                                the uncut calibration (94.88     +- 0.05
                                um) and of one refitted on the
                                cut sensor (39.54 um)
+Design scalability: at 40 dB   mid-span spatial resolution,     each +- 0.01 um;
+the resolution does not        scale 1: 104.12, 103.85,         spread over length
+depend on length and scales    103.64, 103.48 um at 30, 60,     <= 1 %; scale *
+as 1 / concentration, up to    90, 120 mm; scale * resolution   resolution within 1 %
+the dead zone                  at scale 0.25 and 1.5 within     of scale 1; 160 mm
+                               0.62 % of scale 1; dead zone     calibrates, 175 mm
+                               from 166.9 mm at scale 1         raises
+                                                                UnusableSampleError
 =============================  ===============================  ======================
 
 Noise-free R^2 is far above the paper's 0.996 because the model's
@@ -66,6 +74,17 @@ uncut calibration's error on the cut sensor is the affine fit's bias over
 the longer span; a refit on the cut span shrinks it.  Piercing, the
 abstract's other interaction, has no row: a local loss at a hole would be
 new physics, which the model does not have.
+
+The scalability row holds under the relative noise of ``--snr-db``: each
+channel's sigma is 10**(-SNR/20) of its own level, so the log-ratio noise is
+sqrt(2) * 10**(-SNR/20) wherever both channels are lit, and the resolution is
+that over the calibrated |slope|, which grows with the concentration scale.
+Length leaves the slope nearly alone (the band channels' log-ratio is not
+quite affine, hence the spread), and scale * resolution depends on scale *
+length alone.  Under absolute noise (``--noise-sigma``) the far end dims and
+length matters.  The design region ends where the far end of the span falls
+below the intensity floor: at scale * length near 167 mm, past which the
+calibration has dead-zone samples.
 """
 
 import contextlib
@@ -85,6 +104,7 @@ from spectratact import (NoiseModel, SensorConfig, channel_intensities, estimate
                          force_knot_schedule, sweep)
 from spectratact.cli import main
 from spectratact.contact import MAX_BEND_DEG, MAX_STRAIN, PerturbationState
+from spectratact.errors import UnusableSampleError
 from spectratact.sensor import position_transmission
 from spectratact.twin import TwinAssembly, calibrate_encoder, snr_db_for_angle_sigma
 
@@ -204,7 +224,7 @@ def cli_round_trip(config, tmp) -> list[list[str]]:
        scale=stn.floats(0.05, 1.5))
 def test_noise_free_round_trip_across_the_validated_regime(strain, bend, scale):
     base = SensorConfig.default()
-    config = replace(base, dye=base.dye.with_concentration(scale),
+    config = replace(base, dye=replace(base.dye, concentration_scale=scale),
                      perturbation=PerturbationState(strain, bend))
     with tempfile.TemporaryDirectory() as tmp:
         rows = cli_round_trip(config, tmp)
@@ -216,7 +236,7 @@ def test_noise_free_round_trip_across_the_validated_regime(strain, bend, scale):
 
 
 def test_cutting_leaves_the_remaining_span_unchanged():
-    full, cut = SensorConfig.default(), SensorConfig.default(length_mm=50.0)
+    full, cut = SensorConfig.default(), SensorConfig(length_mm=50.0)
     xs, forces = np.linspace(0.0, 50.0, 501), np.ones(501)
     readings = channel_intensities(cut, xs, forces)
     assert readings.tobytes() == channel_intensities(full, xs, forces).tobytes()
@@ -228,3 +248,39 @@ def test_cutting_leaves_the_remaining_span_unchanged():
         assert lit.all()
         errors_um.append(np.max(np.abs(positions - xs)) * 1e3)
     assert errors_um == pytest.approx([94.88, 39.54], abs=0.05)
+
+
+DESIGN_LENGTHS_MM = (30.0, 60.0, 90.0, 120.0)
+
+
+def mid_span_resolution_um(forcecal, length_mm, scale):
+    """Spatial resolution at mid-span, 40 dB, of the default sensor cut to ``length_mm``."""
+    base = SensorConfig()
+    config = replace(base, length_mm=length_mm,
+                     dye=replace(base.dye, concentration_scale=scale))
+    poscal = calibrate_encoder(config, 1.0)
+    report = estimate_resolution(config, poscal, forcecal, NoiseModel("snr_db", 40.0),
+                                 length_mm / 2, 1.0)
+    # the relative-noise model: the log-ratio noise is the same at every length
+    assert report.spatial_resolution_mm == pytest.approx(
+        math.sqrt(2.0) * 0.01 / abs(poscal.slope), rel=1e-12)
+    return report.spatial_resolution_mm * 1e3
+
+
+def test_design_scalability(default_forcecal):
+    unit = [mid_span_resolution_um(default_forcecal, length, 1.0)
+            for length in DESIGN_LENGTHS_MM]
+    assert unit == pytest.approx([104.12, 103.85, 103.64, 103.48], abs=0.01)
+    assert max(unit) / min(unit) - 1.0 <= 0.01  # independent of length
+    for scale, lengths in ((0.25, DESIGN_LENGTHS_MM),
+                           (1.5, DESIGN_LENGTHS_MM[:-1])):  # 1.5 x 120 mm is dead zone
+        scaled = [scale * mid_span_resolution_um(default_forcecal, length, scale)
+                  for length in lengths]
+        assert max(scaled) / min(scaled) - 1.0 <= 0.01
+        assert scaled == pytest.approx(unit[:len(scaled)], rel=0.01)  # 1 / concentration
+
+
+def test_design_region_ends_at_the_dead_zone(default_forcecal):
+    mid_span_resolution_um(default_forcecal, 160.0, 1.0)
+    with pytest.raises(UnusableSampleError, match="dead zone"):
+        mid_span_resolution_um(default_forcecal, 175.0, 1.0)

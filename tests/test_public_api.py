@@ -4,10 +4,13 @@ A name stays in ``__init__`` if a module of the package uses it (its own
 module counts: a result type or a helper there has a caller in ``src/``), if
 the benchmark names it (``benchmarks/run.TRACED`` or
 ``benchmarks/pipelines.py``), or if it is one of the paper's library entry
-points.  Anything else is code that only its tests run.
+points.  Anything else is code that only its tests run.  The same holds for
+every default an exported function or method declares: some call in ``src/``
+or ``benchmarks/`` passes each defaulted parameter, or it is a constant.
 """
 
 import ast
+import math
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -17,6 +20,17 @@ BENCHMARKS = os.path.join(ROOT, "benchmarks")
 # library entry points with a role in the paper that nothing in the package calls
 PAPER_ENTRY_POINTS = {"estimate_resolution", "deviation_map", "fk_jacobian",
                       "snr_db_for_angle_sigma"}
+
+# defaulted parameters that no call in src/ or benchmarks/ passes, kept on purpose
+UNPASSED_KNOBS = {
+    # paper entry points: the held-out accuracy and the Monte Carlo trial count
+    ("estimate_resolution", "held_out_positions"), ("estimate_resolution", "held_out_forces"),
+    ("deviation_map", "n_trials"),
+    # the oracle of the reach tests: a strict interior at a given margin
+    ("reachable", "margin"),
+    # the scalar layer the benchmark pins, to be retired with it
+    ("simulate_reading", "noise"), ("simulate_reading", "rng"),
+}
 
 
 def parse(path):
@@ -60,3 +74,76 @@ def test_every_exported_name_has_a_user():
                          if f.endswith(".py") and f != "__init__.py"))
     used |= traced_names() | used_names(parse(os.path.join(BENCHMARKS, "pipelines.py")))
     assert sorted(set(names) - used - PAPER_ENTRY_POINTS) == []
+
+
+def exported_defs():
+    """``(name, def)`` per exported function and per method of an exported class.
+
+    A method of a class is named as its callers name it: ``__init__`` by the class.
+    """
+    wanted = {}
+    for node in parse(os.path.join(PACKAGE, "__init__.py")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            wanted.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    for module, names in wanted.items():
+        for node in parse(os.path.join(PACKAGE, f"{module}.py")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef) and node.name in names:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield node.name if item.name == "__init__" else item.name, item
+
+
+def defaulted(func):
+    """``(position or None, name)`` per defaulted parameter; positions skip self/cls."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    skip = 0 if any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list) \
+        else 1 if positional and positional[0].arg in ("self", "cls") else 0
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            len(positional) - len(args.defaults)):
+        yield i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def passed(trees):
+    """``{callee name: (positions, keywords, rest)}`` over every call in ``trees``.
+
+    Some call passes each of ``positions`` by position and each of ``keywords``
+    by keyword, and every position from ``rest`` on: a ``*args`` passes every
+    position from its own on, and a ``**kwargs`` every parameter that its call
+    does not pass by position (its keyword is ``"**"``).
+    """
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                positions, keywords, rest = calls.get(callee, (set(), set(), math.inf))
+                plain = next((i for i, arg in enumerate(node.args)
+                              if isinstance(arg, ast.Starred)), len(node.args))
+                starred = plain < len(node.args) or any(k.arg is None for k in node.keywords)
+                calls[callee] = (positions | set(range(plain)),
+                                 keywords | {k.arg or "**" for k in node.keywords},
+                                 min(rest, plain) if starred else rest)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no caller overrides is a knob: its value belongs in the body."""
+    trees = [parse(os.path.join(folder, f)) for folder in (PACKAGE, BENCHMARKS)
+             for f in os.listdir(folder) if f.endswith(".py")]
+    calls = passed(trees)
+    unpassed = set()
+    for name, func in exported_defs():
+        positions, keywords, rest = calls.get(name, (set(), set(), math.inf))
+        for position, param in defaulted(func):
+            by_keyword = param in keywords or "**" in keywords
+            if not (by_keyword or position is not None and (position in positions
+                                                            or position >= rest)):
+                unpassed.add((name, param))
+    assert sorted(unpassed - UNPASSED_KNOBS) == []
+    assert sorted(UNPASSED_KNOBS - unpassed) == []  # the allowance names no passed knob

@@ -13,7 +13,6 @@ from spectratact import (
     SensorConfig,
     SpectraTactError,
     Stimulus,
-    boxcar_channel,
     channel_intensities,
     default_red_dye,
     line_bank,
@@ -55,8 +54,8 @@ class TestSimulateReading:
                                                    * cfg.dye.decay_per_mm * x)
         widths = np.gradient(cfg.source.wavelengths_nm)
         expected = np.array([
-            fraction * clear * float(np.sum(filtered * ch.response * widths))
-            for ch in cfg.bank.channels
+            fraction * clear * float(np.sum(filtered * response * widths))
+            for response in cfg.bank.responses
         ])
         reading = simulate_reading(cfg, Stimulus(x, force))
         assert np.allclose(reading.values, expected, rtol=1e-12)
@@ -79,7 +78,7 @@ class TestSimulateReading:
     def test_shared_response_across_lengths(self):
         readings = []
         for length in (30.0, 85.0, 200.0):
-            config = SensorConfig.default(length_mm=length)
+            config = SensorConfig(length_mm=length)
             readings.append(simulate_reading(config, Stimulus(25.0, 2.0)))
         for other in readings[1:]:
             assert np.array_equal(other.values, readings[0].values)
@@ -117,9 +116,7 @@ class TestSimulateReading:
 
     def test_tiny_values_floored_to_zero(self):
         grid = default_wavelength_grid()
-        config = SensorConfig.default(
-            source=Spectrum(grid, np.full_like(grid, 1e-15)),
-        )
+        config = SensorConfig(source=Spectrum(grid, np.full_like(grid, 1e-15)))
         reading = simulate_reading(config, Stimulus(80.0, 0.2))
         floor = 1e-12 * full_scale_intensity(config)
         assert np.all((reading.values == 0) | (reading.values >= floor))
@@ -300,14 +297,14 @@ class TestConfig:
 
     def test_length_bounds(self):
         with pytest.raises(ValueError):
-            SensorConfig.default(length_mm=20.0)
+            SensorConfig(length_mm=20.0)
         with pytest.raises(ValueError):
-            SensorConfig.default(length_mm=250.0)
+            SensorConfig(length_mm=250.0)
 
     def test_grid_consistency_enforced(self):
         grid = np.arange(420.0, 680.0)
         with pytest.raises(ValueError):
-            SensorConfig.default(source=Spectrum(grid, np.ones_like(grid)))
+            SensorConfig(source=Spectrum(grid, np.ones_like(grid)))
 
     def test_source_past_the_float_range_in_full_scale_is_refused(self, default_config):
         # each sample is finite, but the bank integral overflows: refused at
@@ -316,7 +313,7 @@ class TestConfig:
                           np.full_like(default_config.source.intensities, 1e308))
         with pytest.raises(ValueError, match="^source values integrated over the channel "
                                              "bank must be finite$"):
-            SensorConfig.default(source=source)
+            SensorConfig(source=source)
 
     def test_transmission_factor_recovers_coupling(self, default_config):
         # total / transmission == coupled fraction, exactly in-model

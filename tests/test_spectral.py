@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spectratact import (
     line_bank,
     log_ratio,
 )
-from spectratact.spectral import Channel, log_ratios
+from spectratact.spectral import log_ratios
 
 GRID = default_wavelength_grid()
 
@@ -37,11 +38,11 @@ class TestAttenuate:
 
     def test_unit_spectrum_closed_form(self):
         # I = I0 * exp(-k x) with k = 0.01 /mm, x = 100 mm -> e^-1 everywhere
-        out = attenuate(Spectrum.flat(1.0), constant_dye(0.01), 100.0)
+        out = attenuate(Spectrum.flat(), constant_dye(0.01), 100.0)
         assert np.allclose(out.intensities, 0.36787944117144233, rtol=1e-12)
 
     def test_composition(self):
-        spectrum = Spectrum.flat(3.0)
+        spectrum = Spectrum(GRID, np.full_like(GRID, 3.0))
         dye = default_red_dye()
         once = attenuate(spectrum, dye, 37.5)
         twice = attenuate(attenuate(spectrum, dye, 12.5), dye, 25.0)
@@ -54,14 +55,14 @@ class TestAttenuate:
         k=stn.floats(0.0, 0.2),
     )
     def test_composition_property(self, a, b, k):
-        spectrum = Spectrum.flat(1.0)
+        spectrum = Spectrum.flat()
         dye = constant_dye(k)
         once = attenuate(spectrum, dye, a + b)
         twice = attenuate(attenuate(spectrum, dye, a), dye, b)
         assert np.allclose(twice.intensities, once.intensities, rtol=1e-12)
 
     def test_monotone_in_path(self):
-        spectrum = Spectrum.flat(2.0)
+        spectrum = Spectrum(GRID, np.full_like(GRID, 2.0))
         dye = default_red_dye()
         previous = attenuate(spectrum, dye, 0.0).intensities
         for path in (1.0, 5.0, 20.0, 80.0):
@@ -87,7 +88,7 @@ class TestIntegrateChannels:
 
     def test_unit_spectrum_band_widths(self):
         # rectangle rule at 1 nm: B and G cover 100 samples, R covers 101
-        out = integrate_channels(Spectrum.flat(1.0), default_bank())
+        out = integrate_channels(Spectrum.flat(), default_bank())
         assert np.allclose(out, [100.0, 100.0, 101.0], rtol=1e-12)
 
     def test_disjoint_support(self):
@@ -107,8 +108,24 @@ class TestIntegrateChannels:
         assert np.allclose(integrate_channels(combined, bank), expected, rtol=1e-12)
 
     def test_empty_bank_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelBank(())
+        with pytest.raises(ValueError, match="^channel bank must not be empty$"):
+            ChannelBank(GRID, (), [])
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ValueError, match=r"^duplicate channel names: \['B', 'R', 'B'\]$"):
+            ChannelBank(GRID, ("B", "R", "B"), np.ones((3, GRID.size)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_must_match_the_names(self, rows):
+        with pytest.raises(ValueError, match=f"^{rows} response rows for 2 channel names$"):
+            ChannelBank(GRID, ("B", "R"), np.ones((rows, GRID.size)))
+
+    def test_bank_stores_one_grid_a_name_tuple_and_one_matrix(self):
+        bank = ChannelBank(GRID.tolist(), ["B", "R"], [np.ones(GRID.size), np.eye(GRID.size)[3]])
+        assert np.array_equal(bank.wavelengths_nm, GRID)
+        assert bank.names == ("B", "R")
+        assert bank.responses.shape == (2, GRID.size)
+        assert bank.responses is bank.responses  # stored, not rebuilt per access
 
 
 class TestLogRatio:
@@ -156,7 +173,7 @@ class TestDefaults:
         for scale in (0.5, 2.0, 3.0):
             slopes = []
             for concentration in (1.0, scale):
-                dye = default_red_dye(concentration_scale=concentration)
+                dye = replace(default_red_dye(), concentration_scale=concentration)
                 values = []
                 for x in (10.0, 60.0):
                     out = integrate_channels(attenuate(source, dye, x), bank)
@@ -177,7 +194,7 @@ class TestSerialization:
         assert np.array_equal(again.wavelengths_nm, spectrum.wavelengths_nm)
 
     def test_dye_round_trip(self):
-        dye = default_red_dye(concentration_scale=1.7)
+        dye = replace(default_red_dye(), concentration_scale=1.7)
         again = DyeProfile.from_dict(json.loads(json.dumps(dye.to_dict())))
         assert np.array_equal(again.decay_per_mm, dye.decay_per_mm)
         assert again.concentration_scale == dye.concentration_scale
@@ -213,7 +230,7 @@ class TestSerialization:
     @pytest.mark.parametrize("make, field", [
         (lambda values: Spectrum(GRID, values), "intensities"),
         (lambda values: DyeProfile(GRID, values), "decay_per_mm"),
-        (lambda values: Channel("B", GRID, values), "response"),
+        (lambda values: ChannelBank(GRID, ("R", "B"), [np.ones_like(GRID), values]), "response"),
     ], ids=["Spectrum", "DyeProfile", "Channel"])
     @pytest.mark.parametrize("bad, message", [
         (np.ones(GRID.size - 1), "must match the wavelength grid shape"),
@@ -227,4 +244,4 @@ class TestSerialization:
 
     def test_all_zero_channel_is_refused_by_name(self):
         with pytest.raises(ValueError, match="^channel 'B' has zero integral$"):
-            Channel("B", GRID, np.zeros_like(GRID))
+            ChannelBank(GRID, ("R", "B"), [np.ones_like(GRID), np.zeros_like(GRID)])

@@ -40,9 +40,10 @@ def assembly():
 @pytest.fixture(scope="module")
 def distinct():
     """Joint 2 on a shorter, denser-dyed sensor: two sensor configs, two kernel calls."""
-    denser = encoder_sensor_config().dye.with_concentration(1.5)
+    sensor = encoder_sensor_config()
+    denser = replace(sensor.dye, concentration_scale=1.5)
     return TwinAssembly(fivebar=FIVEBAR, sensors=(
-        encoder_sensor_config(), encoder_sensor_config(length_mm=60.0, dye=denser)))
+        sensor, replace(sensor, length_mm=60.0, dye=denser)))
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +179,10 @@ class TestGeneratePath:
         assert calls == [(200,)]
 
     def test_times_uniform_and_increasing(self):
-        path = generate_path("line", (40.0, 120.0), 10.0, 11, duration_s=2.0)
+        path = generate_path("line", (40.0, 120.0), 10.0, 11)
         times = [s.t_s for s in path]
-        assert times[0] == 0.0 and times[-1] == 2.0
-        assert np.allclose(np.diff(times), 0.2)
+        assert times[0] == 0.0 and times[-1] == 1.0
+        assert np.allclose(np.diff(times), 0.1)
 
     @pytest.mark.parametrize("center, scale", [
         ((math.nan, 120.0), 10.0), ((40.0, math.inf), 10.0), ((40.0, 120.0), math.inf),
