@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import ARRAY, FLOATS, NUMBER, PAIR, STR, Record, spec
+from .codec import ARRAY, FLOATS, NUMBER, PAIR, STR, ByValue, Record, spec
 from .errors import (
     BelowThresholdError,
     DegenerateFitError,
@@ -167,8 +167,8 @@ def fit_position(
     )
 
 
-@dataclass(frozen=True)
-class ForceCalibration(Record):
+@dataclass(frozen=True, eq=False)
+class ForceCalibration(Record, ByValue):
     """Monotone cubic interpolant of normalized intensity vs force.
 
     Knots are strictly increasing on both axes; the interpolant passes
@@ -338,8 +338,8 @@ def fit_force(
     return ForceCalibration(forces, normalized)
 
 
-@dataclass(frozen=True)
-class Transmission(Record):
+@dataclass(frozen=True, eq=False)
+class Transmission(Record, ByValue):
     """The transmission factor at each press position of the span, for the force decode."""
 
     positions_mm: np.ndarray = spec(ARRAY)

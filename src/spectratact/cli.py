@@ -24,12 +24,10 @@ import csv
 import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -72,9 +70,15 @@ class CliError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` through a temporary file in its directory, then rename it.
+
+    The temporary file is created as ``open()`` creates a file, with mode
+    0o666 less the umask, so the artifact gets the mode a plain write gives.
+    """
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -89,12 +93,24 @@ def _write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)  # floats as repr, so they parse back to the same value
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
+    """Write a table from its header and one list of field texts per column.
+
+    The bytes are those ``csv.writer(lineterminator="\\n")`` writes for the
+    header and the rows, as long as each column holds the texts it would
+    write: ``repr`` of a Python float (never of a numpy scalar, which numpy 2
+    prints as ``np.float64(...)``; convert an array with ``.tolist()``),
+    ``str`` of an int, and plain strings.  Only the header goes through
+    ``csv.writer``: channel names are free strings, and a name such as
+    ``g,"x"`` must be quoted.  Body fields are float or int texts, flags or
+    ``""`` in rows of three or more fields, none of which ``QUOTE_MINIMAL``
+    quotes, so each row is its fields joined by commas.  A table with no
+    rows is its header alone.
+    """
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    lines = [head.getvalue()[:-1], *map(",".join, zip(*columns))]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _sha256_file(path: str) -> str:
@@ -108,7 +124,7 @@ def _sha256_file(path: str) -> str:
 def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
     """Header (None for an empty file) and data rows of a CSV file."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")  # a BOM is not header text
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     with fh:
@@ -146,7 +162,7 @@ def _noise_from_args(args) -> NoiseModel | None:
 
 # ---------------------------------------------------------------------------
 # commands: each body computes and returns ({file name: JSON document or
-# (header, rows)}, summary line); _run writes them
+# (header, columns of field text)}, summary line); _run writes them
 
 def cmd_simulate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
@@ -155,12 +171,13 @@ def cmd_simulate(args) -> tuple[dict, str]:
     _, _, values = sweep(config, positions, forces, _noise_from_args(args), seed=args.seed)
     header = ["position_mm", "force_n"] + [f"ch_{n}" for n in config.bank.names] + ["below_floor"]
     # the stimulus text of sweep's position-major rows, made once per axis entry (not per
-    # float value, as 0.0 == -0.0): repr is what csv.writer writes for a float
-    stimuli = itertools.product(map(repr, positions), map(repr, forces))
-    csv_rows = [[x, f, *vs, below] for (x, f), vs, below in zip(
-        stimuli, values.tolist(), (~values.any(axis=1)).astype(int).tolist())]
-    return ({"sweep.csv": (header, csv_rows)},
-            f"simulate: wrote {len(csv_rows)} rows to {os.path.join(args.out, 'sweep.csv')}")
+    # float value, as 0.0 == -0.0)
+    columns = [[x for x in map(repr, positions) for _ in forces],
+               list(map(repr, forces)) * len(positions),
+               *(list(map(repr, column)) for column in values.T.tolist()),
+               list(map(str, (~values.any(axis=1)).astype(int).tolist()))]
+    return ({"sweep.csv": (header, columns)},
+            f"simulate: wrote {len(values)} rows to {os.path.join(args.out, 'sweep.csv')}")
 
 
 def _float_column(raws, col: int):
@@ -309,8 +326,8 @@ def cmd_decode(args) -> tuple[dict, str]:
     rows = np.flatnonzero(lit)
     code = parsed.astype(int)
     code[rows] = 2 + out_of_span
-    table = np.full((parsed.size, 3), "", dtype=object)
-    table[rows, 0] = position
+    text = np.full((2, parsed.size), "", dtype=object)  # position and force fields
+    text[0, rows] = list(map(repr, position.tolist()))
     if forcecal is not None and rows.size:
         # a total past the float range reads inf, so its row is saturated
         with np.errstate(over="ignore"):
@@ -320,10 +337,10 @@ def cmd_decode(args) -> tuple[dict, str]:
         code[rows[below]] = 4
         code[rows[above]] = 5
         inside = ~(below | above)
-        table[rows[inside], 1] = forcecal.invert(normalized[inside])
-    table[:, 2] = _DECODE_FLAGS[code]
-    return ({"decoded.csv": (["position_mm", "force_n", "flag"], table.tolist())},
-            f"decode: wrote {len(table)} rows to {os.path.join(args.out, 'decoded.csv')}")
+        text[1, rows[inside]] = list(map(repr, forcecal.invert(normalized[inside]).tolist()))
+    columns = [*text.tolist(), _DECODE_FLAGS[code].tolist()]
+    return ({"decoded.csv": (["position_mm", "force_n", "flag"], columns)},
+            f"decode: wrote {parsed.size} rows to {os.path.join(args.out, 'decoded.csv')}")
 
 
 def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
@@ -364,10 +381,11 @@ def cmd_track(args) -> tuple[dict, str]:
                                      args.angle_sigma_deg)
         noise = NoiseModel("snr_db", snr, args.seed)
     reconstructed, report = track(assembly, trajectory, noise, seed=args.seed)
-    rows = [[s.t_s, s.pose.x_mm, s.pose.y_mm] for s in reconstructed]
+    columns = [[repr(s.t_s) for s in reconstructed], [repr(s.pose.x_mm) for s in reconstructed],
+               [repr(s.pose.y_mm) for s in reconstructed]]
     rms, worst = ("n/a" if v is None else f"{v!r} mm"  # None: no sample was reconstructed
                   for v in (report.rms_error_mm, report.max_error_mm))
-    return ({"reconstructed.csv": (["t_s", "x_mm", "y_mm"], rows),
+    return ({"reconstructed.csv": (["t_s", "x_mm", "y_mm"], columns),
              "report.json": report.to_dict()},
             f"track: rms={rms}, max={worst}, dropped={report.dropped}/{report.n_samples}")
 
@@ -392,7 +410,8 @@ def cmd_sweep_design(args) -> tuple[dict, str]:
             out_rows.append([length, conc, poscal.slope, poscal.intercept,
                              poscal.r_squared])
     header = ["length_mm", "concentration_scale", "slope_per_mm", "intercept", "r_squared"]
-    return {"design.csv": (header, out_rows)}, f"sweep-design: wrote {len(out_rows)} design points"
+    columns = [list(map(repr, column)) for column in zip(*out_rows)]
+    return {"design.csv": (header, columns)}, f"sweep-design: wrote {len(out_rows)} design points"
 
 
 _NOISE = [{},

@@ -172,6 +172,21 @@ class Record:
         return cls(**decode_fields(cls, doc, path))
 
 
+class ByValue:
+    """Equality by the JSON form, for a record that holds arrays.
+
+    numpy's ``==`` on an array field is elementwise, so the dataclass
+    ``__eq__`` raises; such a record declares its dataclass with ``eq=False``
+    and compares its :meth:`to_dict`.  It is unhashable: its arrays can be
+    changed in place, which would change its value under a stored hash.
+    """
+
+    def __eq__(self, other):
+        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
+
+    __hash__ = None
+
+
 def load(cls, path: str):
     """``cls.from_dict`` of the JSON file ``path``; every ValueError names the file."""
     try:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (ARRAY, BOOL, FLOATS, LIST, NONNEGATIVE, NUMBER, PAIR, STR, Record, join,
-                    read, spec, within)
+from .codec import (ARRAY, BOOL, FLOATS, LIST, NONNEGATIVE, NUMBER, PAIR, STR, ByValue, Record,
+                    join, read, spec, within)
 from .errors import BelowFloorError, ConfigError, GridMismatchError
 
 # Default sampling grid: 400-700 nm at 1 nm, covering the blue and red
@@ -60,8 +60,8 @@ def _require_same_grid(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Spectrum(Record):
+@dataclass(frozen=True, eq=False)
+class Spectrum(Record, ByValue):
     """Sampled radiant intensity per wavelength, arbitrary linear units."""
 
     wavelengths_nm: np.ndarray = spec(ARRAY)
@@ -79,8 +79,8 @@ class Spectrum(Record):
         return cls(grid, np.ones_like(grid))
 
 
-@dataclass(frozen=True)
-class DyeProfile(Record):
+@dataclass(frozen=True, eq=False)
+class DyeProfile(Record, ByValue):
     """Per-wavelength exponential decay coefficients of a dyed medium.
 
     ``decay_per_mm`` is the base profile; ``concentration_scale`` is a
@@ -129,8 +129,8 @@ def line_response(grid: np.ndarray, wavelength_nm: float) -> np.ndarray:
     return resp
 
 
-@dataclass(frozen=True)
-class ChannelBank:
+@dataclass(frozen=True, eq=False)
+class ChannelBank(ByValue):
     """Named detector channels on one wavelength grid: one response row per name.
 
     ``responses`` is a (channels, samples) matrix of nonnegative curves,

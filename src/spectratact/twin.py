@@ -92,7 +92,7 @@ class TwinAssembly(Record):
         if len(sensors) != 2 or len(encoders) != 2:
             raise ValueError(f"need one sensor and one encoder per joint, got "
                              f"{len(sensors)} sensor(s) and {len(encoders)} encoder(s)")
-        if sensors[0] is not sensors[1] and sensors[0].to_dict() == sensors[1].to_dict():
+        if sensors[0] is not sensors[1] and sensors[0] == sensors[1]:
             # one shared object: calibrated once, one kernel call per track
             sensors = (sensors[0], sensors[0])
         first = calibrate_encoder(sensors[0], self.indenter_force_n)

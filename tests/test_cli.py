@@ -1302,3 +1302,126 @@ class TestCsvProperties:
         code = main(["track", "--config", twin_config_path, "--trajectory", str(trajectory),
                      "--out", str(tmp_path / "o")])
         assert code in (0, 2, 3, 4)
+
+
+# float texts that csv.writer writes in odd forms: a signed zero, the least subnormal,
+# exponents on both sides, and the non-finite values
+ODD_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
+BODY_VALUES = (stn.sampled_from(ODD_FLOATS) | stn.floats() | stn.sampled_from([0, 1])
+               | stn.sampled_from([*cli._DECODE_FLAGS.tolist(), ""]))
+
+
+@stn.composite
+def typed_tables(draw):
+    """A header of names with commas, quotes and spaces, and rows of body values."""
+    header = draw(stn.lists(stn.text(stn.sampled_from('ch_ab ,"'), max_size=6),
+                            min_size=2, max_size=5))
+    rows = draw(stn.lists(stn.lists(BODY_VALUES, min_size=len(header), max_size=len(header)),
+                          max_size=6))
+    return header, rows
+
+
+class TestCsvWriter:
+    @TestDocumentProperties.SETTINGS
+    @given(table=typed_tables())
+    @example(table=(["position_mm", "force_n"], []))  # the zero-row table
+    @example(table=(['ch_g,"x"', "flag"], [[-0.0, ""], [5e-324, "ok"], [math.inf, 1]]))
+    def test_columns_write_the_bytes_of_csv_writer(self, tmp_path, table):
+        header, rows = table
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        texts = [[v if isinstance(v, str) else repr(v) if isinstance(v, float) else str(v)
+                  for v in column] for column in zip(*rows)]
+        path = tmp_path / "table.csv"
+        cli._write_csv(str(path), header, texts)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_quoted_channel_name_round_trips_through_the_chain(self, tmp_path):
+        from spectratact.spectral import line_bank
+        config = tmp_path / "sensor.json"
+        bank = line_bank([('g,"x"', 450.0), ("G", 550.0), ("R", 650.0)])
+        config.write_text(json.dumps(SensorConfig(bank=bank).to_dict()))
+        sim, cal, dec = (tmp_path / name for name in ("sim", "cal", "dec"))
+        assert main(["simulate", "--config", str(config), "--out", str(sim),
+                     "--positions", "0:85:18", "--forces", "2"]) == 0
+        assert read(sim / "sweep.csv").split("\n", 1)[0] == \
+            'position_mm,force_n,"ch_g,""x""",ch_G,ch_R,below_floor'
+        assert main(["calibrate", "--config", str(config), "--out", str(cal),
+                     "--samples", str(sim / "sweep.csv")]) == 0
+        assert json.loads(read(cal / "calibration.json"))["position"]["numerator_ch"] == 'g,"x"'
+        assert main(["decode", "--calibration", str(cal / "calibration.json"),
+                     "--readings", str(sim / "sweep.csv"), "--out", str(dec)]) == 0
+        with open(dec / "decoded.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["ok"] * 18
+        assert np.allclose([float(row[0]) for row in rows], np.linspace(0.0, 85.0, 18),
+                           rtol=0.0, atol=1e-6)
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_every_artifact_gets_the_mode_open_gives(self, line_config_path, twin_config_path,
+                                                     tmp_path, umask):
+        out = tmp_path / "out"
+        runs = [
+            ["simulate", "--config", line_config_path, "--out", str(out / "sim"),
+             "--positions", "0:85:18", "--forces", "1,2,5"],
+            ["calibrate", "--config", line_config_path, "--out", str(out / "cal"),
+             "--samples", str(out / "sim" / "sweep.csv")],
+            ["decode", "--calibration", str(out / "cal" / "calibration.json"),
+             "--readings", str(out / "sim" / "sweep.csv"), "--out", str(out / "dec")],
+            ["track", "--config", twin_config_path, "--out", str(out / "track"),
+             "--generate", "circle:10:40:120:5"],
+            ["sweep-design", "--config", line_config_path, "--out", str(out / "design"),
+             "--lengths", "40,85", "--concentrations", "1"],
+            ["replay", "--manifest", str(out / "sim" / "manifest.json"),
+             "--out", str(out / "replay")],
+        ]
+        previous = os.umask(umask)
+        try:
+            assert [main(argv) for argv in runs] == [0] * len(runs)
+        finally:
+            os.umask(previous)
+        modes = {str(p.relative_to(out)): p.stat().st_mode & 0o777
+                 for p in out.rglob("*") if p.is_file()}
+        assert len(modes) == 13
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+class TestByteOrderMark:
+    """A CSV saved with a UTF-8 byte-order mark reads as the same file without one."""
+
+    @staticmethod
+    def outputs(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "manifest.json"}
+
+    def test_samples_readings_and_trajectory(self, band_config_path, twin_config_path,
+                                             tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", band_config_path, "--out", str(sim),
+                     "--positions", "0:85:18", "--forces", "0.5,2,5"]) == 0
+        samples = read(sim / "sweep.csv")
+        lines = samples.splitlines(keepends=True)
+        lines[3] = "x" + lines[3][lines[3].index(","):]  # a position that is not a float
+        inputs = {"samples.csv": samples, "readings.csv": "".join(lines),
+                  "trajectory.csv": "t_s,x_mm,y_mm\n0.0,40.0,120.0\n1.0,45.0,118.0\n"}
+        for stem, bom in (("plain", ""), ("bom", "\ufeff")):
+            folder = tmp_path / stem
+            folder.mkdir()
+            for name, text in inputs.items():
+                (folder / name).write_text(bom + text, encoding="utf-8")
+            assert main(["calibrate", "--config", band_config_path, "--out", str(folder / "cal"),
+                         "--samples", str(folder / "samples.csv")]) == 0
+            assert main(["decode", "--calibration", str(tmp_path / "plain" / "cal" /
+                                                        "calibration.json"),
+                         "--readings", str(folder / "readings.csv"),
+                         "--out", str(folder / "dec")]) == 0
+            assert main(["track", "--config", twin_config_path, "--out", str(folder / "track"),
+                         "--trajectory", str(folder / "trajectory.csv")]) == 0
+        assert (tmp_path / "bom" / "samples.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+        for run in ("cal", "dec", "track"):
+            assert self.outputs(tmp_path / "bom" / run) == self.outputs(tmp_path / "plain" / run)
+        with open(tmp_path / "bom" / "dec" / "decoded.csv", newline="") as fh:
+            assert list(csv.reader(fh))[3][2] == "corrupt_row"

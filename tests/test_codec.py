@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as stn
 
 from spectratact import (ChannelBank, CouplingLaw, DyeProfile, FiveBarConfig, JointEncoderModel,
-                         PerturbationState, PositionCalibration, SensorConfig, TrackingReport,
-                         default_red_dye, default_wavelength_grid, line_response)
-from spectratact.calibration import CalibrationFile, Transmission
+                         PerturbationState, PositionCalibration, SensorConfig, Spectrum,
+                         TrackingReport, default_red_dye, default_wavelength_grid, line_response)
+from spectratact.calibration import CalibrationFile, ForceCalibration, Transmission
 from spectratact.cli import Manifest, main
 from spectratact.codec import (ARRAY, BOOL, FLOATS, INT, LIST, NUMBER, OBJECT, STR, Record,
                                _table, load, read)
@@ -366,3 +366,55 @@ def test_cli_exits_2_on_a_generated_broken_field(examples, cls, data, tmp_path_f
     assert code == 2
     assert re.match(f"^error: {re.escape(str(path))}: {names_path(at)}", err.getvalue())
     assert not out.exists()
+
+
+# every record that holds arrays, built afresh by each call, and the JSON path of one array
+ARRAY_RECORDS = {
+    "Spectrum": (lambda: Spectrum.flat(), ("values",)),
+    "DyeProfile": (default_red_dye, ("values",)),
+    "ChannelBank": (lambda: ChannelBank.from_dict(BANK_DOC), ("channels", 1, "values")),
+    "ForceCalibration": (lambda: ForceCalibration(np.array([0.1, 1.0, 2.0, 4.0]),
+                                                  np.array([0.2, 0.5, 0.7, 0.9])),
+                         ("normalized",)),
+    "Transmission": (lambda: Transmission(np.linspace(0.0, 85.0, 5), np.linspace(1.0, 0.5, 5)),
+                     ("factors",)),
+}
+
+
+def nudged(record, at):
+    """``record`` rebuilt with the largest element of the array at ``at`` one ulp higher."""
+    doc = copy.deepcopy(record.to_dict())
+    values = doc
+    for key in at:
+        values = values[key]
+    i = values.index(max(values))
+    values[i] = math.nextafter(values[i], math.inf)
+    return type(record).from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_record_compares_by_value(name):
+    build, at = ARRAY_RECORDS[name]
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    changed = nudged(b, at)
+    assert a != changed and not a == changed
+    assert a != a.to_dict()  # another type is unequal, not an error
+    # unhashable: an array changed in place would change the value under a stored hash
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_records_holding_array_records_compare_by_value():
+    assert SensorConfig() == SensorConfig()
+    assert TwinAssembly() == TwinAssembly()
+    sensor = encoder_sensor_config()
+    changed = replace(sensor, source=nudged(sensor.source, ("values",)))
+    assert sensor == encoder_sensor_config() and sensor != changed
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(SensorConfig())
+    # two equal sensors, distinct objects, are shared as one
+    twin = TwinAssembly(sensors=(encoder_sensor_config(), encoder_sensor_config()))
+    assert twin.sensors[0] is twin.sensors[1]
+    distinct = TwinAssembly(sensors=(sensor, changed))
+    assert distinct.sensors[0] is not distinct.sensors[1]

@@ -7,6 +7,7 @@ the benchmark names it (``benchmarks/run.TRACED`` or
 points.  Anything else is code that only its tests run.  The same holds for
 every default an exported function or method declares: some call in ``src/``
 or ``benchmarks/`` passes each defaulted parameter, or it is a constant.
+The CLI keeps one write path: one table writer and one file writer.
 """
 
 import ast
@@ -147,3 +148,32 @@ def test_every_defaulted_parameter_is_passed():
                 unpassed.add((name, param))
     assert sorted(unpassed - UNPASSED_KNOBS) == []
     assert sorted(UNPASSED_KNOBS - unpassed) == []  # the allowance names no passed knob
+
+
+def writes_a_file(call):
+    """Whether ``call`` opens or makes a file for writing."""
+    name = ast.unparse(call.func)
+    if name in ("os.open", "os.fdopen") or name.startswith("tempfile.") \
+            or name.endswith((".write_text", ".write_bytes")):
+        return True
+    if name == "open" or name.endswith(".open"):
+        mode = call.args[1] if len(call.args) > 1 else \
+            next((k.value for k in call.keywords if k.arg == "mode"), None)
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt"))
+    return False
+
+
+def test_cli_writes_through_one_table_writer_and_one_file_writer():
+    """``cli._write_csv`` alone builds a ``csv.writer``, and ``cli._atomic_write`` alone opens
+    a file for writing: no command brings back a row writer or a file with another mode."""
+    owners = {"rows": set(), "files": set()}
+    for node in parse(os.path.join(PACKAGE, "cli.py")).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for call in (c for c in ast.walk(node) if isinstance(c, ast.Call)):
+            name = ast.unparse(call.func)
+            if name.split(".")[-1] in ("writer", "DictWriter", "writerow", "writerows"):
+                owners["rows"].add(owner)
+            if writes_a_file(call):
+                owners["files"].add(owner)
+    assert owners == {"rows": {"_write_csv"}, "files": {"_atomic_write"}}
