@@ -51,9 +51,8 @@ from .errors import (
     UnusableSampleError,
 )
 from .sensor import NoiseModel, SensorConfig, sweep, transmission_factors
-from .twin import (TrajectorySample, TwinAssembly, calibrate_encoder, generate_path,
-                   snr_db_for_angle_sigma, track)
-from .fivebar import TerminalPose
+from .twin import (TwinAssembly, _path_rows, _track_rows, calibrate_encoder,
+                   snr_db_for_angle_sigma)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -343,30 +342,29 @@ def cmd_decode(args) -> tuple[dict, str]:
             f"decode: wrote {parsed.size} rows to {os.path.join(args.out, 'decoded.csv')}")
 
 
-def _read_trajectory_csv(path: str) -> list[TrajectorySample]:
+def _read_trajectory_csv(path: str) -> list[tuple[float, float, float]]:
+    """The ``(t_s, x_mm, y_mm)`` rows of a trajectory CSV; a file without rows exits 2."""
     header, raws = _read_csv(path)
-    if header is None:
+    if header is None or not raws:
         raise CliError(f"{path}: empty trajectory")
     col = {name: i for i, name in enumerate(header)}
     for required in ("t_s", "x_mm", "y_mm"):
         if required not in col:
             raise CliError(f"{path}: missing column {required!r}")
-    samples = []
+    t, x, y = col["t_s"], col["x_mm"], col["y_mm"]
+    rows = []
     for raw in raws:
         try:
-            samples.append(TrajectorySample(
-                float(raw[col["t_s"]]),
-                TerminalPose(float(raw[col["x_mm"]]), float(raw[col["y_mm"]])),
-            ))
+            rows.append((float(raw[t]), float(raw[x]), float(raw[y])))
         except (IndexError, ValueError) as exc:
             raise CliError(f"{path}: bad trajectory row {raw}: {exc}")
-    return samples
+    return rows
 
 
 def cmd_track(args) -> tuple[dict, str]:
     assembly = load(TwinAssembly, args.config)
     if args.trajectory is not None:
-        trajectory = _read_trajectory_csv(args.trajectory)
+        rows = _read_trajectory_csv(args.trajectory)
     else:
         try:
             shape, scale, cx, cy, n = args.generate.split(":")
@@ -374,15 +372,14 @@ def cmd_track(args) -> tuple[dict, str]:
         except ValueError as exc:
             raise CliError(f"cannot parse --generate spec {args.generate!r} "
                            f"(shape:scale:cx:cy:n): {exc}") from None
-        trajectory = generate_path(shape, center, scale, n, config=assembly.fivebar)
+        rows = _path_rows(shape, center, scale, n, config=assembly.fivebar)
     noise = _noise_from_args(args)
     if args.angle_sigma_deg is not None:
         snr = snr_db_for_angle_sigma(assembly.calibrations[0], assembly.encoders[0],
                                      args.angle_sigma_deg)
         noise = NoiseModel("snr_db", snr, args.seed)
-    reconstructed, report = track(assembly, trajectory, noise, seed=args.seed)
-    columns = [[repr(s.t_s) for s in reconstructed], [repr(s.pose.x_mm) for s in reconstructed],
-               [repr(s.pose.y_mm) for s in reconstructed]]
+    reconstructed, report = _track_rows(assembly, rows, noise, args.seed)
+    columns = [list(map(repr, column)) for column in zip(*reconstructed)]
     rms, worst = ("n/a" if v is None else f"{v!r} mm"  # None: no sample was reconstructed
                   for v in (report.rms_error_mm, report.max_error_mm))
     return ({"reconstructed.csv": (["t_s", "x_mm", "y_mm"], columns),

@@ -190,7 +190,7 @@ class ByValue:
 def load(cls, path: str):
     """``cls.from_dict`` of the JSON file ``path``; every ValueError names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is not JSON text
             return cls.from_dict(json.load(fh))
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None

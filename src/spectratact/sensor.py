@@ -437,8 +437,9 @@ class _SeedWords:
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 reads the buffer as four uint64 words unchecked: refuse any other request
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 reads the buffer as four uint64 words unchecked: refuse any other request.
+        # PCG64 passes np.uint64 itself; the identity test skips building a dtype for it.
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only PCG64's 4 uint64 words are known, not {n_words} {dtype}")
         return self.words
 

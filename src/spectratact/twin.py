@@ -12,6 +12,12 @@ sensor over every kept (sample, joint) row.  Each row draws its noise
 from its own substream ``(seed, sample, joint)``, so a row's reading
 does not depend on which other rows share the call or on their order,
 and the batched run gives the per-sample chain's result bit for bit.
+
+The work runs on plain ``(t_s, x_mm, y_mm)`` float tuples:
+``_track_rows`` replays them and ``_path_rows`` generates them.  The
+public ``track`` and ``generate_path`` wrap those rows in
+:class:`TrajectorySample` objects, and CLI ``track`` calls the row cores
+directly, so a 1000-sample replay builds no per-sample object.
 """
 
 from __future__ import annotations
@@ -153,24 +159,30 @@ def track(
     trajectory with no pose on the working branch is rejected, and so is a
     sample with a NaN coordinate or a time that is not finite.  IK and FK
     run as ``fivebar._ik`` and ``_fk``, scalar ``math`` on plain floats (the
-    ``fivebar`` docstring says why).
+    ``fivebar`` docstring says why).  The work is :func:`_track_rows` on
+    ``(t_s, x_mm, y_mm)`` rows; this wraps its rows in and out.
     """
-    samples = list(trajectory)
-    if not samples:
+    rows, report = _track_rows(
+        assembly, [(s.t_s, s.pose.x_mm, s.pose.y_mm) for s in trajectory], noise, seed)
+    return [TrajectorySample(t, TerminalPose(x, y)) for t, x, y in rows], report
+
+
+def _track_rows(assembly: TwinAssembly, rows, noise: NoiseModel | None, seed: int):
+    """:func:`track` on ``(t_s, x_mm, y_mm)`` tuples: the reconstructed rows and the report."""
+    if not rows:
         raise ValueError("trajectory is empty")
     fivebar, l = assembly.fivebar, assembly.fivebar.l_mm
     (enc1, enc2), (s1, s2) = assembly.encoders, assembly.sensors
     kept: list[int] = []
     positions: list[tuple[float, float]] = []
     on_branch = False
-    for i, sample in enumerate(samples):
-        t, x, y = sample.t_s, sample.pose.x_mm, sample.pose.y_mm
+    for i, (t, x, y) in enumerate(rows):
         if not math.isfinite(t) or x != x or y != y:
             # a NaN pose is neither reachable nor unreachable; an infinite one is unreachable
             what = "a NaN time or coordinate" if t != t or x != x or y != y \
                 else f"the infinite time {t}"
             raise ValueError(f"trajectory sample {i} has {what}")
-        if i and not t > samples[i - 1].t_s:
+        if i and not t > rows[i - 1][0]:
             raise ValueError(f"trajectory times must be strictly increasing at sample {i}")
         try:
             t1, t2 = _ik(fivebar, x, y)
@@ -186,7 +198,7 @@ def track(
     if not on_branch:
         raise UnreachableError("no trajectory sample is reachable on the working branch")
 
-    reconstructed: list[TrajectorySample] = []
+    reconstructed: list[tuple[float, float, float]] = []
     errors: list[float] = []
     for i, deg1, deg2 in zip(kept, *_joint_angles(assembly, kept, positions, noise, seed)):
         if deg1 is None or deg2 is None:
@@ -195,9 +207,9 @@ def track(
             x, y = _fk(fivebar, math.radians(deg1), math.radians(deg2))
         except KinematicError:
             continue
-        sample = samples[i]
-        reconstructed.append(TrajectorySample(sample.t_s, TerminalPose(x, y)))
-        errors.append(math.hypot(x - sample.pose.x_mm, y - sample.pose.y_mm))
+        t, x0, y0 = rows[i]
+        reconstructed.append((t, x, y))
+        errors.append(math.hypot(x - x0, y - y0))
     if errors:
         # np.mean's pairwise sum and correctly rounded divide, and a correctly rounded
         # sqrt: np.sqrt(np.mean(...)) bit for bit, without about 5 us of dispatch
@@ -209,8 +221,8 @@ def track(
         rms_error_mm=rms,
         max_error_mm=max_err,
         errors_mm=errors,
-        dropped=len(samples) - len(errors),
-        n_samples=len(samples),
+        dropped=len(rows) - len(errors),
+        n_samples=len(rows),
     )
     return reconstructed, report
 
@@ -265,7 +277,14 @@ def generate_path(
     ``scale_mm`` is the full extent (line length, circle diameter, S
     height).  When a linkage config is given, every generated pose is
     checked by :func:`working_branch`'s test and the first offender named.
+    The path is :func:`_path_rows`'s ``(t_s, x_mm, y_mm)`` rows, wrapped.
     """
+    return [TrajectorySample(t, TerminalPose(x, y))
+            for t, x, y in _path_rows(shape, center, scale_mm, n_samples, config)]
+
+
+def _path_rows(shape, center, scale_mm, n_samples, config=None) -> list[tuple]:
+    """:func:`generate_path` as ``(t_s, x_mm, y_mm)`` tuples of Python floats."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if not (scale_mm > 0 and math.isfinite(scale_mm)):
@@ -297,12 +316,9 @@ def generate_path(
         ys[~top] = cy - radius + radius * np.sin(a_bot)
     else:
         raise ValueError(f"unknown path shape {shape!r}")
-    path = [
-        TrajectorySample(float(t), TerminalPose(float(x), float(y)))
-        for t, x, y in zip(u, xs, ys)
-    ]
+    rows = list(zip(u.tolist(), xs.tolist(), ys.tolist()))
     if config is not None and not (keep := _ik_batch(config, xs, ys)[2]).all():
         i = int(np.argmin(keep))  # the first False
-        raise UnreachableError(f"generated sample {i} at ({path[i].pose.x_mm:g}, "
-                               f"{path[i].pose.y_mm:g}) mm is not reachable on the working branch")
-    return path
+        raise UnreachableError(f"generated sample {i} at ({rows[i][1]:g}, "
+                               f"{rows[i][2]:g}) mm is not reachable on the working branch")
+    return rows

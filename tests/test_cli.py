@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as stn
 
-from spectratact import NoiseModel, SensorConfig, cli, sweep
+from spectratact import NoiseModel, SensorConfig, cli, sweep, twin
 from spectratact.cli import CliError, main
 from spectratact.errors import (BelowFloorError, BelowThresholdError, ConfigError,
                                 DegenerateFitError, GridMismatchError, NoContactError,
@@ -986,6 +986,9 @@ EXIT_CASES = {
     "OSError": (IsADirectoryError, 2,  # a directory as the config
                 ["simulate", "--config", "{tmp}", "--positions", "10", "--forces", "2"], None,
                 "Is a directory: '{tmp}'"),
+    # exited 2 with a bare "trajectory is empty", naming no file
+    "CliError-2-header-only-trajectory": (CliError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n",
+                                          "{tmp}/input: empty trajectory"),
     "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n",
                    "trajectory sample 0 has a NaN time or coordinate"),
     "ValueError-infinite-time": (ValueError, 2, TRACK_CSV,  # -inf and inf were written, exit 0
@@ -1425,3 +1428,52 @@ class TestByteOrderMark:
             assert self.outputs(tmp_path / "bom" / run) == self.outputs(tmp_path / "plain" / run)
         with open(tmp_path / "bom" / "dec" / "decoded.csv", newline="") as fh:
             assert list(csv.reader(fh))[3][2] == "corrupt_row"
+
+    def test_json_inputs(self, band_config_path, twin_config_path, tmp_path):
+        """A sensor config, a twin config, a calibration.json and a manifest with a BOM."""
+        def bom_copy(path):
+            copy = tmp_path / f"bom_{Path(path).parent.name}_{Path(path).name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+            return str(copy)
+
+        def run(name, argv):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            return self.outputs(tmp_path / name)
+
+        simulate = ["simulate", "--positions", "0:85:18", "--forces", "0.5,2,5", "--config"]
+        assert run("sim", simulate + [band_config_path]) \
+            == run("sim_bom", simulate + [bom_copy(band_config_path)])
+        assert main(["calibrate", "--config", band_config_path, "--out", str(tmp_path / "cal"),
+                     "--samples", str(tmp_path / "sim" / "sweep.csv")]) == 0
+        calibration = str(tmp_path / "cal" / "calibration.json")
+        decode = ["decode", "--readings", str(tmp_path / "sim" / "sweep.csv"), "--calibration"]
+        assert run("dec", decode + [calibration]) \
+            == run("dec_bom", decode + [bom_copy(calibration)])
+        track = ["track", "--generate", "circle:30:40:125:10", "--snr-db", "40", "--config"]
+        plain = run("track", track + [twin_config_path])
+        assert plain == run("track_bom", track + [bom_copy(twin_config_path)])
+        manifest = str(tmp_path / "track" / "manifest.json")
+        assert run("replay", ["replay", "--manifest", manifest]) == plain
+        assert run("replay_bom", ["replay", "--manifest", bom_copy(manifest)]) == plain
+
+
+def test_cli_track_builds_no_sample_objects(twin_config_path, tmp_path, monkeypatch):
+    """CLI ``track`` replays plain rows: no TrajectorySample or TerminalPose per sample."""
+    built = {"TrajectorySample": 0, "TerminalPose": 0}
+    for name in built:
+        class Counting(getattr(twin, name)):
+            def __init__(self, *args, _name=name, **kwargs):
+                built[_name] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(twin, name, Counting)
+    twin.generate_path("circle", (40.0, 125.0), 30.0, 5)  # the counters see the public API
+    assert built == {"TrajectorySample": 5, "TerminalPose": 5}
+    built.update(TrajectorySample=0, TerminalPose=0)
+    trajectory = tmp_path / "path.csv"
+    trajectory.write_text("t_s,x_mm,y_mm\n0.0,40.0,120.0\n1.0,45.0,118.0\n")
+    for source in (["--generate", "circle:30:40:125:20"], ["--trajectory", str(trajectory)]):
+        assert main(["track", "--config", twin_config_path, "--out", str(tmp_path / source[0][2:]),
+                     "--snr-db", "40"] + source) == 0
+    assert (tmp_path / "trajectory" / "reconstructed.csv").read_text().count("\n") == 3
+    assert built == {"TrajectorySample": 0, "TerminalPose": 0}

@@ -201,14 +201,17 @@ class TestSubstreams:
             expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
             assert np.array_equal(row, expected)
 
-    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32),
+                                                (4, np.int64)])
     def test_seed_words_refuse_any_other_request(self, n_words, dtype):
         # PCG64 would read past a shorter buffer without an error
         for seed_type in (_SeedWords, batched_seed_type()):
             seed_words = seed_type(_seed_words(7, np.array([(1,)]))[0])
             with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
                 seed_words.generate_state(n_words, dtype)
-            assert seed_words.generate_state(4, np.uint64).shape == (4,)
+            # every spelling of uint64 is the request PCG64 makes, not only the scalar type
+            for uint64 in (np.uint64, np.dtype("u8"), "uint64"):
+                assert seed_words.generate_state(4, uint64).shape == (4,)
 
     def test_batched_seed_type_is_a_real_iseedsequence(self):
         # a real subclass, not a registered virtual one: PCG64's isinstance check stays cheap

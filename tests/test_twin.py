@@ -20,7 +20,7 @@ from spectratact import (
     working_branch,
     workspace_mask,
 )
-from spectratact import sensor, twin
+from spectratact import cli, sensor, twin
 from spectratact.decoder import JointEncoderModel, decode_joint_angle
 from spectratact.errors import KinematicError, NoContactError, OutOfSpanError, UnusableSampleError
 from spectratact.fivebar import JointAngles, _ik_batch, forward_kinematics, inverse_kinematics
@@ -194,6 +194,13 @@ class TestGeneratePath:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             generate_path("helix", (40.0, 120.0), 10.0, 5)
+
+    @pytest.mark.parametrize("shape", ["line", "circle", "S"])
+    def test_is_its_rows_wrapped(self, shape):
+        rows = twin._path_rows(shape, S_CENTER, 40.0, 33, FIVEBAR)
+        assert all(type(value) is float for row in rows for value in row)
+        assert generate_path(shape, S_CENTER, 40.0, 33, config=FIVEBAR) == [
+            TrajectorySample(t, TerminalPose(x, y)) for t, x, y in rows]
 
 
 class TestTrackNoiseFree:
@@ -435,6 +442,48 @@ class TestTrackBatching:
         else:
             sensor.sweep(encoder_sensor_config(), [10.0, 40.0, 70.0, 80.0], run, noise, seed=1)
         assert counted == calls
+
+
+def samples_csv(samples) -> str:
+    """A trajectory CSV holding the ``repr`` of each sample's fields."""
+    return "t_s,x_mm,y_mm\n" + "".join(
+        f"{s.t_s!r},{s.pose.x_mm!r},{s.pose.y_mm!r}\n" for s in samples)
+
+
+class TestCliTrackRows:
+    """CLI ``track`` replays plain rows and writes what the public ``track`` returns."""
+
+    @staticmethod
+    def cli_track(tmp_path, name, assembly, argv):
+        config, out = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(json.dumps(assembly.to_dict()))
+        assert cli.main(["track", "--config", str(config), "--out", str(out), "--seed", "4",
+                         *argv]) == 0
+        return {f: (out / f).read_bytes() for f in ("reconstructed.csv", "report.json")}
+
+    @pytest.mark.parametrize("noise", [[], ["--snr-db", "40"]])
+    def test_csv_of_a_generated_path_writes_the_generate_bytes(self, assembly, s_path, noise,
+                                                               tmp_path):
+        trajectory = tmp_path / "s_path.csv"
+        trajectory.write_text(samples_csv(s_path))
+        generated = self.cli_track(tmp_path, "gen", assembly, ["--generate", "S:40:40:120:60"]
+                                   + noise)
+        assert self.cli_track(tmp_path, "csv", assembly,
+                              ["--trajectory", str(trajectory)] + noise) == generated
+
+    def test_drops_write_what_track_returns(self, distinct, mixed_path, tmp_path):
+        noise = NoiseModel("snr_db", 3.0, 4)  # as CLI track --snr-db 3 --seed 4 builds it
+        _, _, reasons = track_per_sample(distinct, mixed_path, noise, seed=4)
+        assert {"UnreachableError", "OutOfSpanError", "NoContactError"} <= set(reasons)
+        reconstructed, report = track(distinct, mixed_path, noise, seed=4)
+        trajectory = tmp_path / "mixed.csv"
+        trajectory.write_text(samples_csv(mixed_path))
+        written = self.cli_track(tmp_path, "csv", distinct,
+                                 ["--trajectory", str(trajectory), "--snr-db", "3"])
+        assert written == {
+            "reconstructed.csv": samples_csv(reconstructed).encode(),
+            "report.json": (json.dumps(report.to_dict(), sort_keys=True, indent=2)
+                            + "\n").encode()}
 
 
 # seed of a stream's first call; call i uses STREAM_SEED + i, as a real-time loop does
