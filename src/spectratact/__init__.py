@@ -12,6 +12,7 @@ from .calibration import (
     ForceCalibration,
     PositionCalibration,
     ResolutionReport,
+    calibrate_samples,
     estimate_resolution,
     fit_force,
     fit_position,

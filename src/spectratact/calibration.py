@@ -25,6 +25,7 @@ from .errors import (
     DegenerateFitError,
     NonMonotoneDataError,
     SaturatedError,
+    TransmissionUnderflowError,
     UnusableSampleError,
 )
 from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_transmission,
@@ -359,6 +360,11 @@ class Transmission(Record, ByValue):
         object.__setattr__(self, "factors", factors)
 
 
+# decoded.csv's flag by the code of CalibrationFile.decode
+DECODE_FLAGS = np.array(["corrupt_row", "no_contact", "ok", "out_of_span",
+                         "below_threshold", "saturated"], dtype=object)
+
+
 @dataclass(frozen=True)
 class CalibrationFile(Record):
     """``calibration.json``, as ``calibrate`` writes it and ``decode`` reads it."""
@@ -372,6 +378,86 @@ class CalibrationFile(Record):
         if self.force is None:  # a position-only calibration has no force key, not null
             del doc["force"]
         return doc
+
+    def decode(self, names, channels):
+        """``(position_mm, force_n, code)`` of each row of ``channels``, its columns as ``names``.
+
+        The force inverts the row's total over the transmission interpolated
+        at the decoded position, one :meth:`ForceCalibration.invert` call for
+        all rows.  ``code`` indexes :data:`DECODE_FLAGS`: 0 a negative or
+        non-finite channel, 1 a ratio channel at zero, 2 ok, 3 out of span, 4
+        or 5 below the first knot or above the last.  A value not decoded is
+        NaN.  A missing ratio channel raises KeyError.
+        """
+        poscal, forcecal, table = self.position, self.force, self.transmission
+        channels = np.asarray(channels, dtype=float)
+        num, den = _ratio_pair(channels, names, poscal.numerator_ch, poscal.denominator_ch)
+        code = ((channels >= 0) & (channels < np.inf)).all(axis=1).astype(int)
+        rows = np.flatnonzero(code)
+        lit, position, _, out_of_span = poscal.decode(num[rows], den[rows])
+        rows = rows[lit]
+        code[rows] = 2 + out_of_span
+        decoded = np.full((2, code.size), np.nan)
+        decoded[0, rows] = position
+        if forcecal is not None:
+            # a total past the float range reads inf, so its row is saturated
+            with np.errstate(over="ignore"):
+                totals = channels[rows].sum(axis=1)
+            normalized = totals / np.interp(position, table.positions_mm, table.factors)
+            below, above = forcecal.out_of_range(normalized)
+            code[rows[below]] = 4
+            code[rows[above]] = 5
+            inside = ~(below | above)
+            decoded[1, rows[inside]] = forcecal.invert(normalized[inside])
+        return decoded[0], decoded[1], code
+
+
+def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_n,
+                      numerator_ch: str | None, denominator_ch: str | None):
+    """``(CalibrationFile, skipped)`` of a sweep's finite samples, one per row of ``channels``.
+
+    ``force_n`` None has no force fit; a ratio channel None is
+    :func:`fit_position`'s default.  The position fit reads the rows both
+    ratio channels light that were pressed past the contact threshold;
+    ``skipped`` counts the rest by reason.  The force fit reads the position
+    with the most rows among those with 3 or more distinct forces.  A
+    noise-free transmission of 0 on the table's 129 points across the
+    fitted span raises :class:`TransmissionUnderflowError`.
+    """
+    channels, position = np.asarray(channels, dtype=float), np.asarray(position_mm, dtype=float)
+    force = None if force_n is None else np.asarray(force_n, dtype=float)
+    ratio = _ratio_channels(names, numerator_ch, denominator_ch)
+    num, den = _ratio_pair(channels, names, *ratio)
+    lit = (num > 0) & (den > 0)
+    pressed = np.ones(lit.size, dtype=bool) if force is None \
+        else force > config.coupling.f_threshold_n
+    skipped = {"at or below the contact threshold": ~pressed,
+               "with a ratio channel at zero": pressed & ~lit}
+    fit_rows = np.flatnonzero(pressed & lit)
+    try:
+        poscal = fit_position(names, channels[fit_rows], position[fit_rows], *ratio)
+    except UnusableSampleError as exc:  # name rows of the samples, not of the fitted subset
+        raise UnusableSampleError(exc.reason, fit_rows[list(exc.rows)].tolist()) from None
+
+    forcecal = None
+    if force is not None:
+        by_position: dict[float, list[int]] = {}
+        for i, p in enumerate(position.tolist()):
+            by_position.setdefault(p, []).append(i)
+        candidates = [(p, rows) for p, rows in by_position.items()
+                      if len(set(force[rows].tolist())) >= 3]
+        if candidates:
+            p, rows = max(candidates, key=lambda item: len(item[1]))
+            forcecal = fit_force(channels[rows], force[rows], config, p)
+
+    grid = np.linspace(*poscal.span_mm, 129)
+    factors = transmission_factors(config, grid)
+    if not factors.all():
+        raise TransmissionUnderflowError(
+            f"noise-free transmission underflows to 0 at {grid[factors == 0][0]} mm of the "
+            f"fitted span {list(poscal.span_mm)} mm")
+    return (CalibrationFile(poscal, Transmission(grid, factors), forcecal),
+            {reason: np.count_nonzero(rows) for reason, rows in skipped.items()})
 
 
 @dataclass(frozen=True)
@@ -408,9 +494,9 @@ def estimate_resolution(
     model bias, independent of the noise level.
 
     The force figures hold at the known press position ``position_mm``.
-    Decoding the position from the same noisy reading first, as CLI
-    ``decode`` does, widens the force spread, which this leaves out: on
-    the default sensor at 40 dB, 0.5 N and 42.5 mm, from 5.42 to 6.13 mN.
+    :meth:`CalibrationFile.decode` decodes the position from the same noisy
+    reading first, which widens the force spread: at 40 dB, 0.5 N and
+    42.5 mm, from 5.42 to 6.13 mN (a ledger row of ``test_paper_claims``).
     """
     ratio = (config.bank.names, poscal.numerator_ch, poscal.denominator_ch)
     values = channel_intensities(config, [position_mm], [force_n])[0]

@@ -34,23 +34,17 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    CalibrationFile,
-    Transmission,
-    _ratio_channels,
-    _ratio_pair,
-    fit_force,
-    fit_position,
-)
+from .calibration import DECODE_FLAGS, CalibrationFile, calibrate_samples
 from .codec import INT, OBJECT, STR, Bound, Record, load, spec
 from .errors import (
     DegenerateFitError,
     KinematicError,
     NonMonotoneDataError,
     SpectraTactError,
+    TransmissionUnderflowError,
     UnusableSampleError,
 )
-from .sensor import NoiseModel, SensorConfig, sweep, transmission_factors
+from .sensor import NoiseModel, SensorConfig, sweep
 from .twin import (TwinAssembly, _path_rows, _track_rows, calibrate_encoder,
                    snr_db_for_angle_sigma)
 
@@ -121,7 +115,7 @@ def _sha256_file(path: str) -> str:
 
 
 def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
-    """Header (None for an empty file) and data rows of a CSV file."""
+    """Header (None for an empty file) and data rows of a CSV file, blank rows skipped."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")  # a BOM is not header text
     except FileNotFoundError:
@@ -129,7 +123,7 @@ def _read_csv(path: str) -> tuple[list[str] | None, list[list[str]]]:
     with fh:
         reader = csv.reader(fh)
         try:
-            return next(reader, None), list(reader)
+            return next(reader, None), list(filter(None, reader))
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise CliError(f"{path}: line {reader.line_num}: {exc}")
 
@@ -196,21 +190,22 @@ def _float_column(raws, col: int):
             values.append(math.nan)
 
 
-def _read_samples(path: str, required=()):
+def _read_samples(path: str, required=(), ratio=()):
     """A sweep-format CSV as columns: ``(names, channels, position, force, parsed)``.
 
-    ``names`` are the channel names (the ``ch_*`` columns, empty for an
-    empty file), ``channels`` an (n, channels) float array, ``position``
-    and ``force`` float columns or None when the header lacks them.  A
-    header without a ``ch_*`` column or without one of the ``required``
-    columns exits 2, and so does an empty file when a column is required.
+    ``names`` are the channel names (the ``ch_*`` columns), ``channels`` an
+    (n, channels) float array, ``position`` and ``force`` float columns or
+    None when the header lacks them.  A header without a ``ch_*`` column, a
+    ``required`` column or the column of a ``ratio`` channel exits 2; an empty
+    file has no rows of the ``ratio`` channels, unless a column is required.
     A row is unparsed when a field it needs is short or not a float, or a
     channel is negative or not finite (:class:`ChannelReading`'s check);
     ``parsed`` is False there and every value of the row is NaN.
     """
     header, raws = _read_csv(path)
+    ratio = tuple(name for name in ratio if name is not None)
     if header is None and not required:
-        return (), np.empty((0, 0)), None, None, np.zeros(0, dtype=bool)
+        return ratio, np.empty((0, len(ratio))), None, None, np.zeros(0, dtype=bool)
     header = header or []
     for name in required:
         if name not in header:
@@ -218,6 +213,11 @@ def _read_samples(path: str, required=()):
     channel_cols = [i for i, name in enumerate(header) if name.startswith("ch_")]
     if not channel_cols:
         raise CliError(f"{path}: no ch_* columns in header {header}")
+    names = tuple(header[i][3:] for i in channel_cols)
+    for name in ratio:
+        if name not in names:
+            raise CliError(f"{path}: no ch_{name} column for the calibration's ratio "
+                           f"channel {name!r}")
     col = {name: i for i, name in enumerate(header)}
     stimulus = [name for name in ("position_mm", "force_n") if name in col]
     columns, unparsed = [], []
@@ -231,25 +231,15 @@ def _read_samples(path: str, required=()):
     parsed[unparsed] = False
     table[~parsed] = np.nan
     stimulus_columns = dict(zip(stimulus, table.T))
-    return (tuple(header[i][3:] for i in channel_cols), np.ascontiguousarray(channels),
-            stimulus_columns.get("position_mm"), stimulus_columns.get("force_n"), parsed)
-
-
-def _ratio_columns(path: str, names, channels, num: str, den: str):
-    """Columns of ratio channels ``num`` and ``den``; an empty file (no header) has empty ones."""
-    try:
-        return _ratio_pair(channels, names, num, den)
-    except KeyError:
-        if not names:
-            return np.empty(0), np.empty(0)
-        name = den if num in names else num
-        raise CliError(f"{path}: no ch_{name} column for the calibration's ratio "
-                       f"channel {name!r}") from None
+    return (names, np.ascontiguousarray(channels), stimulus_columns.get("position_mm"),
+            stimulus_columns.get("force_n"), parsed)
 
 
 def cmd_calibrate(args) -> tuple[dict, str]:
     config = load(SensorConfig, args.config)
-    names, channels, position, force, parsed = _read_samples(args.samples, ("position_mm",))
+    ratio = (args.numerator, args.denominator)
+    names, channels, position, force, parsed = _read_samples(args.samples, ("position_mm",),
+                                                             ratio)
     if not parsed.all():
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
                        EXIT_DEGENERATE)
@@ -257,56 +247,19 @@ def cmd_calibrate(args) -> tuple[dict, str]:
     if not finite.all():
         raise CliError(f"{args.samples}: non-finite position_mm or force_n at rows "
                        f"{np.flatnonzero(~finite).tolist()}", EXIT_DEGENERATE)
-
-    # The position fit reads only the rows decode can read (both ratio
-    # channels positive, as in spectral.log_ratios) that were pressed past
-    # the contact threshold; below it a reading is noise alone.  Force
-    # sweeps hold such rows, and they stay available to the force fit.
-    ratio = _ratio_channels(names, args.numerator, args.denominator)
-    num, den = _ratio_columns(args.samples, names, channels, *ratio)
-    lit = (num > 0) & (den > 0)
-    pressed = np.ones(lit.size, dtype=bool) if force is None \
-        else force > config.coupling.f_threshold_n
-    skipped = {"at or below the contact threshold": ~pressed,
-               "with a ratio channel at zero": pressed & ~lit}
-    fit_rows = np.flatnonzero(pressed & lit)
     try:
-        poscal = fit_position(names, channels[fit_rows], position[fit_rows], *ratio)
-    except UnusableSampleError as exc:  # name data rows of the CSV, not of the fitted subset
-        raise UnusableSampleError(exc.reason, fit_rows[list(exc.rows)].tolist()) from None
-
-    forcecal = None
-    if force is not None:
-        forces = force.tolist()
-        by_position: dict[float, list[int]] = {}
-        for i, p in enumerate(position.tolist()):
-            by_position.setdefault(p, []).append(i)
-        candidates = [(p, rows) for p, rows in by_position.items()
-                      if len({forces[i] for i in rows}) >= 3]
-        if candidates:
-            p, rows = max(candidates, key=lambda item: len(item[1]))
-            forcecal = fit_force(channels[rows], force[rows], config, p)
-
-    grid = np.linspace(*poscal.span_mm, 129)
-    factors = transmission_factors(config, grid)
-    if not factors.all():  # noise lit rows where the noise-free transmission is 0
-        raise CliError(f"{args.samples}: noise-free transmission underflows to 0 at "
-                       f"{grid[factors == 0][0]} mm of the fitted span {list(poscal.span_mm)} mm",
-                       EXIT_DEGENERATE)
-    calibration = CalibrationFile(poscal, Transmission(grid, factors), forcecal)
+        calibration, skipped = calibrate_samples(config, names, channels, position, force,
+                                                 *ratio)
+    except TransmissionUnderflowError as exc:
+        raise CliError(f"{args.samples}: {exc}", EXIT_DEGENERATE) from None
+    poscal, forcecal = calibration.position, calibration.force
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:
         summary += f", force knots={len(forcecal.forces_n)}"
-    counts = {reason: np.count_nonzero(rows) for reason, rows in skipped.items()}
-    if any(counts.values()):
+    if any(skipped.values()):
         summary += ", position fit skipped " + ", ".join(
-            f"{n} row(s) {reason}" for reason, n in counts.items() if n)
+            f"{n} row(s) {reason}" for reason, n in skipped.items() if n)
     return {"calibration.json": calibration.to_dict()}, summary
-
-
-# decoded.csv flags by code: 0/1 from the parse, 2/3 from position, 4/5 from force
-_DECODE_FLAGS = np.array(["corrupt_row", "no_contact", "ok", "out_of_span",
-                          "below_threshold", "saturated"], dtype=object)
 
 
 def cmd_decode(args) -> tuple[dict, str]:
@@ -314,51 +267,31 @@ def cmd_decode(args) -> tuple[dict, str]:
         calibration = load(CalibrationFile, args.calibration)
     except (DegenerateFitError, NonMonotoneDataError) as exc:  # a bad file is an input error
         raise CliError(f"invalid calibration {args.calibration}: {exc}") from None
-    poscal, forcecal = calibration.position, calibration.force
-    grid, factors = calibration.transmission.positions_mm, calibration.transmission.factors
-
-    names, channels, _, _, parsed = _read_samples(args.readings)
-    num, den = _ratio_columns(args.readings, names, channels, poscal.numerator_ch,
-                              poscal.denominator_ch)
-    # unparsed rows are NaN, so the decode leaves them unlit
-    lit, position, _, out_of_span = poscal.decode(num, den)
-    rows = np.flatnonzero(lit)
-    code = parsed.astype(int)
-    code[rows] = 2 + out_of_span
-    text = np.full((2, parsed.size), "", dtype=object)  # position and force fields
-    text[0, rows] = list(map(repr, position.tolist()))
-    if forcecal is not None and rows.size:
-        # a total past the float range reads inf, so its row is saturated
-        with np.errstate(over="ignore"):
-            totals = channels[rows].sum(axis=1)
-        normalized = totals / np.interp(position, grid, factors)
-        below, above = forcecal.out_of_range(normalized)
-        code[rows[below]] = 4
-        code[rows[above]] = 5
-        inside = ~(below | above)
-        text[1, rows[inside]] = list(map(repr, forcecal.invert(normalized[inside]).tolist()))
-    columns = [*text.tolist(), _DECODE_FLAGS[code].tolist()]
+    ratio = (calibration.position.numerator_ch, calibration.position.denominator_ch)
+    names, channels, _, _, _ = _read_samples(args.readings, ratio=ratio)
+    position, force, code = calibration.decode(names, channels)
+    # a value that was not decoded is NaN (not equal to itself), and its field is empty
+    columns = [["" if v != v else repr(v) for v in values.tolist()] for values in (position, force)]
+    columns.append(DECODE_FLAGS[code].tolist())
     return ({"decoded.csv": (["position_mm", "force_n", "flag"], columns)},
-            f"decode: wrote {parsed.size} rows to {os.path.join(args.out, 'decoded.csv')}")
+            f"decode: wrote {code.size} rows to {os.path.join(args.out, 'decoded.csv')}")
 
 
 def _read_trajectory_csv(path: str) -> list[tuple[float, float, float]]:
-    """The ``(t_s, x_mm, y_mm)`` rows of a trajectory CSV; a file without rows exits 2."""
+    """The ``(t_s, x_mm, y_mm)`` rows of a trajectory CSV; no rows or a bad field exits 2."""
     header, raws = _read_csv(path)
     if header is None or not raws:
         raise CliError(f"{path}: empty trajectory")
     col = {name: i for i, name in enumerate(header)}
-    for required in ("t_s", "x_mm", "y_mm"):
-        if required not in col:
-            raise CliError(f"{path}: missing column {required!r}")
-    t, x, y = col["t_s"], col["x_mm"], col["y_mm"]
-    rows = []
-    for raw in raws:
-        try:
-            rows.append((float(raw[t]), float(raw[x]), float(raw[y])))
-        except (IndexError, ValueError) as exc:
-            raise CliError(f"{path}: bad trajectory row {raw}: {exc}")
-    return rows
+    columns = []
+    for name in ("t_s", "x_mm", "y_mm"):
+        if name not in col:
+            raise CliError(f"{path}: missing column {name!r}")
+        values, bad = _float_column(raws, col[name])
+        if bad:
+            raise CliError(f"{path}: row {bad[0]}: no number in column {name!r}")
+        columns.append(values)
+    return list(zip(*columns))
 
 
 def cmd_track(args) -> tuple[dict, str]:

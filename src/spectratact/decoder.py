@@ -67,9 +67,9 @@ def decode_force(
     The reading's total is divided by ``config``'s transmission factor at
     ``position_mm`` (:func:`spectratact.sensor.position_transmission`)
     before inversion, so that the position dependence cancels.  For many
-    readings, one :func:`~spectratact.sensor.transmission_factors` call
-    and one :meth:`ForceCalibration.invert` call over all their
-    normalized totals are far cheaper than calling this once per reading.
+    readings, :meth:`~spectratact.calibration.CalibrationFile.decode`
+    decodes position and force of all of them with one
+    :meth:`ForceCalibration.invert` call, far cheaper than this per reading.
     """
     total = reading.total()
     if reading.below_floor or total <= 0:

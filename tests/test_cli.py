@@ -989,6 +989,11 @@ EXIT_CASES = {
     # exited 2 with a bare "trajectory is empty", naming no file
     "CliError-2-header-only-trajectory": (CliError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n",
                                           "{tmp}/input: empty trajectory"),
+    # exited 2 with "bad trajectory row ['1.0', 'x', '118.0']: could not convert ...", naming
+    # neither file nor column
+    "CliError-2-trajectory-field": (CliError, 2, TRACK_CSV,
+                                    "t_s,x_mm,y_mm\n0.0,40.0,120.0\n1.0,x,118.0\n",
+                                    "{tmp}/input: row 1: no number in column 'x_mm'"),
     "ValueError": (ValueError, 2, TRACK_CSV, "t_s,x_mm,y_mm\n0.0,nan,120.0\n",
                    "trajectory sample 0 has a NaN time or coordinate"),
     "ValueError-infinite-time": (ValueError, 2, TRACK_CSV,  # -inf and inf were written, exit 0
@@ -1311,7 +1316,7 @@ class TestCsvProperties:
 # exponents on both sides, and the non-finite values
 ODD_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
 BODY_VALUES = (stn.sampled_from(ODD_FLOATS) | stn.floats() | stn.sampled_from([0, 1])
-               | stn.sampled_from([*cli._DECODE_FLAGS.tolist(), ""]))
+               | stn.sampled_from([*cli.DECODE_FLAGS.tolist(), ""]))
 
 
 @stn.composite
@@ -1394,7 +1399,8 @@ class TestArtifactModes:
 
 
 class TestByteOrderMark:
-    """A CSV saved with a UTF-8 byte-order mark reads as the same file without one."""
+    """A CSV saved with a UTF-8 byte-order mark, or ending in a blank line, reads as the same
+    file without it."""
 
     @staticmethod
     def outputs(directory):
@@ -1410,11 +1416,13 @@ class TestByteOrderMark:
         lines[3] = "x" + lines[3][lines[3].index(","):]  # a position that is not a float
         inputs = {"samples.csv": samples, "readings.csv": "".join(lines),
                   "trajectory.csv": "t_s,x_mm,y_mm\n0.0,40.0,120.0\n1.0,45.0,118.0\n"}
-        for stem, bom in (("plain", ""), ("bom", "\ufeff")):
+        # a trailing blank line, as some editors save a file: track exited 2, calibrate exited 3
+        # with "unparsable rows at [N]" and decode wrote an extra ",,corrupt_row" row
+        for stem, bom, blank in (("plain", "", ""), ("bom", "\ufeff", ""), ("blank", "", "\n")):
             folder = tmp_path / stem
             folder.mkdir()
             for name, text in inputs.items():
-                (folder / name).write_text(bom + text, encoding="utf-8")
+                (folder / name).write_text(bom + text + blank, encoding="utf-8")
             assert main(["calibrate", "--config", band_config_path, "--out", str(folder / "cal"),
                          "--samples", str(folder / "samples.csv")]) == 0
             assert main(["decode", "--calibration", str(tmp_path / "plain" / "cal" /
@@ -1425,7 +1433,9 @@ class TestByteOrderMark:
                          "--trajectory", str(folder / "trajectory.csv")]) == 0
         assert (tmp_path / "bom" / "samples.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
         for run in ("cal", "dec", "track"):
-            assert self.outputs(tmp_path / "bom" / run) == self.outputs(tmp_path / "plain" / run)
+            plain = self.outputs(tmp_path / "plain" / run)
+            for edited in ("bom", "blank"):
+                assert self.outputs(tmp_path / edited / run) == plain
         with open(tmp_path / "bom" / "dec" / "decoded.csv", newline="") as fh:
             assert list(csv.reader(fh))[3][2] == "corrupt_row"
 

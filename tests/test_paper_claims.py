@@ -23,6 +23,16 @@ with simulation, 40 dB         0.5 N: 103.67 um, 5.505 mN;      rows within 3 %
                                rows: 102.22 um, 5.421 mN
 Same, 60 dB                    10.367 um, 0.5505 mN; rows:      within 3 %
                                10.219 um, 0.5421 mN
+Force resolution as decode     std of 4000 rows through         within 3 %
+delivers it, 40 dB             CalibrationFile.decode at
+                               42.5 mm, 0.5 N: 6.130 mN
+                               (formula: 5.505 mN)
+"Self-decoupled": force does   CalibrationFile.decode of 28     spread <= 1e-9 mm;
+not move the decoded           positions on [2, 83] mm x        <= 0.1 % and
+position, and position         {0.2 .. 9.5} N: position spread  <= 1.5 %; every
+reaches force only through     across forces 7.1e-15 mm; force  row "ok"
+the transmission               error 0.043 % at the known
+                               position, 0.88 % decoded
 7 um spatial and 5 mN force    channel SNR at 42.5 mm, 0.5 N:   63.41 dB, 0.372 mN,
 resolution                     63.41 dB for 7 um, where force   40.84 dB, each
                                reads 0.372 mN; 40.84 dB for     +- 0.005 dB or 0.5 uN
@@ -54,8 +64,16 @@ Noise-free R^2 is far above the paper's 0.996 because the model's
 log-ratio is affine in position up to the bank's finite bandwidth; the
 bound pins the model, not the paper's margin.  The resolution rows use
 the 21-knot force calibration at 42.5 mm (``conftest.calibrate_force``)
-and decode force at the known press position, as the formula assumes;
-decoding the position first widens the 40 dB force spread to 6.13 mN.
+and decode force at the known press position, as the formula assumes.
+``CalibrationFile.decode``, as CLI ``decode`` runs it, decodes the position
+from the same noisy reading first and divides by the transmission
+interpolated there, so the position noise feeds the force: the 40 dB
+force spread widens from 5.42 to 6.13 mN (+13 %), which the formula
+leaves out.  The decoupling rows use the same calibrations with the
+129-point transmission table that ``calibrate`` writes.  The coupled
+fraction scales both ratio channels alike, so it cancels in the ratio up
+to rounding; the force error at the decoded position is the affine fit's
+bias (up to 80 um here) carried through the transmission.
 
 The 7 um and 5 mN row reads one operating point, so each SNR is the one
 that gives that figure there; resolution scales as 10**(-SNR/20).  The
@@ -101,7 +119,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as stn
 
 from spectratact import (NoiseModel, SensorConfig, channel_intensities, estimate_resolution,
-                         force_knot_schedule, sweep)
+                         force_knot_schedule, sweep, transmission_factors)
+from spectratact.calibration import DECODE_FLAGS, CalibrationFile, Transmission
 from spectratact.cli import main
 from spectratact.contact import MAX_BEND_DEG, MAX_STRAIN, PerturbationState
 from spectratact.errors import UnusableSampleError
@@ -165,6 +184,40 @@ def test_resolution_formulas_match_simulation(calibrations, default_forcecal, sn
     forces = default_forcecal.invert(channels.sum(axis=1) / position_transmission(config, 42.5))
     assert np.std(positions, ddof=1) == pytest.approx(report.spatial_resolution_mm, rel=0.03)
     assert np.std(forces, ddof=1) == pytest.approx(report.force_resolution_n, rel=0.03)
+
+
+@pytest.fixture(scope="module")
+def ledger_calibration(calibrations, default_forcecal):
+    """The ledger's calibrations as ``calibration.json``, with the 129-point transmission."""
+    config, poscal = SensorConfig.default(), calibrations[0.0, 0.0]
+    grid = np.linspace(*poscal.span_mm, 129)
+    return CalibrationFile(poscal, Transmission(grid, transmission_factors(config, grid)),
+                           default_forcecal)
+
+
+def test_force_resolution_as_decode_delivers_it(ledger_calibration):
+    config = SensorConfig.default()
+    _, _, channels = sweep(config, [42.5], [0.5] * 4000, NoiseModel("snr_db", 40.0))
+    _, forces, code = ledger_calibration.decode(config.bank.names, channels)
+    assert DECODE_FLAGS[code].tolist() == ["ok"] * 4000
+    assert np.std(forces, ddof=1) * 1e3 == pytest.approx(6.13, rel=0.03)
+
+
+DECOUPLING_POSITIONS = np.linspace(2.0, 83.0, 28)
+DECOUPLING_FORCES = (0.2, 0.5, 1.0, 2.0, 5.0, 9.5)
+
+
+def test_self_decoupling(ledger_calibration):
+    config = SensorConfig.default()
+    xs, fs, channels = sweep(config, DECOUPLING_POSITIONS, DECOUPLING_FORCES)
+    positions, forces, code = ledger_calibration.decode(config.bank.names, channels)
+    assert DECODE_FLAGS[code].tolist() == ["ok"] * len(xs)
+    per_position = positions.reshape(len(DECOUPLING_POSITIONS), len(DECOUPLING_FORCES))
+    assert np.max(np.ptp(per_position, axis=1)) <= 1e-9
+    at_known = ledger_calibration.force.invert(channels.sum(axis=1)
+                                               / transmission_factors(config, xs))
+    assert np.max(np.abs(at_known / fs - 1.0)) <= 1e-3
+    assert np.max(np.abs(forces / fs - 1.0)) <= 0.015
 
 
 def resolution_at(calibrations, forcecal, snr_db):

@@ -7,7 +7,8 @@ the benchmark names it (``benchmarks/run.TRACED`` or
 points.  Anything else is code that only its tests run.  The same holds for
 every default an exported function or method declares: some call in ``src/``
 or ``benchmarks/`` passes each defaulted parameter, or it is a constant.
-The CLI keeps one write path: one table writer and one file writer.
+The CLI keeps one write path: one table writer and one file writer.  It
+calibrates and decodes through the library's two array calls alone.
 """
 
 import ast
@@ -177,3 +178,16 @@ def test_cli_writes_through_one_table_writer_and_one_file_writer():
             if writes_a_file(call):
                 owners["files"].add(owner)
     assert owners == {"rows": {"_write_csv"}, "files": {"_atomic_write"}}
+
+
+def test_cli_calibrates_and_decodes_through_the_library_calls():
+    """``cli.py`` imports no private name of ``calibration`` and none of the fitting steps
+    that ``calibrate_samples`` and ``CalibrationFile.decode`` run, so the policy has one home."""
+    tree = parse(os.path.join(PACKAGE, "cli.py"))
+    from_calibration = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module == "calibration"
+                        for alias in node.names}
+    assert "calibrate_samples" in from_calibration
+    assert sorted(name for name in from_calibration if name.startswith("_")) == []
+    steps = {"fit_position", "fit_force", "transmission_factors", "Transmission"}
+    assert sorted(used_names(tree) & steps) == []
