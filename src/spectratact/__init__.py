@@ -66,7 +66,7 @@ from .sensor import (
     NoiseModel,
     SensorConfig,
     Stimulus,
-    channel_intensities,
+    grid_intensities,
     position_transmission,
     simulate_reading,
     sweep,

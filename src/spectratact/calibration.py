@@ -25,10 +25,9 @@ from .errors import (
     DegenerateFitError,
     NonMonotoneDataError,
     SaturatedError,
-    TransmissionUnderflowError,
     UnusableSampleError,
 )
-from .sensor import (NoiseModel, SensorConfig, channel_intensities, position_transmission,
+from .sensor import (NoiseModel, SensorConfig, grid_intensities, position_transmission,
                      transmission_factors)
 from .spectral import log_ratios
 
@@ -103,6 +102,11 @@ def _ratio_channels(names, numerator_ch, denominator_ch):
     if num == den:
         raise ValueError("numerator and denominator channels must differ")
     return num, den
+
+
+def _sound(channels: np.ndarray) -> np.ndarray:
+    """Rows whose every channel is finite and nonnegative (the rest decode as code 0)."""
+    return ((channels >= 0) & (channels < np.inf)).all(axis=1)
 
 
 def _ratio_pair(values: np.ndarray, names, num: str, den: str):
@@ -392,7 +396,7 @@ class CalibrationFile(Record):
         poscal, forcecal, table = self.position, self.force, self.transmission
         channels = np.asarray(channels, dtype=float)
         num, den = _ratio_pair(channels, names, poscal.numerator_ch, poscal.denominator_ch)
-        code = ((channels >= 0) & (channels < np.inf)).all(axis=1).astype(int)
+        code = _sound(channels).astype(int)
         rows = np.flatnonzero(code)
         lit, position, _, out_of_span = poscal.decode(num[rows], den[rows])
         rows = rows[lit]
@@ -414,18 +418,26 @@ class CalibrationFile(Record):
 
 def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_n,
                       numerator_ch: str | None, denominator_ch: str | None):
-    """``(CalibrationFile, skipped)`` of a sweep's finite samples, one per row of ``channels``.
+    """``(CalibrationFile, skipped)`` of a sweep's samples, one per row of ``channels``.
 
     ``force_n`` None has no force fit; a ratio channel None is
-    :func:`fit_position`'s default.  The position fit reads the rows both
-    ratio channels light that were pressed past the contact threshold;
-    ``skipped`` counts the rest by reason.  The force fit reads the position
-    with the most rows among those with 3 or more distinct forces.  A
-    noise-free transmission of 0 on the table's 129 points across the
-    fitted span raises :class:`TransmissionUnderflowError`.
+    :func:`fit_position`'s default.  Rows with a negative or non-finite
+    channel, then rows with a non-finite stimulus, raise
+    :class:`UnusableSampleError` naming them.  The position fit reads the
+    rows both ratio channels light that were pressed past the contact
+    threshold; ``skipped`` counts the rest by reason.  The force fit reads
+    the position with the most rows among those with 3 or more distinct
+    forces; its knots' errors name that position.  A noise-free
+    transmission of 0 on the table's 129 points across the fitted span
+    raises :class:`DegenerateFitError`.
     """
     channels, position = np.asarray(channels, dtype=float), np.asarray(position_mm, dtype=float)
     force = None if force_n is None else np.asarray(force_n, dtype=float)
+    finite = np.isfinite(position) if force is None else np.isfinite(position) & np.isfinite(force)
+    for reason, bad in (("negative or non-finite channel", ~_sound(channels)),
+                        ("non-finite position_mm or force_n", ~finite)):
+        if bad.any():
+            raise UnusableSampleError(reason, np.flatnonzero(bad).tolist())
     ratio = _ratio_channels(names, numerator_ch, denominator_ch)
     num, den = _ratio_pair(channels, names, *ratio)
     lit = (num > 0) & (den > 0)
@@ -448,12 +460,15 @@ def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_
                       if len(set(force[rows].tolist())) >= 3]
         if candidates:
             p, rows = max(candidates, key=lambda item: len(item[1]))
-            forcecal = fit_force(channels[rows], force[rows], config, p)
+            try:
+                forcecal = fit_force(channels[rows], force[rows], config, p)
+            except NonMonotoneDataError as exc:
+                raise NonMonotoneDataError(f"force fit at {p} mm: {exc}") from None
 
     grid = np.linspace(*poscal.span_mm, 129)
     factors = transmission_factors(config, grid)
     if not factors.all():
-        raise TransmissionUnderflowError(
+        raise DegenerateFitError(
             f"noise-free transmission underflows to 0 at {grid[factors == 0][0]} mm of the "
             f"fitted span {list(poscal.span_mm)} mm")
     return (CalibrationFile(poscal, Transmission(grid, factors), forcecal),
@@ -499,7 +514,7 @@ def estimate_resolution(
     42.5 mm, from 5.42 to 6.13 mN (a ledger row of ``test_paper_claims``).
     """
     ratio = (config.bank.names, poscal.numerator_ch, poscal.denominator_ch)
-    values = channel_intensities(config, [position_mm], [force_n])[0]
+    values = grid_intensities(config, [position_mm], [force_n])[0]
     sigma = noise.sigma_vector(values)
     num, den = _ratio_pair(values, *ratio)
     if num <= 0 or den <= 0:
@@ -519,14 +534,13 @@ def estimate_resolution(
         held_out_positions = np.linspace(lo, hi, 33)[1:-1]
     xs = np.asarray(held_out_positions, dtype=float)
     lit, _, raw, _ = poscal.decode(*_ratio_pair(
-        channel_intensities(config, xs, np.full(xs.shape, force_n)), *ratio))
+        grid_intensities(config, xs, [force_n]), *ratio))
     spatial_accuracy = float(np.mean(np.abs(raw - xs[lit])))
 
     if held_out_forces is None:
         held_out_forces = 0.5 * (forcecal.forces_n[1:] + forcecal.forces_n[:-1])
     fs = np.asarray(held_out_forces, dtype=float)
-    normalized = (channel_intensities(config, np.full(fs.shape, position_mm), fs)
-                  .sum(axis=1) / transmission)
+    normalized = grid_intensities(config, [position_mm], fs).sum(axis=1) / transmission
     # values outside the knots are dead zone or saturation, not model bias
     below, above = forcecal.out_of_range(normalized)
     inside = ~(below | above)

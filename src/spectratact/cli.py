@@ -41,7 +41,6 @@ from .errors import (
     KinematicError,
     NonMonotoneDataError,
     SpectraTactError,
-    TransmissionUnderflowError,
     UnusableSampleError,
 )
 from .sensor import NoiseModel, SensorConfig, sweep
@@ -198,8 +197,7 @@ def _read_samples(path: str, required=(), ratio=()):
     None when the header lacks them.  A header without a ``ch_*`` column, a
     ``required`` column or the column of a ``ratio`` channel exits 2; an empty
     file has no rows of the ``ratio`` channels, unless a column is required.
-    A row is unparsed when a field it needs is short or not a float, or a
-    channel is negative or not finite (:class:`ChannelReading`'s check);
+    A row is unparsed when a field it needs is short or not a float;
     ``parsed`` is False there and every value of the row is NaN.
     """
     header, raws = _read_csv(path)
@@ -227,7 +225,7 @@ def _read_samples(path: str, required=(), ratio=()):
         unparsed += bad
     table = np.array(columns, dtype=float).T
     channels = table[:, len(stimulus):]
-    parsed = ((channels >= 0) & (channels < np.inf)).all(axis=1)
+    parsed = np.ones(len(table), dtype=bool)
     parsed[unparsed] = False
     table[~parsed] = np.nan
     stimulus_columns = dict(zip(stimulus, table.T))
@@ -243,15 +241,12 @@ def cmd_calibrate(args) -> tuple[dict, str]:
     if not parsed.all():
         raise CliError(f"{args.samples}: unparsable rows at {np.flatnonzero(~parsed).tolist()}",
                        EXIT_DEGENERATE)
-    finite = np.isfinite(position) & np.isfinite(position if force is None else force)
-    if not finite.all():
-        raise CliError(f"{args.samples}: non-finite position_mm or force_n at rows "
-                       f"{np.flatnonzero(~finite).tolist()}", EXIT_DEGENERATE)
     try:
         calibration, skipped = calibrate_samples(config, names, channels, position, force,
                                                  *ratio)
-    except TransmissionUnderflowError as exc:
-        raise CliError(f"{args.samples}: {exc}", EXIT_DEGENERATE) from None
+    except _DEGENERATE_ERRORS as exc:  # name the file the data came from, keeping the class
+        exc.args = (f"{args.samples}: {exc}",)
+        raise
     poscal, forcecal = calibration.position, calibration.force
     summary = f"calibrate: slope={poscal.slope!r} /mm, r_squared={poscal.r_squared!r}"
     if forcecal is not None:

@@ -41,10 +41,6 @@ class DegenerateFitError(SpectraTactError):
     """Calibration data cannot support the requested fit."""
 
 
-class TransmissionUnderflowError(DegenerateFitError):
-    """The noise-free transmission underflows to 0 inside a fitted span."""
-
-
 class NonMonotoneDataError(SpectraTactError):
     """Force samples are not strictly monotone after replicate averaging."""
 

@@ -6,6 +6,11 @@ the dye filters it over the press-to-detector distance, the channel bank
 integrates the arriving spectrum, and an optional noise model adds
 per-channel Gaussian noise.  LED and detector sit at the same end, so
 the filtering length equals the press distance from that end.
+
+The forward model reads the position-major grid of a positions axis and
+a forces axis (row ``i * len(forces) + j``: position i, force j), so the
+optics run once per position and the coupling law once per force: a
+``sweep`` is P x F, a calibration or ``track`` n x 1, one reading 1 x 1.
 """
 
 from __future__ import annotations
@@ -201,16 +206,7 @@ def full_scale_intensity(config: SensorConfig) -> float:
 
 
 def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarray]:
-    """Clear-path loss and bank integrals of the dye-filtered source per position.
-
-    When at least half the rows repeat the row before them, as in the
-    position-major grid of a ``sweep``, the optics run once per distinct
-    position, first-seen first, and the rows are gathered by index (``0.0``
-    and ``-0.0`` are one position, with the same bits): an 86 x 21
-    calibration grid filters 86 rows, not 1806.  Other inputs skip the
-    gather, which costs more than it saves there: on the 2000 rows of a
-    1000-sample ``track`` (2 repeats, B/R line bank) it took about 1.5 ms
-    against 0.5 ms without, and a ``dict`` of the positions alone 0.15 ms.
+    """Clear-path loss and bank integrals of the dye-filtered source, per position-axis entry.
 
     The arithmetic follows ``attenuate`` then ``integrate_channels`` step
     for step, so every row equals theirs bit for bit: the stacked matmul
@@ -230,12 +226,12 @@ def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarr
 
     Its fixed cost counts on a one-sample ``track`` (2 rows), where it took
     about 12 us of a 100 us step on a 2-vCPU AVX-512 host, 3.3 us of it the
-    span test; the test for runs of repeats adds about 1 us.  So the span
-    test is two reductions, ``minimum`` and ``maximum`` from an
-    ``initial`` of 0 (NaN propagates through both and fails the test; zero
-    rows pass), and the mask that names the first offender is built only
-    to raise.  ``exp`` and the two products run in place: ``e * source``
-    is ``source * e`` bit for bit, and the order of the products is kept.
+    span test.  So the span test is two reductions, ``minimum`` and
+    ``maximum`` from an ``initial`` of 0 (NaN propagates through both and
+    fails the test; zero rows pass), and the mask that names the first
+    offender is built only to raise.  ``exp`` and the two products run in
+    place: ``e * source`` is ``source * e`` bit for bit, and the order of
+    the products is kept.
     """
     x = np.asarray(positions_mm, dtype=float).reshape(-1)
     if not (np.minimum.reduce(x, initial=0.0) >= 0  # NaN propagates and fails either test
@@ -245,13 +241,6 @@ def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarr
             f"position {float(x[outside][0])} mm outside sensor span "
             f"[0, {config.length_mm}] mm"
         )
-    listed = x.tolist()
-    if 2 * np.count_nonzero(x[1:] == x[:-1]) >= x.size > 0:
-        distinct = dict.fromkeys(listed)
-        clear, integrals = _filtered(config, list(distinct))
-        row_of = dict(zip(distinct, range(len(distinct))))
-        rows = [row_of[p] for p in listed]
-        return [clear[i] for i in rows], integrals[rows]
     optics = config._optics
     integrals = np.empty((x.size, optics.responses.shape[0]))
     for start in range(0, x.size, CHUNK_ROWS):
@@ -262,27 +251,24 @@ def _filtered(config: SensorConfig, positions_mm) -> tuple[list[float], np.ndarr
         stacked = np.matmul(optics.responses, filtered[:, :, None])
         integrals[start:start + block.shape[0]] = stacked[:, :, 0]
     loss = config.clear_loss_per_mm
-    return [math.exp(-loss * p) for p in listed], integrals
+    return [math.exp(-loss * p) for p in x.tolist()], integrals
 
 
-def channel_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndarray:
-    """Noise-free channels for paired (position, force) rows, before floor clamping.
+def grid_intensities(config: SensorConfig, positions_mm, forces_n) -> np.ndarray:
+    """Noise-free channels of the position-major grid of two axes, before floor clamping.
 
-    Returns an array of shape (rows, channels): the coupled fraction times
-    the clear-path loss times the bank integrals of the filtered source.
-    The coupling law runs once per distinct force, first-seen first, and
-    on a position-major grid the optics run once per distinct position
-    (see ``_filtered``), so a ``sweep`` costs one evaluation per axis
-    value; only their product runs per row.
+    Returns an array of shape (positions * forces, channels): row
+    ``i * len(forces) + j`` is the coupled fraction of force j times the
+    clear-path loss and the bank integrals of the source filtered over
+    position i.  The optics run once per position entry and the coupling
+    law once per force entry; only their product runs per row.
     """
     clear, integrals = _filtered(config, positions_mm)
-    forces = np.asarray(forces_n, dtype=float).reshape(-1).tolist()
-    if len(forces) != len(clear):
-        raise ValueError("positions and forces lengths differ")
     law = config.coupling
-    fraction = {f: coupled_fraction(law, f) for f in dict.fromkeys(forces)}
-    integrals *= np.array([fraction[f] * c for f, c in zip(forces, clear)])[:, None]
-    return integrals
+    forces = np.asarray(forces_n, dtype=float).reshape(-1).tolist()
+    fractions = [coupled_fraction(law, f) for f in forces]
+    rows = integrals[:, None, :] * np.multiply.outer(clear, fractions)[:, :, None]
+    return rows.reshape(-1, integrals.shape[1])
 
 
 def transmission_factors(config: SensorConfig, positions_mm) -> np.ndarray:
@@ -297,7 +283,7 @@ def transmission_factors(config: SensorConfig, positions_mm) -> np.ndarray:
 
 def noise_free_channels(config: SensorConfig, stim: Stimulus) -> np.ndarray:
     """Deterministic part of the forward model, before floor clamping."""
-    return channel_intensities(config, [stim.position_mm], [stim.force_n])[0]
+    return grid_intensities(config, [stim.position_mm], [stim.force_n])[0]
 
 
 def position_transmission(config: SensorConfig, position_mm: float) -> float:
@@ -306,12 +292,12 @@ def position_transmission(config: SensorConfig, position_mm: float) -> float:
 
 
 def _readings(config: SensorConfig, positions, forces, noise, rngs) -> np.ndarray:
-    """Channel rows after noise (one draw per row from ``rngs``) and the floor.
+    """Grid rows after noise (one draw per row from ``rngs``) and the floor.
 
     A value past the float range, noisy or not, raises ``ValueError``
     instead of reading as zero or decoding as a pose.
     """
-    values = channel_intensities(config, positions, forces)
+    values = grid_intensities(config, positions, forces)
     if noise is not None:
         draws = np.empty_like(values)
         for row, rng in zip(draws, rngs, strict=True):
@@ -490,16 +476,16 @@ def sweep(
     """Simulate a position-major grid of stimuli, one row each.
 
     Returns ``(positions, forces, values)``: the stimulus of each row and
-    its (rows, channels) readings in the bank's channel order.  The optics
-    run once per position and the coupling law once per force (see
-    :func:`channel_intensities`); their product, the noise and the floor
-    run per row.  Row i draws from an RNG substream derived from (seed,
-    i), so the table is reproducible and rows could be computed in any
-    order.
+    its (rows, channels) readings in the bank's channel order.  The two
+    axes go to the forward model as given, so the optics run once per
+    ``positions_mm`` entry and the coupling law once per ``forces_n``
+    entry (see :func:`grid_intensities`); their product, the noise and the
+    floor run per row.  The stimulus columns alone are expanded to rows.
+    Row i draws from an RNG substream derived from (seed, i), so the table
+    is reproducible and rows could be computed in any order.
     """
     positions = [float(p) for p in positions_mm]
     forces = [float(f) for f in forces_n]
-    xs = np.repeat(positions, len(forces))
-    fs = np.tile(forces, len(positions))
-    rngs = rng_substreams(seed, xs.size) if noise is not None else None
-    return xs, fs, _readings(config, xs, fs, noise, rngs)
+    rngs = rng_substreams(seed, len(positions) * len(forces)) if noise is not None else None
+    return (np.repeat(positions, len(forces)), np.tile(forces, len(positions)),
+            _readings(config, positions, forces, noise, rngs))

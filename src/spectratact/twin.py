@@ -72,7 +72,7 @@ def calibrate_encoder(
 ) -> PositionCalibration:
     """Noise-free position calibration over the sensor's full span."""
     positions = np.linspace(0.0, sensor.length_mm, n_points)
-    values = _readings(sensor, positions, np.full(n_points, force_n), None, None)
+    values = _readings(sensor, positions, [force_n], None, None)
     return fit_position(sensor.bank.names, values, positions)
 
 
@@ -250,7 +250,7 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     for sensor, joints in groups:
         rngs = None if noise is None else substreams(seed, [(i, j) for i in kept for j in joints])
         xs = [pair[j] for pair in positions for j in joints]
-        values = _readings(sensor, xs, [assembly.indenter_force_n] * len(xs), noise, rngs)
+        values = _readings(sensor, xs, [assembly.indenter_force_n], noise, rngs)
         names, columns = sensor.bank.names, values.T.tolist()  # one list per channel
         for k, j in enumerate(joints):
             encoder, poscal = assembly.encoders[j], assembly.calibrations[j]

@@ -32,7 +32,7 @@ from spectratact import calibration
 from spectratact.calibration import SLOPE_FLOOR_ULPS
 from spectratact.sensor import (
     SensorConfig,
-    channel_intensities,
+    grid_intensities,
     position_transmission,
     transmission_factors,
 )
@@ -291,6 +291,57 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestCalibrateSamples:
+    """``calibrate_samples`` refuses what the CLI refuses, naming the rows of the samples."""
+
+    @pytest.fixture(scope="class")
+    def samples(self, default_config):
+        schedule = force_knot_schedule(default_config.coupling.f_threshold_n, 10.0, 21)
+        xs, fs, values = sweep(default_config, np.linspace(0.0, 85.0, 18), schedule)
+        return default_config.bank.names, values, xs, fs
+
+    def calibrate(self, config, samples, channels=None, position=None, force=None):
+        names, values, xs, fs = samples
+        return calibration.calibrate_samples(
+            config, names, values if channels is None else channels,
+            xs if position is None else position, fs if force is None else force, None, None)
+
+    def test_sound_samples_fit_at_the_first_position(self, default_config, samples):
+        cal, skipped = self.calibrate(default_config, samples)
+        assert cal.force is not None and skipped["with a ratio channel at zero"] == 0
+
+    # row 1 is the second knot of the force fit at 0 mm: a G of -0.05 there once moved
+    # that knot's normalized value from 0.00200 to 0.00117, and NaN or inf raised a bare
+    # ValueError
+    @pytest.mark.parametrize("value", [-0.05, math.nan, math.inf])
+    def test_negative_or_non_finite_channel_names_its_rows(self, default_config, samples,
+                                                           value):
+        names, values, _, _ = samples
+        channels = values.copy()
+        channels[[1, 40], names.index("G")] = value
+        with pytest.raises(UnusableSampleError,
+                           match=r"^negative or non-finite channel at rows \[1, 40\]$"):
+            self.calibrate(default_config, samples, channels=channels)
+
+    # a NaN force once counted as "at or below the contact threshold"
+    @pytest.mark.parametrize("column", ["position", "force"])
+    def test_non_finite_stimulus_names_its_rows(self, default_config, samples, column):
+        _, _, xs, fs = samples
+        stimulus = (xs if column == "position" else fs).copy()
+        stimulus[[3, 7]] = (math.nan, -math.inf)
+        with pytest.raises(UnusableSampleError,
+                           match=r"^non-finite position_mm or force_n at rows \[3, 7\]$"):
+            self.calibrate(default_config, samples, **{column: stimulus})
+
+    def test_knots_error_names_the_fit_position(self, default_config, samples):
+        _, values, _, _ = samples
+        channels = values.copy()
+        channels[5] = channels[4]  # two forces at 0 mm read one total
+        with pytest.raises(NonMonotoneDataError, match=r"^force fit at 0\.0 mm: normalized "
+                                                       r"intensities must be strictly"):
+            self.calibrate(default_config, samples, channels=channels)
+
+
 class TestPchipOracle:
     """The in-house PCHIP against scipy's, bit for bit."""
 
@@ -401,8 +452,7 @@ class TestEstimateResolution:
         report = estimate_resolution(default_config, default_poscal, cal,
                                      NoiseModel(), 42.5, 2.0, held_out_forces=forces)
         transmission = position_transmission(default_config, 42.5)
-        totals = channel_intensities(default_config, np.full(forces.shape, 42.5),
-                                     forces).sum(axis=1)
+        totals = grid_intensities(default_config, [42.5], forces).sum(axis=1)
         errors, outside = [], set()
         for force, total in zip(forces.tolist(), totals.tolist()):
             try:

@@ -241,8 +241,9 @@ class TestCalibrate:
                                          noise=("--noise-sigma", "0.5", "--seed", "1"))
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'sim' / 'sweep.csv'}: noise-free transmission underflows to 0 "
-            "at 27.051809210526315 mm of the fitted span [0.0, 80.52631578947368] mm\n")
+            f"error: degenerate data: {tmp_path / 'sim' / 'sweep.csv'}: noise-free transmission "
+            "underflows to 0 at 27.051809210526315 mm of the fitted span "
+            "[0.0, 80.52631578947368] mm\n")
         assert not cal.exists()
 
     @pytest.mark.parametrize("text", ["", "force_n,ch_B,ch_R\n1,1,1\n2,2,1\n3,3,1\n"])
@@ -960,26 +961,34 @@ EXIT_CASES = {
     "CliError-3": (CliError, 3, CALIBRATE, SAMPLES + "10,2,x,1,1\n20,2,0.5,1,1\n",
                    "{tmp}/input: unparsable rows at [0]"),
     # NaN force was skipped as "at or below the contact threshold", exit 0; an infinite or
-    # NaN position exited 3 for a NaN slope, inf after a RuntimeWarning
-    "CliError-3-nan-force": (CliError, 3, CALIBRATE, SAMPLES + (
+    # NaN position exited 3 for a NaN slope, inf after a RuntimeWarning.  calibrate_samples
+    # refuses them, as the CLI alone once did
+    "UnusableSampleError-nan-force": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
         "10,nan,0.5,1,1\n20,2,0.4,1,1\n30,2,0.3,1,1\n40,2,0.2,1,1\n"),
-        "{tmp}/input: non-finite position_mm or force_n at rows [0]"),
-    "CliError-3-inf-position": (CliError, 3, CALIBRATE, SAMPLES + (
+        "degenerate data: {tmp}/input: non-finite position_mm or force_n at rows [0]"),
+    "UnusableSampleError-inf-position": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
         "10,2,0.5,1,1\n20,2,0.4,1,1\n-inf,2,0.3,1,1\n40,2,0.2,1,1\ninf,2,0.2,1,1\n"),
-        "{tmp}/input: non-finite position_mm or force_n at rows [2, 4]"),
-    "CliError-3-nan-position": (CliError, 3, CALIBRATE, SAMPLES + (
+        "degenerate data: {tmp}/input: non-finite position_mm or force_n at rows [2, 4]"),
+    "UnusableSampleError-nan-position": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
         "10,2,0.5,1,1\nnan,2,0.4,1,1\n30,2,0.3,1,1\n40,2,0.2,1,1\n"),
-        "{tmp}/input: non-finite position_mm or force_n at rows [1]"),
+        "degenerate data: {tmp}/input: non-finite position_mm or force_n at rows [1]"),
+    # a negative or non-finite channel read as "unparsable rows" from the CLI, while a
+    # library call took a negative one into the fit and raised ValueError for NaN
+    "UnusableSampleError-bad-channel": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
+        "10,2,-0.5,1,1\n20,2,0.4,1,1\n30,2,0.3,nan,1\n40,2,0.2,1,inf\n"),
+        "degenerate data: {tmp}/input: negative or non-finite channel at rows [0, 2, 3]"),
+    # the calibrate_samples errors below named neither the file nor the force-fit position
     "DegenerateFitError": (DegenerateFitError, 3, CALIBRATE,
                            SAMPLES + "10,2,0.5,1,1\n20,2,0.4,1,1\n",
-                           "degenerate data: need at least 3 samples, got 2"),
+                           "degenerate data: {tmp}/input: need at least 3 samples, got 2"),
     "NonMonotoneDataError": (NonMonotoneDataError, 3, CALIBRATE, SAMPLES + (
         "10,2,0.5,1,1\n20,2,0.4,1,1\n30,1,0.3,1,1\n30,2,0.3,0.5,1\n30,3,0.3,0.2,1\n"),
-        "degenerate data: normalized intensities must be strictly increasing with force"),
+        "degenerate data: {tmp}/input: force fit at 30.0 mm: normalized intensities must be "
+        "strictly increasing with force"),
     "UnusableSampleError": (UnusableSampleError, 3, CALIBRATE, SAMPLES + (
         "10,2,1e-300,1,1e30\n20,2,0.5,1,1\n30,2,0.4,1,1\n40,2,0.3,1,1\n"),
-        "degenerate data: 1 sample(s) in the dead zone or with a B/R ratio past the float "
-        "range at rows [0]"),
+        "degenerate data: {tmp}/input: 1 sample(s) in the dead zone or with a B/R ratio past "
+        "the float range at rows [0]"),
     "KinematicError": (UnreachableError, 4, TRACK_CSV,
                        "t_s,x_mm,y_mm\n0.0,40.0,500.0\n1.0,41.0,500.0\n",
                        "kinematics: no trajectory sample is reachable on the working branch"),
@@ -1237,8 +1246,8 @@ class TestOptionProperties:
         if code != 0:
             assert not out.exists()
             return
-        _, _, position, force, parsed = cli._read_samples(str(out / "sweep.csv"))
-        assert parsed.all()  # every channel finite and nonnegative
+        _, channels, position, force, parsed = cli._read_samples(str(out / "sweep.csv"))
+        assert parsed.all() and ((channels >= 0) & (channels < np.inf)).all()
         assert np.isfinite(position).all() and np.isfinite(force).all()
 
 

@@ -9,10 +9,10 @@ from spectratact import (
     ConfigError,
     CouplingLaw,
     PerturbationState,
-    channel_intensities,
     coupled_fraction,
     default_red_dye,
     fit_position,
+    grid_intensities,
     strained_dye,
     sweep,
 )
@@ -114,9 +114,9 @@ class TestBendingGain:
     @pytest.mark.parametrize("bend", [0.0, 45.0, 90.0, 135.0, 180.0])
     def test_identity_within_supported_range(self, default_config, bend):
         bent = replace(default_config, perturbation=PerturbationState(bend_deg=bend))
-        xs, forces = np.linspace(0.0, 85.0, 18), np.full(18, 2.0)
-        assert channel_intensities(bent, xs, forces).tobytes() == \
-            channel_intensities(default_config, xs, forces).tobytes()
+        xs, forces = np.linspace(0.0, 85.0, 18), [2.0]
+        assert grid_intensities(bent, xs, forces).tobytes() == \
+            grid_intensities(default_config, xs, forces).tobytes()
 
     def test_beyond_half_turn_rejected(self):
         with pytest.raises(ConfigError, match=r"^'bend_deg' must lie in \[0, 180\], got 181.0$"):

@@ -1,13 +1,15 @@
 """The batched forward model against the Beer-Lambert closed form.
 
-``channel_intensities`` must equal, to round-off, the closed form
+``grid_intensities`` reads the position-major grid of a positions axis
+and a forces axis.  Each cell must equal, to round-off, the closed form
 
     frac(F) * exp(-a x) * sum_l R(l) S(l) exp(-c k(l) x / (1 + strain)) dl
 
-on arbitrary grids, banks and perturbations, and every row of a batch
-must equal the same row computed on its own, across the chunk
-boundaries of the kernel.  On the stock banks it must also equal, bit for
-bit, the same arithmetic run on every wavelength sample of the grid.
+on arbitrary wavelength grids, banks and perturbations, and every cell
+must equal the same cell computed as a 1 x 1 grid on its own, across the
+chunk boundaries of the kernel.  On the stock banks it must also equal,
+bit for bit, the same arithmetic run on every wavelength sample of the
+grid.
 """
 
 import math
@@ -28,14 +30,16 @@ from spectratact import (
     default_wavelength_grid,
     line_response,
 )
+from spectratact import sensor
 from spectratact.contact import coupled_fraction, strained_dye
 from spectratact.errors import OutOfSpanError
-from spectratact.sensor import CHUNK_ROWS, channel_intensities, transmission_factors
+from spectratact.sensor import CHUNK_ROWS, grid_intensities, transmission_factors
 from spectratact.twin import encoder_sensor_config
 
 REL_TOL = 1e-12
 GRID = default_wavelength_grid()
 ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+FORCE_COUNTS = [0, 1, 3]
 
 
 @stn.composite
@@ -66,18 +70,25 @@ def configs(draw):
     )
 
 
-def stimuli(config, n, seed):
-    """Positions in the span with both ends present; forces on every branch of the law."""
+def stimuli(config, n, seed, n_forces=None):
+    """A positions axis of ``n`` entries in the span, both ends present, and a forces axis
+    (``n`` entries unless ``n_forces`` says) on every branch of the law."""
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, config.length_mm, n)
     positions[:2] = (0.0, config.length_mm)[:n]
+    m = n if n_forces is None else n_forces
     law = config.coupling
     saturation = law.f_threshold_n + law.gain ** (-1 / law.exponent)
     choices = np.array([0.0, law.f_threshold_n, 0.5 * law.f_threshold_n,
                         saturation, 2.0 * saturation + 1.0])
-    forces = np.where(rng.random(n) < 0.5, rng.choice(choices, n),
-                      rng.uniform(0.0, 1.5 * saturation, n))
+    forces = np.where(rng.random(m) < 0.5, rng.choice(choices, m),
+                      rng.uniform(0.0, 1.5 * saturation, m))
     return positions, forces
+
+
+def cells(positions, forces):
+    """The (position, force) of each row of the position-major grid of two axes."""
+    return np.repeat(positions, len(forces)), np.tile(forces, len(positions))
 
 
 def closed_form(config, positions, forces):
@@ -104,60 +115,68 @@ def assert_close(got, expected):
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=configs(), n=stn.sampled_from(ROW_COUNTS), seed=stn.integers(0, 2**32 - 1))
-def test_matches_closed_form(config, n, seed):
-    positions, forces = stimuli(config, n, seed)
-    channels = channel_intensities(config, positions, forces)
-    expected_channels, expected_transmission = closed_form(config, positions, forces)
+@given(config=configs(), n=stn.sampled_from(ROW_COUNTS), m=stn.sampled_from(FORCE_COUNTS),
+       seed=stn.integers(0, 2**32 - 1))
+def test_matches_closed_form(config, n, m, seed):
+    positions, forces = stimuli(config, n, seed, m)
+    channels = grid_intensities(config, positions, forces)
+    expected_channels, _ = closed_form(config, *cells(positions, forces))
     assert_close(channels, expected_channels)
+    _, expected_transmission = closed_form(config, positions, np.zeros(n))
     assert_close(transmission_factors(config, positions), expected_transmission)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=6, deadline=None)
 @given(config=configs(), seed=stn.integers(0, 2**32 - 1))
 def test_rows_independent_of_batch(config, seed):
-    """Each row equals the row computed alone, bit for bit, also where positions repeat.
+    """Every cell of a (2 * CHUNK_ROWS + 3) x 3 grid equals its 1 x 1 grid, bit for bit.
 
-    Where at least half the rows repeat the row before them, the kernel
-    runs the optics once per distinct position and gathers the rows; the
-    second batch, in runs of three, makes it do so.  Both batches hold
-    adjacent repeats, repeats interleaved across a ``CHUNK_ROWS``
-    boundary, and ``0.0`` next to ``-0.0`` (one dict key), with ``-0.0``
-    seen first.
+    The positions axis holds ``-0.0`` first, adjacent repeats, repeats
+    interleaved across a ``CHUNK_ROWS`` boundary and ``0.0`` next to
+    ``-0.0``; the forces axis holds a repeat.  Each entry is filtered as
+    given, so a cell depends on its own position and force alone.
     """
     n = 2 * CHUNK_ROWS + 3
-    pool, forces = stimuli(config, n, seed)
-    for positions in (pool.copy(), pool[np.arange(n) // 3]):
-        positions[0] = -0.0
-        positions[5:8] = positions[4]
-        positions[8:10] = (0.0, -0.0)
-        positions[CHUNK_ROWS - 2:CHUNK_ROWS + 2] = positions[[2, 4, 2, 4]]
-        batch = channel_intensities(config, positions, forces)
-        transmission = transmission_factors(config, positions)
-        for i in (0, 4, 5, 6, 7, 8, 9, *range(CHUNK_ROWS - 2, CHUNK_ROWS + 2), 2 * CHUNK_ROWS,
-                  n - 1):
-            alone = channel_intensities(config, positions[i:i + 1], forces[i:i + 1])
-            assert batch[i].tobytes() == alone[0].tobytes()
-            assert transmission[i:i + 1].tobytes() == \
-                transmission_factors(config, positions[i:i + 1]).tobytes()
-    assert 2 * np.count_nonzero(positions[1:] == positions[:-1]) >= n  # it was gathered
+    positions, forces = stimuli(config, n, seed, 2)
+    forces = forces[[0, 1, 0]]
+    positions[0] = -0.0
+    positions[5:8] = positions[4]
+    positions[8:10] = (0.0, -0.0)
+    positions[CHUNK_ROWS - 2:CHUNK_ROWS + 2] = positions[[2, 4, 2, 4]]
+    batch = grid_intensities(config, positions, forces).reshape(n, forces.size, -1)
+    transmission = transmission_factors(config, positions)
+    for i in range(n):
+        for j in range(forces.size):
+            alone = grid_intensities(config, positions[i:i + 1], forces[j:j + 1])
+            assert batch[i, j].tobytes() == alone[0].tobytes()
+        assert transmission[i:i + 1].tobytes() == \
+            transmission_factors(config, positions[i:i + 1]).tobytes()
 
     # an out-of-span position that repeats is named at its first row, not in sorted order
     outside = np.repeat([5.0, config.length_mm + 2.0, config.length_mm + 1.0,
                          config.length_mm + 2.0, -1.0], 2)
-    for kernel in (lambda: channel_intensities(config, outside, np.ones(10)),
+    for kernel in (lambda: grid_intensities(config, outside, [1.0]),
                    lambda: transmission_factors(config, outside)):
         with pytest.raises(OutOfSpanError, match=f"position {config.length_mm + 2.0!r} mm"):
             kernel()
 
 
-def full_width(config, positions, forces):
-    """The kernel's arithmetic on every wavelength sample of the grid.
+def test_paired_rows_have_no_kernel():
+    """Two equal-length axes read their n x n grid, so the paired-row name must not answer."""
+    assert not hasattr(sensor, "channel_intensities")
+    config = SensorConfig.default()
+    assert grid_intensities(config, [10.0, 20.0], [1.0, 2.0]).shape == \
+        (4, len(config.bank.names))
 
-    Each row is the stacked matmul of the full response matrix with the
-    filtered source, in blocks of ``CHUNK_ROWS``, times the clear-path loss
-    in ``math`` and the coupled fraction, as ``channel_intensities`` and
-    ``transmission_factors`` order them.
+
+def full_width(config, positions, forces):
+    """The kernel's arithmetic on every wavelength sample of the grid, per axis entry.
+
+    Each position's integrals are the stacked matmul of the full response
+    matrix with the filtered source, in blocks of ``CHUNK_ROWS``.  Each
+    cell multiplies them by the coupled fraction of its force times the
+    clear-path loss of its position in ``math``, one Python product per
+    cell, position-major.
     """
     dye = strained_dye(config.dye, config.perturbation.strain)
     neg_decay = -dye.concentration_scale * dye.decay_per_mm
@@ -170,8 +189,9 @@ def full_width(config, positions, forces):
         integrals[start:start + block.shape[0]] = np.matmul(responses, filtered[:, :, None])[:, :, 0]
     clear = [math.exp(-config.clear_loss_per_mm * p) for p in positions.tolist()]
     fraction = [coupled_fraction(config.coupling, f) for f in forces.tolist()]
-    scale = np.array([f * c for f, c in zip(fraction, clear)])
-    return scale[:, None] * integrals, np.array(clear) * integrals.sum(axis=1)
+    scale = np.array([f * c for c in clear for f in fraction])
+    return (scale[:, None] * np.repeat(integrals, len(fraction), axis=0),
+            np.array(clear) * integrals.sum(axis=1))
 
 
 # The kernel integrates only the samples that line channels read; a sum with
@@ -185,7 +205,7 @@ def full_width(config, positions, forces):
 ], ids=["encoder_line_bank", "default_bank", "g_only_boxcar"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bits_equal_full_width_arithmetic(config, seed):
-    positions, forces = stimuli(config, 2 * CHUNK_ROWS + 3, seed)
+    positions, forces = stimuli(config, 2 * CHUNK_ROWS + 3, seed, 7)
     expected_channels, expected_transmission = full_width(config, positions, forces)
-    assert np.array_equal(channel_intensities(config, positions, forces), expected_channels)
+    assert np.array_equal(grid_intensities(config, positions, forces), expected_channels)
     assert np.array_equal(transmission_factors(config, positions), expected_transmission)

@@ -18,6 +18,13 @@ Bending does not move the      slope and intercept at 45, 90    bit-identical
 spatial response               and 180 deg against 0 deg
 0.02 deg rotational            channel SNR for a 0.02 deg       60.13 dB +- 0.05
 resolution (twin)              decoded-angle sigma (60.126)
+0.02 deg rotational            track at that SNR (relative      sigma within 3 % of
+resolution through the         noise, seed 0), 4000 samples     0.02 deg per joint;
+tracker                        held at each of (40, 125),       RMS within 3 % of
+                               (20, 145), (60, 110) mm: angle   the Jacobian cell
+                               sigma 0.01956, 0.02029 deg; RMS
+                               1.009, 1.003, 1.010 x the
+                               deviation_map Jacobian cell
 Resolution formulas agree      estimate_resolution at 42.5 mm,  std of 4000 noisy
 with simulation, 40 dB         0.5 N: 103.67 um, 5.505 mN;      rows within 3 %
                                rows: 102.22 um, 5.421 mN
@@ -44,8 +51,8 @@ Noise-free round trip over     CLI simulate -> calibrate ->     every row "ok",
 strain <= 0.5, bend <= 180     decode, 32 held-out rows per     <= 70 um and <= 1 %
 deg, concentration scale       sensor; max 68.1 um and 0.89 %
 0.05 to 1.5                    of force (scale 1.5, no strain)
-Survives cutting: cut from 85  channel_intensities of 501       bit-identical;
-to 50 mm, the rest of the      positions on [0, 50] mm at 1 N;  94.88 um and
+Survives cutting: cut from 85  grid_intensities of 501          bit-identical;
+to 50 mm, the rest of the      positions on [0, 50] mm x 1 N;   94.88 um and
 span reads as before           max noise-free decode error of   39.54 um, each
                                the uncut calibration (94.88     +- 0.05
                                um) and of one refitted on the
@@ -93,6 +100,12 @@ the longer span; a refit on the cut span shrinks it.  Piercing, the
 abstract's other interaction, has no row: a local loss at a hole would be
 new physics, which the model does not have.
 
+The tracker row holds under the relative noise of ``--snr-db``, so each
+joint's angle spread is the same at every pose, and the first-order SNR
+formula gives the 0.02 deg it was asked for.  The angles are the IK of
+each reconstructed pose; the terminal RMS follows sigma * |J|_F, the
+quantity ``deviation_map``'s Jacobian method returns at the pose's cell.
+
 The scalability row holds under the relative noise of ``--snr-db``: each
 channel's sigma is 10**(-SNR/20) of its own level, so the log-ratio noise is
 sqrt(2) * 10**(-SNR/20) wherever both channels are lit, and the resolution is
@@ -118,14 +131,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from spectratact import (NoiseModel, SensorConfig, channel_intensities, estimate_resolution,
-                         force_knot_schedule, sweep, transmission_factors)
+from spectratact import (NoiseModel, SensorConfig, estimate_resolution, force_knot_schedule,
+                         grid_intensities, sweep, transmission_factors)
 from spectratact.calibration import DECODE_FLAGS, CalibrationFile, Transmission
 from spectratact.cli import main
 from spectratact.contact import MAX_BEND_DEG, MAX_STRAIN, PerturbationState
 from spectratact.errors import UnusableSampleError
 from spectratact.sensor import position_transmission
-from spectratact.twin import TwinAssembly, calibrate_encoder, snr_db_for_angle_sigma
+from spectratact.fivebar import GridSpec, TerminalPose, deviation_map, inverse_kinematics
+from spectratact.twin import (TrajectorySample, TwinAssembly, calibrate_encoder,
+                              snr_db_for_angle_sigma, track)
 
 STRAINS = (0.0, 0.1, 0.25, 0.5)
 BENDS_DEG = (0.0, 45.0, 90.0, 180.0)
@@ -164,6 +179,24 @@ def test_snr_for_rotational_resolution():
     twin = TwinAssembly()
     snr = snr_db_for_angle_sigma(twin.calibrations[0], twin.encoders[0], 0.02)
     assert snr == pytest.approx(60.13, abs=0.05)
+
+
+@pytest.mark.parametrize("pose", [(40.0, 125.0), (20.0, 145.0), (60.0, 110.0)],
+                         ids=["40_125", "20_145", "60_110"])
+def test_rotational_resolution_through_the_tracker(pose):
+    """Relative noise (``--snr-db``) at the SNR of a 0.02 deg angle sigma, seed 0."""
+    twin = TwinAssembly()
+    snr = snr_db_for_angle_sigma(twin.calibrations[0], twin.encoders[0], 0.02)
+    path = [TrajectorySample(i / 4000, TerminalPose(*pose)) for i in range(4000)]
+    reconstructed, report = track(twin, path, NoiseModel("snr_db", snr), seed=0)
+    assert report.dropped == 0
+    angles = np.degrees([[a.theta1_rad, a.theta2_rad] for a in
+                         (inverse_kinematics(twin.fivebar, s.pose) for s in reconstructed)])
+    assert np.std(angles, axis=0, ddof=1) == pytest.approx([0.02, 0.02], rel=0.03)
+    x, y = pose
+    grid = GridSpec(x - 1.0, x + 1.0, y - 1.0, y + 1.0, 3, 3)  # the pose is the middle cell
+    cell = deviation_map(twin.fivebar, 0.02, grid, method="jacobian")[1, 1]
+    assert report.rms_error_mm == pytest.approx(cell, rel=0.03)
 
 
 @pytest.mark.parametrize("snr_db, predicted_um, predicted_mn", [
@@ -290,9 +323,9 @@ def test_noise_free_round_trip_across_the_validated_regime(strain, bend, scale):
 
 def test_cutting_leaves_the_remaining_span_unchanged():
     full, cut = SensorConfig.default(), SensorConfig(length_mm=50.0)
-    xs, forces = np.linspace(0.0, 50.0, 501), np.ones(501)
-    readings = channel_intensities(cut, xs, forces)
-    assert readings.tobytes() == channel_intensities(full, xs, forces).tobytes()
+    xs, forces = np.linspace(0.0, 50.0, 501), [1.0]
+    readings = grid_intensities(cut, xs, forces)
+    assert readings.tobytes() == grid_intensities(full, xs, forces).tobytes()
     names = cut.bank.names
     errors_um = []
     for poscal in (calibrate_encoder(full, 1.0, 86), calibrate_encoder(cut, 1.0, 86)):

@@ -8,7 +8,8 @@ points.  Anything else is code that only its tests run.  The same holds for
 every default an exported function or method declares: some call in ``src/``
 or ``benchmarks/`` passes each defaulted parameter, or it is a constant.
 The CLI keeps one write path: one table writer and one file writer.  It
-calibrates and decodes through the library's two array calls alone.
+calibrates and decodes through the library's two array calls alone.  Every
+caller of the forward model passes it axes, not rows.
 """
 
 import ast
@@ -178,6 +179,74 @@ def test_cli_writes_through_one_table_writer_and_one_file_writer():
             if writes_a_file(call):
                 owners["files"].add(owner)
     assert owners == {"rows": {"_write_csv"}, "files": {"_atomic_write"}}
+
+
+# calls that copy one axis entry per row; the forward model takes the axes themselves
+ROW_EXPANSIONS = {"np.full", "np.repeat", "np.tile"}
+FORWARD_MODEL = {"grid_intensities", "_readings"}
+
+
+def expands_an_axis(node, expanded):
+    """Whether ``node`` holds a row expansion, a list or tuple times a length, or a name in
+    ``expanded``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func) in ROW_EXPANSIONS \
+                or isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult) \
+                and any(isinstance(side, (ast.List, ast.Tuple)) for side in (sub.left, sub.right)) \
+                or isinstance(sub, ast.Name) and sub.id in expanded:
+            return True
+    return False
+
+
+def bound_names(target):
+    """The names an assignment target binds: not those inside a subscript or an attribute."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Starred):
+        return bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(bound_names, target.elts))
+    return set()
+
+
+def forward_model_expansions(tree):
+    """``(line, argument)`` per forward-model call argument built by a row expansion, directly
+    or through a name its function assigned from one."""
+    found = []
+    for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        assigns = [n for n in ast.walk(func) if isinstance(n, ast.Assign)]
+        expanded, grew = set(), True
+        while grew:  # a name assigned from an expanded name is expanded too
+            names = set().union(*(bound_names(target) for a in assigns
+                                  if expands_an_axis(a.value, expanded) for target in a.targets))
+            grew, expanded = not names <= expanded, expanded | names
+        for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if callee in FORWARD_MODEL:
+                found += [(call.lineno, ast.unparse(arg))
+                          for arg in call.args + [k.value for k in call.keywords]
+                          if expands_an_axis(arg, expanded)]
+    return found
+
+
+def test_forward_model_callers_pass_axes():
+    """No ``src/`` call of the forward model passes an argument built by ``np.full``,
+    ``np.repeat``, ``np.tile`` or a list times a length: it reads the grid of two axes, so a
+    caller passes ``[force]`` or ``[position]``, never one copy per row."""
+    found = {f: forward_model_expansions(parse(os.path.join(PACKAGE, f)))
+             for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+    assert {f: hits for f, hits in found.items() if hits} == {}
+    # the guard flags the forms it names, also through a name
+    paired = ast.parse(
+        "def f(sensor, xs, force_n):\n"
+        "    _readings(sensor, xs, np.full(len(xs), force_n), None, None)\n"
+        "    fs = [force_n] * len(xs)\n"
+        "    grid_intensities(sensor, xs, fs)\n"
+        "    ps = np.tile(xs, 2)\n"
+        "    qs = ps\n"
+        "    sensor.grid_intensities(sensor, qs, forces_n=[force_n])\n"
+        "    grid_intensities(sensor, xs, [force_n])\n")
+    assert [line for line, _ in forward_model_expansions(paired)] == [2, 4, 7]
 
 
 def test_cli_calibrates_and_decodes_through_the_library_calls():

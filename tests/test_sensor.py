@@ -13,8 +13,8 @@ from spectratact import (
     SensorConfig,
     SpectraTactError,
     Stimulus,
-    channel_intensities,
     default_red_dye,
+    grid_intensities,
     line_bank,
     log_ratio,
     position_transmission,
@@ -239,7 +239,7 @@ class TestSubstreams:
 
 def total_snr_db(config, stim, noise):
     """SNR of the total intensity: 20*log10(signal / total noise sigma)."""
-    values = channel_intensities(config, [stim.position_mm], [stim.force_n])[0]
+    values = grid_intensities(config, [stim.position_mm], [stim.force_n])[0]
     sigma_total = math.sqrt(float(np.sum(noise.sigma_vector(values) ** 2)))
     return 20.0 * math.log10(float(values.sum()) / sigma_total)
 

@@ -352,7 +352,7 @@ class TestTrackErrors:
         def broken(*args):
             raise ValueError("programming error")
 
-        monkeypatch.setattr(sensor, "channel_intensities", broken)
+        monkeypatch.setattr(sensor, "grid_intensities", broken)
         with pytest.raises(ValueError, match="programming error"):
             track(assembly, s_path)
 
@@ -412,19 +412,20 @@ class TestTrackBatching:
     def test_kernel_calls(self, sensors, calls, n, s_path, monkeypatch, request):
         twin_ = request.getfixturevalue("assembly" if sensors == "shared" else "distinct")
         counted = []
-        kernel = sensor.channel_intensities
+        kernel = sensor.grid_intensities
 
         def counting(*args):
             counted.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(sensor, "channel_intensities", counting)
+        monkeypatch.setattr(sensor, "grid_intensities", counting)
         track(twin_, s_path[:n], NoiseModel("snr_db", 40.0), seed=3)
         assert len(counted) == calls
 
     @pytest.mark.parametrize("run, calls", [
         ("shared", [2.0]), ("distinct", [2.0, 2.0]),  # track: one indenter force per sensor
-        ((0.5, 2.0, 8.0), [0.5, 2.0, 8.0]), ((2.0, 0.5, 2.0), [2.0, 0.5]),  # sweep: forces
+        # sweep: one call per forces-axis entry, a repeated entry too
+        ((0.5, 2.0, 8.0), [0.5, 2.0, 8.0]), ((2.0, 0.5, 2.0), [2.0, 0.5, 2.0]),
     ], ids=["track_shared", "track_distinct", "sweep", "sweep_repeated_force"])
     def test_coupled_fraction_once_per_force(self, run, calls, s_path, monkeypatch, request):
         counted = []
@@ -442,6 +443,22 @@ class TestTrackBatching:
         else:
             sensor.sweep(encoder_sensor_config(), [10.0, 40.0, 70.0, 80.0], run, noise, seed=1)
         assert counted == calls
+
+    def test_sweep_filters_each_position_entry_once(self, monkeypatch):
+        """``sweep`` hands the forward model its positions axis, not one position per row."""
+        counted = []
+        filtered = sensor._filtered
+
+        def counting(config, positions_mm):
+            counted.append(np.asarray(positions_mm).tolist())
+            return filtered(config, positions_mm)
+
+        monkeypatch.setattr(sensor, "_filtered", counting)
+        positions = [10.0, 40.0, 40.0, 0.0, -0.0]
+        xs, _, values = sensor.sweep(encoder_sensor_config(), positions, (0.5, 2.0, 8.0),
+                                     NoiseModel("snr_db", 40.0), seed=1)
+        assert counted == [positions]
+        assert len(xs) == len(values) == 15
 
 
 def samples_csv(samples) -> str:
