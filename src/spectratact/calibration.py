@@ -329,10 +329,15 @@ def fit_force(
     position (one :func:`transmission_factors` call) before knot
     construction, so the interpolant lives in coupled-fraction units and
     transfers across press positions.  Replicated forces are averaged
-    into a single knot.
+    into a single knot.  A noise-free transmission of 0 at the press
+    position raises :class:`DegenerateFitError`.
     """
     totals = np.asarray(channels, dtype=float).sum(axis=1)
-    normalized = totals / transmission_factors(config, [position_mm])
+    factor = transmission_factors(config, [position_mm])
+    if not factor.all():
+        raise DegenerateFitError(f"noise-free transmission underflows to 0 at the force fit's "
+                                 f"position {position_mm} mm")
+    normalized = totals / factor
     grouped: dict[float, list[float]] = {}
     for force, value in zip(np.asarray(forces_n, dtype=float).tolist(), normalized.tolist()):
         grouped.setdefault(force, []).append(value)
@@ -428,8 +433,8 @@ def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_
     threshold; ``skipped`` counts the rest by reason.  The force fit reads
     the position with the most rows among those with 3 or more distinct
     forces; its knots' errors name that position.  A noise-free
-    transmission of 0 on the table's 129 points across the fitted span
-    raises :class:`DegenerateFitError`.
+    transmission of 0 at that position or on the table's 129 points
+    across the fitted span raises :class:`DegenerateFitError`.
     """
     channels, position = np.asarray(channels, dtype=float), np.asarray(position_mm, dtype=float)
     force = None if force_n is None else np.asarray(force_n, dtype=float)

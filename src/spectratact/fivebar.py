@@ -310,9 +310,9 @@ def deviation_map(
     Jacobian method: sigma * Frobenius norm of the FK Jacobian.  Monte
     Carlo method: RMS radial deviation over ``n_trials`` perturbed angle
     pairs, with a per-cell RNG substream derived from (seed, cell index):
-    ``sensor.substreams`` computes the seed words of every kept cell at
-    once and gives each cell its own Generator, which draws exactly what
-    ``substream(seed, i)`` gives.
+    ``sensor.substreams``, given the kept cells' indices as its one key
+    axis, computes their seed words at once and gives each cell its own
+    Generator, which draws exactly what ``substream(seed, i)`` gives.
     A chunk holds ``MC_CHUNK_POSES // n_trials`` cells (at least one); their
     trials are drawn straight into one reused (cells, n_trials, 2) buffer
     and scaled in place, and the FK and the RMS reduction run in place on
@@ -343,7 +343,7 @@ def deviation_map(
     cells = np.flatnonzero(keep.ravel() & base_ok)
     per_chunk = max(1, MC_CHUNK_POSES // n_trials)
     # one call over every kept cell: a chunk holds too few cells to batch their states
-    rngs = substreams(seed, [(i,) for i in cells.tolist()])
+    rngs = substreams(seed, cells)
     draws = np.empty((min(per_chunk, cells.size), n_trials, 2))
     for start in range(0, cells.size, per_chunk):
         k = cells[start:start + per_chunk]

@@ -15,6 +15,7 @@ optics run once per position and the coupling law once per force: a
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -344,6 +345,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 # took 69/129 us at 2/24 keys and 2.8 us per key at 2000 batched, 27/304 us
 # and 13-15 us per key one by one: even between 4 and 8 keys.  At 24, a
 # one-sample track (2 keys) stays per key and large batches are batched.
+# Below it the keys stay Python ints and no numpy array is built: a word
+# array for a one-sample track's 2 keys raised its step from 72 to 93 us.
 SUBSTREAM_BATCH_MIN = 24
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hash and mix
@@ -382,20 +385,22 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _seed_words(seed: int, words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` per row, as an (n, 4) array.
+def _seed_words(seed: int, axes) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, uint64)`` for every key of the
+    row-major product of ``axes``, as an (n, 4) array.
 
-    ``seed`` is a non-negative int and ``words`` an (n, arity >= 1) array
-    of key words in [0, 2**32).  numpy's entropy is the seed's uint32
-    words, zero-padded to the pool size, then the key words.  The pool
-    that the seed's words make is the same for every key, so it is built
-    once in Python ints; each key word then mixes in as uint64 array ops
-    over all keys at once, and ``generate_state`` follows.
+    ``seed`` is a non-negative int and ``axes`` 1-D integer arrays of key
+    words in [0, 2**32), one per key position.  numpy's entropy is the
+    seed's uint32 words, zero-padded to the pool size, then the key words.
+    The pool that the seed's words make is the same for every key, so it is
+    built once in Python ints; each axis then mixes in as uint64 array ops
+    over that axis alone, broadcast against the axes before it, and
+    ``generate_state`` follows.
     """
     # the seed's uint32 words, low word first (0 is one word)
     run = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     run += [0] * (_POOL - len(run))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(run) + words.shape[1]) + 1)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(run) + len(axes)) + 1)
     calls = iter(zip(consts, consts[1:]))  # hashmix call i: consts[i] and consts[i + 1]
     pool = [_hashmix(w, *next(calls)) for w in run[:_POOL]]
     for src in range(_POOL):
@@ -405,60 +410,72 @@ def _seed_words(seed: int, words: np.ndarray) -> np.ndarray:
     for w in run[_POOL:]:  # a seed of more than four words
         pool = [_mix(p, _hashmix(w, *next(calls))) for p in pool]
     pool = np.array(pool, dtype=np.uint64)
-    for word in np.hsplit(words.astype(np.uint64), words.shape[1]):
+    for d, axis in enumerate(axes):
+        # axis d of the key grid, with the pool's words on a last axis of their own
+        word = axis.astype(np.uint64).reshape((-1,) + (1,) * (len(axes) - d))
         xor, mult = np.array([next(calls) for _ in range(_POOL)], dtype=np.uint64).T
         pool = _mix(pool, _hashmix(word, xor, mult))
     state = _hashmix(np.tile(pool, 2), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
-    return state[:, ::2] | state[:, 1::2] << 32
+    return (state[..., ::2] | state[..., 1::2] << 32).reshape(-1, _POOL)
 
 
-class _SeedWords:
-    """One row of :func:`_seed_words` for ``PCG64``, whose C code then runs ``set_seed``.
+class _SeedFeeder:
+    """The rows of a :func:`_seed_words` array, one per ``PCG64`` built from it, in order.
 
-    ``PCG64`` takes only an ``ISeedSequence``; :func:`_pcg64_seed_type`
-    builds the subclass that ``substreams`` hands it.
+    ``PCG64`` asks its seed object for its state once, as four uint64
+    words, and its C code then runs ``set_seed``; each such request here
+    hands out the next row.  ``PCG64`` takes only an ``ISeedSequence``:
+    :func:`_seed_feeder_type` builds the subclass that ``substreams`` uses.
     """
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self._rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 reads the buffer as four uint64 words unchecked: refuse any other request.
         # PCG64 passes np.uint64 itself; the identity test skips building a dtype for it.
         if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only PCG64's 4 uint64 words are known, not {n_words} {dtype}")
-        return self.words
+        row = next(self._rows, None)
+        if row is None:
+            raise ValueError("every row of the seed words was handed out")
+        return row
 
 
 @lru_cache(maxsize=None)
-def _pcg64_seed_type() -> type:
-    """:class:`_SeedWords` as a real ``ISeedSequence`` (no ABCMeta virtual-subclass lookup
+def _seed_feeder_type() -> type:
+    """:class:`_SeedFeeder` as a real ``ISeedSequence`` (no ABCMeta virtual-subclass lookup
     per ``PCG64``), built on first use so that importing does not load ``numpy.random``."""
-    class SeedWords(_SeedWords, np.random.bit_generator.ISeedSequence):
+    class SeedFeeder(_SeedFeeder, np.random.bit_generator.ISeedSequence):
         pass
 
-    return SeedWords
+    return SeedFeeder
 
 
-def substreams(seed: int, keys) -> Iterator[np.random.Generator]:
-    """For each key, a Generator positioned exactly as ``substream(seed, *key)``.
+def substreams(seed: int, *axes) -> Iterator[np.random.Generator]:
+    """For each key of the row-major product of ``axes``, a Generator positioned exactly
+    as ``substream(seed, *key)``.
 
-    For at least ``SUBSTREAM_BATCH_MIN`` keys of one arity >= 1, every
-    word in [0, 2**32), and a non-negative int seed, the seed words of
-    every key are computed at once as arrays, and each Generator's
-    ``PCG64`` is seeded from its row through a :func:`_pcg64_seed_type`
-    instance.  Otherwise each key gets its own ``substream``, where numpy
-    raises on a negative seed.
+    ``axes`` are sequences of key words (``substreams(seed, kept, (0, 1))``
+    gives the keys ``(i, 0), (i, 1)`` for each ``i`` of ``kept``).  For at
+    least ``SUBSTREAM_BATCH_MIN`` keys, integer axes with every word in
+    [0, 2**32), and a non-negative int seed, numpy computes the seed words
+    of every key at once from the axes, and every Generator's ``PCG64`` is
+    seeded from its row through one :func:`_seed_feeder_type` object.
+    Otherwise the keys come from ``itertools.product`` as given, so fewer
+    keys build no numpy array, and each gets its own ``substream``, where
+    numpy raises on a negative seed; these are built at once, since
+    iterating a list cost a one-sample ``track`` step about 1 us less
+    than resuming a generator.
     """
-    keys = list(keys)
-    if (len(keys) >= SUBSTREAM_BATCH_MIN and isinstance(seed, (int, np.integer)) and seed >= 0
-            and len({len(key) for key in keys}) == 1 and keys[0]):
-        words = np.array(keys)
-        if words.dtype.kind in "iu" and words.min() >= 0 and words.max() <= _M32:
-            seed_type = _pcg64_seed_type()
-            return (np.random.Generator(np.random.PCG64(seed_type(row)))
-                    for row in _seed_words(int(seed), words))
-    return (substream(seed, *key) for key in keys)
+    keys = math.prod(map(len, axes))
+    if keys >= SUBSTREAM_BATCH_MIN and isinstance(seed, (int, np.integer)) and seed >= 0:
+        words = [np.asarray(axis) for axis in axes]
+        if all(w.dtype.kind in "iu" and w.min() >= 0 and w.max() <= _M32 for w in words):
+            feeder = _seed_feeder_type()(_seed_words(int(seed), words))
+            generator, pcg64 = np.random.Generator, np.random.PCG64
+            return (generator(pcg64(feeder)) for _ in range(keys))
+    return iter([substream(seed, *key) for key in itertools.product(*axes)])
 
 
 def rng_substreams(seed: int, n: int) -> list[np.random.Generator]:

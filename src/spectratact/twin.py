@@ -12,6 +12,10 @@ sensor over every kept (sample, joint) row.  Each row draws its noise
 from its own substream ``(seed, sample, joint)``, so a row's reading
 does not depend on which other rows share the call or on their order,
 and the batched run gives the per-sample chain's result bit for bit.
+``sensor.substreams`` takes the kept samples and the joints as two key
+axes: from ``SUBSTREAM_BATCH_MIN`` rows on it computes every row's seed
+words at once and seeds each row's ``PCG64`` through one feeder object,
+and a one-sample replay's two rows are seeded per key, with no array.
 
 The work runs on plain ``(t_s, x_mm, y_mm)`` float tuples:
 ``_track_rows`` replays them and ``_path_rows`` generates them.  The
@@ -23,6 +27,7 @@ directly, so a 1000-sample replay builds no per-sample object.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +115,17 @@ class TwinAssembly(Record):
 
     @classmethod
     def from_dict(cls, doc, path: str = "") -> "TwinAssembly":
-        """As the codec reads it, where ``sensor`` without ``sensors`` serves both joints."""
-        kwargs = decode_fields(cls, doc, path)
-        if kwargs.get("sensors") is None and "sensor" in doc:
+        """As the codec reads it, where ``sensor`` without ``sensors`` serves both joints, and
+        two ``sensors`` documents that are one JSON value build one config for both."""
+        items = doc.get("sensors") if isinstance(doc, dict) else None
+        # pickle's bytes tell true, 1 and 1.0 apart, as the codec's kinds do; json.dumps
+        # of a sensor's floats costs more than the build it saves
+        twins = isinstance(items, list) and len(items) == 2 \
+            and pickle.dumps(items[0]) == pickle.dumps(items[1])
+        kwargs = decode_fields(cls, {**doc, "sensors": items[:1]} if twins else doc, path)
+        if twins:
+            kwargs["sensors"] *= 2
+        elif kwargs.get("sensors") is None and "sensor" in doc:
             shared = SensorConfig.from_dict(doc["sensor"], join(path, "sensor"))
             kwargs["sensors"] = (shared, shared)
         return cls(**kwargs)
@@ -150,12 +163,13 @@ def track(
     distinct sensor.  Row (i, joint) draws its noise from its own
     substream ``(seed, i, joint)``, so neither the batching nor the row
     order changes a reading.  The draws come from ``sensor.substreams``
-    over the kept rows, which computes every row's seed words at once when
-    there are enough rows; each row's own Generator draws exactly what
-    ``substream(seed, i, joint)`` gives.  Decode, per sample: the position
-    log-ratio and the encoder map back to angles, then FK to a pose.  Samples that
-    are unreachable, off a sensor's span, without contact or past the FK
-    limits are dropped and counted; they never abort the run.  A
+    over the kept samples and the joints as key axes, which computes every
+    row's seed words at once when there are enough rows; each row's own
+    Generator draws exactly what ``substream(seed, i, joint)`` gives.
+    Decode, per sample: the position log-ratio and the encoder map back to
+    angles, then FK to a pose.  Samples that are unreachable, off a
+    sensor's span, without contact or past the FK limits are dropped and
+    counted; they never abort the run.  A
     trajectory with no pose on the working branch is rejected, and so is a
     sample with a NaN coordinate or a time that is not finite.  IK and FK
     run as ``fivebar._ik`` and ``_fk``, scalar ``math`` on plain floats (the
@@ -248,7 +262,7 @@ def _joint_angles(assembly, kept, positions, noise, seed) -> list[list[float | N
     groups = [(s1, (0, 1))] if s1 is s2 else [(s1, (0,)), (s2, (1,))]
     decoded = [None, None]  # each joint's list, set by its sensor group
     for sensor, joints in groups:
-        rngs = None if noise is None else substreams(seed, [(i, j) for i in kept for j in joints])
+        rngs = None if noise is None else substreams(seed, kept, joints)
         xs = [pair[j] for pair in positions for j in joints]
         values = _readings(sensor, xs, [assembly.indenter_force_n], noise, rngs)
         names, columns = sensor.bank.names, values.T.tolist()  # one list per channel

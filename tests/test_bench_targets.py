@@ -11,13 +11,15 @@ shape or result fails here rather than as a failed benchmark run.
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import re
 import sys
 
 import pytest
 
-BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "benchmarks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
 def test_every_tracer_target_is_callable(monkeypatch):
@@ -85,3 +87,26 @@ def test_each_pipeline_passes_its_own_check_at_tiny_size(pipelines, name, tmp_pa
     assert result.error is None, result.error
     assert pipeline.items() > 0
     assert pipeline.check(result) == 0
+
+
+def test_every_bench_record_holds_the_declared_metrics():
+    """Each committed ``BENCH_<n>.json`` (``run.py --workload all``'s ``.bench_out/BENCH.json``)
+    ran correct, names the code and host it ran on, and holds every end-to-end metric that
+    ``BENCHMARK.json`` declares for every workload, untraced."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = json.load(fh)
+    metrics = {metric["name"] for metric in declared["end_to_end"]}
+    records = [name for name in os.listdir(ROOT) if re.fullmatch(r"BENCH_\d+\.json", name)]
+    assert records  # BENCH_1.json starts the perf trajectory
+    for name in sorted(records):
+        with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+            bench = json.load(fh)
+        environment = bench["environment"]
+        for key in ("git_sha", "src_sha256", "numpy", "nproc"):
+            assert environment.get(key), (name, key)
+        for workload in (entry["name"] for entry in declared["workloads"]):
+            lines = bench["results"][workload]
+            assert lines and all(line["correct"] for line in lines.values()), (name, workload)
+            untraced = lines["trace0"]["metrics"]
+            assert metrics <= set(untraced), (name, workload, metrics - set(untraced))
+            assert all(isinstance(untraced[m]["value"], (int, float)) for m in metrics), name

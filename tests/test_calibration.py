@@ -341,6 +341,21 @@ class TestCalibrateSamples:
                                                        r"intensities must be strictly"):
             self.calibrate(default_config, samples, channels=channels)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_transmission_at_the_force_fit_names_its_position(self, default_config):
+        # the force fit once divided by that zero factor: a numpy RuntimeWarning, then a
+        # bare ValueError about non-finite knots
+        dense = replace(default_config,
+                        dye=replace(default_config.dye, concentration_scale=5000.0))
+        _, _, lit = sweep(dense, [0.0, 0.01, 0.02], [2.0])
+        samples = (dense.bank.names, np.vstack([lit, np.zeros((4, lit.shape[1]))]),
+                   np.array([0.0, 0.01, 0.02, 80.0, 80.0, 80.0, 80.0]),
+                   np.array([2.0, 2.0, 2.0, 1.0, 2.0, 3.0, 4.0]))
+        assert transmission_factors(dense, [80.0])[0] == 0.0
+        with pytest.raises(DegenerateFitError, match=r"^noise-free transmission underflows "
+                                                     r"to 0 at the force fit's position 80\.0 mm$"):
+            self.calibrate(dense, samples)
+
 
 class TestPchipOracle:
     """The in-house PCHIP against scipy's, bit for bit."""

@@ -246,6 +246,28 @@ class TestCalibrate:
             "[0.0, 80.52631578947368] mm\n")
         assert not cal.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_transmission_at_the_force_fit_exits_3(self, tmp_path, capsys):
+        # three lit rows near 0 mm, and the force fit at 80 mm, the position with the most
+        # rows, where the noise-free transmission is 0: that zero once divided the knots
+        # (a numpy RuntimeWarning, then exit 2 naming neither the file nor the position)
+        config = SensorConfig.default()
+        config = replace(config, dye=replace(config.dye, concentration_scale=5000.0))
+        path, samples = tmp_path / "dense.json", tmp_path / "samples.csv"
+        path.write_text(json.dumps(config.to_dict()))
+        _, _, lit = sweep(config, [0.0, 0.01, 0.02], [2.0])
+        rows = [[p, 2.0, *v] for p, v in zip([0.0, 0.01, 0.02], lit.tolist())]
+        rows += [[80.0, f] + [0.0] * lit.shape[1] for f in (1.0, 2.0, 3.0, 4.0)]
+        header = ["position_mm", "force_n", *(f"ch_{name}" for name in config.bank.names)]
+        samples.write_text("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(path), "--out", str(out),
+                     "--samples", str(samples)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: degenerate data: {samples}: noise-free transmission underflows to 0 at "
+            "the force fit's position 80.0 mm\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "force_n,ch_B,ch_R\n1,1,1\n2,2,1\n3,3,1\n"])
     def test_samples_without_positions_exit_2_naming_the_column(self, text, line_config_path,
                                                                tmp_path, capsys):

@@ -21,6 +21,7 @@ from spectratact import (
     workspace_mask,
 )
 from spectratact.fivebar import reachable
+from spectratact.sensor import SUBSTREAM_BATCH_MIN
 
 CONFIG = FiveBarConfig(d_mm=80.0, l_mm=100.0)
 
@@ -364,6 +365,15 @@ class TestDeviationMap:
         assert np.array_equal(np.isfinite(out), np.isfinite(ref))
         assert np.isfinite(ref).sum() > 20
         assert np.isnan(ref[kept]).any() == (sigma_deg > 10)
+        assert np.allclose(out, ref, rtol=1e-9, atol=0.0, equal_nan=True)
+
+    def test_small_monte_carlo_map_draws_each_cell_once_across_chunks(self):
+        # fewer kept cells than SUBSTREAM_BATCH_MIN take the per-key substreams, and at
+        # 3000 trials a chunk holds two cells, so every chunk draws on from one iterator
+        grid = GridSpec(20.0, 60.0, 90.0, 130.0, 4, 4)
+        out = deviation_map(CONFIG, 3.0, grid, seed=4, method="monte_carlo", n_trials=3000)
+        ref = monte_carlo_reference(CONFIG, 3.0, grid, seed=4, n_trials=3000)
+        assert 2 < np.isfinite(ref).sum() < SUBSTREAM_BATCH_MIN
         assert np.allclose(out, ref, rtol=1e-9, atol=0.0, equal_nan=True)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -23,12 +24,13 @@ from spectratact import (
 )
 from spectratact.sensor import (
     SUBSTREAM_BATCH_MIN,
-    _SeedWords,
+    _SeedFeeder,
     _seed_words,
     full_scale_intensity,
     substream,
     substreams,
 )
+from spectratact import sensor as sensor_module
 from spectratact.spectral import ChannelBank, Spectrum, default_wavelength_grid
 
 
@@ -157,46 +159,68 @@ def seed_sequence_draws(seed, key, shape=3):
 
 def batched_seed_type():
     """The type of seed object that ``substreams`` hands ``PCG64`` at ``SUBSTREAM_BATCH_MIN`` keys."""
-    rng = next(iter(substreams(7, [(i,) for i in range(SUBSTREAM_BATCH_MIN)])))
+    rng = next(substreams(7, range(SUBSTREAM_BATCH_MIN)))
     return type(rng.bit_generator.seed_seq)
 
 
 # one, one, two, three and five uint32 words: a seed past four words mixes in after the pool
 WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 WORD = stn.integers(0, 2**32 - 1)
-# enough keys that substreams computes their seed words as arrays
-BATCH_KEYS = [(i, 7 * i) for i in range(SUBSTREAM_BATCH_MIN)]
+# enough keys that substreams computes their seed words as arrays, on two axes
+BATCH_AXES = (range(SUBSTREAM_BATCH_MIN // 2), (0, 7))
+# no keys, one, either side of SUBSTREAM_BATCH_MIN, and a 1000-sample track's two joints
+KEY_COUNTS = [0, 1, SUBSTREAM_BATCH_MIN - 1, SUBSTREAM_BATCH_MIN, SUBSTREAM_BATCH_MIN + 1, 2000]
 
 
 @stn.composite
-def key_lists(draw):
-    """Keys of one arity (1 to 3 words), as many as on either side of ``SUBSTREAM_BATCH_MIN``."""
-    n = draw(stn.sampled_from([1, SUBSTREAM_BATCH_MIN - 1, SUBSTREAM_BATCH_MIN,
-                               2 * SUBSTREAM_BATCH_MIN + 3]))
-    return draw(stn.lists(stn.tuples(*[WORD] * draw(stn.integers(1, 3))), min_size=n,
-                          max_size=n))
+def key_axes(draw):
+    """One or two axes of key words, their product ``KEY_COUNTS`` keys long, each a list,
+    a tuple or an integer array (callers pass a list and a tuple, or an int64 array)."""
+    n = draw(stn.sampled_from(KEY_COUNTS))
+    if draw(stn.booleans()):
+        sizes = [n]
+    elif n == 0:
+        sizes = draw(stn.permutations([0, draw(stn.integers(0, 3))]))
+    else:
+        first = draw(stn.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        sizes = [first, n // first]
+    axes = []
+    for size in sizes:
+        if size <= 2 * SUBSTREAM_BATCH_MIN:
+            words = draw(stn.lists(WORD, min_size=size, max_size=size))
+        else:  # a long axis: evenly spaced words, wrapped at 2**32
+            start, step = draw(WORD), draw(WORD)
+            words = [(start + step * i) % 2**32 for i in range(size)]
+        kind = draw(stn.sampled_from([list, tuple, np.int64, np.uint32, np.uint64]))
+        axes.append(kind(words) if kind in (list, tuple) else np.array(words, dtype=kind))
+    return tuple(axes)
+
+
+def product_keys(axes):
+    """The keys of ``substreams(seed, *axes)``, in order, as tuples of Python ints."""
+    return [tuple(map(int, key)) for key in itertools.product(*axes)]
 
 
 class TestSubstreams:
     @settings(max_examples=30, deadline=None)
-    @given(seed=stn.sampled_from(WIDE_SEEDS) | WORD.map(lambda k: 2**130 + k), keys=key_lists())
-    @example(seed=2**32, keys=BATCH_KEYS)  # two words
-    @example(seed=2**128, keys=BATCH_KEYS)  # five words: the fifth mixes in after the pool
-    @example(seed=2**130 + 12345, keys=BATCH_KEYS)
-    def test_equals_seed_sequence(self, seed, keys):
-        n = len(keys)
-        got = [rng.standard_normal(3) for rng in substreams(seed, keys)]
-        assert len(got) == n
+    @given(seed=stn.sampled_from(WIDE_SEEDS) | WORD.map(lambda k: 2**130 + k), axes=key_axes())
+    @example(seed=2**32, axes=BATCH_AXES)  # two words
+    @example(seed=2**128, axes=BATCH_AXES)  # five words: the fifth mixes in after the pool
+    @example(seed=2**130 + 12345, axes=BATCH_AXES)
+    def test_equals_seed_sequence(self, seed, axes):
+        keys = product_keys(axes)
+        got = [rng.standard_normal(3) for rng in substreams(seed, *axes)]
+        assert len(got) == len(keys)
         for draws, key in zip(got, keys):
             assert np.array_equal(draws, seed_sequence_draws(seed, key))
-            assert np.array_equal(draws, substream(seed, *key).standard_normal(3))
         # every yielded Generator is independent: drawn in reverse order, each still matches
-        yielded = list(substreams(seed, keys))
+        yielded = list(substreams(seed, *axes))
         for rng, key in reversed(list(zip(yielded, keys))):
             assert np.array_equal(rng.standard_normal(3), seed_sequence_draws(seed, key))
-        # the array core itself
-        words = _seed_words(seed, np.array(keys))
-        assert words.shape == (n, 4) and words.dtype == np.uint64 and words.flags.c_contiguous
+        # the array core itself, on the axes as substreams passes them
+        words = _seed_words(seed, [np.asarray(axis) for axis in axes])
+        assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous  # PCG64 reads each row's buffer as it lies
         for row, key in zip(words, keys):
             expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
             assert np.array_equal(row, expected)
@@ -205,36 +229,54 @@ class TestSubstreams:
                                                 (4, np.int64)])
     def test_seed_words_refuse_any_other_request(self, n_words, dtype):
         # PCG64 would read past a shorter buffer without an error
-        for seed_type in (_SeedWords, batched_seed_type()):
-            seed_words = seed_type(_seed_words(7, np.array([(1,)]))[0])
+        for feeder_type in (_SeedFeeder, batched_seed_type()):
+            words = _seed_words(7, [np.arange(3)])
+            feeder = feeder_type(words)
             with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
-                seed_words.generate_state(n_words, dtype)
-            # every spelling of uint64 is the request PCG64 makes, not only the scalar type
-            for uint64 in (np.uint64, np.dtype("u8"), "uint64"):
-                assert seed_words.generate_state(4, uint64).shape == (4,)
+                feeder.generate_state(n_words, dtype)
+            # every spelling of uint64 is the request PCG64 makes, not only the scalar type;
+            # a refused request handed out no row
+            for row, uint64 in zip(words, (np.uint64, np.dtype("u8"), "uint64")):
+                assert np.array_equal(feeder.generate_state(4, uint64), row)
+
+    def test_feeder_past_its_last_row_raises_value_error(self):
+        # not StopIteration, which a generator expression would turn into a RuntimeError
+        feeder = batched_seed_type()(_seed_words(7, [np.arange(2)]))
+        for _ in range(2):
+            feeder.generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="every row of the seed words was handed out"):
+            feeder.generate_state(4, np.uint64)
 
     def test_batched_seed_type_is_a_real_iseedsequence(self):
         # a real subclass, not a registered virtual one: PCG64's isinstance check stays cheap
         ISeedSequence = np.random.bit_generator.ISeedSequence
-        assert {ISeedSequence, _SeedWords} <= set(batched_seed_type().__mro__)
-        assert not issubclass(_SeedWords, ISeedSequence)
+        assert {ISeedSequence, _SeedFeeder} <= set(batched_seed_type().__mro__)
+        assert not issubclass(_SeedFeeder, ISeedSequence)
+        # one feeder object seeds every Generator of a call
+        rngs = list(substreams(7, range(SUBSTREAM_BATCH_MIN), (0, 1)))
+        assert len({id(rng.bit_generator.seed_seq) for rng in rngs}) == 1
 
-    @pytest.mark.parametrize("keys", [
-        [()] * SUBSTREAM_BATCH_MIN,
-        [(i, 2**32 + i) for i in range(SUBSTREAM_BATCH_MIN)],
-        [(2**64 + i,) for i in range(SUBSTREAM_BATCH_MIN)],
-        [(i,) if i % 2 else (i, 1) for i in range(SUBSTREAM_BATCH_MIN)],
-    ], ids=["empty_key", "two_word_key", "wider_than_uint64", "mixed_arity"])
-    def test_per_key_cases_equal_seed_sequence(self, keys):
-        got = [rng.standard_normal(3) for rng in substreams(2**40 + 3, keys)]
-        assert len(got) == len(keys)
+    @pytest.mark.parametrize("axes", [
+        (),
+        (range(SUBSTREAM_BATCH_MIN), [2**32 + 5]),
+        ([2**64 + i for i in range(SUBSTREAM_BATCH_MIN)],),
+        (np.array([2**32], dtype=np.uint64), range(SUBSTREAM_BATCH_MIN)),
+        (range(SUBSTREAM_BATCH_MIN), []),
+    ], ids=["empty_key", "two_word_key", "wider_than_uint64", "uint64_two_word_key",
+            "empty_axis"])
+    def test_per_key_cases_equal_seed_sequence(self, axes, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sensor_module, "_seed_words", lambda *args: calls.append(args))
+        got = [rng.standard_normal(3) for rng in substreams(2**40 + 3, *axes)]
+        keys = product_keys(axes)
+        assert len(got) == len(keys) and calls == []
         for draws, key in zip(got, keys):
             assert np.array_equal(draws, seed_sequence_draws(2**40 + 3, key))
 
     @pytest.mark.parametrize("n", [2, SUBSTREAM_BATCH_MIN])
     def test_negative_seed_raises_numpys_error(self, n):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            list(substreams(-1, [(i, 0) for i in range(n)]))
+            list(substreams(-1, range(n), (0,)))
 
 
 def total_snr_db(config, stim, noise):

@@ -22,9 +22,10 @@ from spectratact import (
 )
 from spectratact import cli, sensor, twin
 from spectratact.decoder import JointEncoderModel, decode_joint_angle
-from spectratact.errors import KinematicError, NoContactError, OutOfSpanError, UnusableSampleError
+from spectratact.errors import (ConfigError, KinematicError, NoContactError, OutOfSpanError,
+                               UnusableSampleError)
 from spectratact.fivebar import JointAngles, _ik_batch, forward_kinematics, inverse_kinematics
-from spectratact.sensor import Stimulus, simulate_reading, substream
+from spectratact.sensor import SensorConfig, Stimulus, simulate_reading, substream
 from spectratact.twin import (TrackingReport, TrajectorySample, TwinAssembly, calibrate_encoder,
                               encoder_sensor_config)
 
@@ -549,14 +550,17 @@ class TestOneSampleStream:
         keys = self._counting(monkeypatch, sensor, "substream")
         readings = self._counting(monkeypatch, twin, "_readings")
         fractions = self._counting(monkeypatch, sensor, "coupled_fraction")
+        words = self._counting(monkeypatch, sensor, "_seed_words")
         track(assembly, s_path[:1], NoiseModel("snr_db", 40.0), seed=3)
         assert (len(keys), len(readings), len(fractions)) == (2, 1, 1)
+        assert words == []  # two keys stay per key, with no word array
 
     def test_long_track_builds_no_key_alone(self, assembly, monkeypatch):
         keys = self._counting(monkeypatch, sensor, "substream")
+        words = self._counting(monkeypatch, sensor, "_seed_words")
         path = generate_path("circle", (40.0, 125.0), 40.0, 1000, config=FIVEBAR)
         _, report = track(assembly, path, NoiseModel("snr_db", 40.0), seed=3)
-        assert report.dropped == 0 and keys == []
+        assert report.dropped == 0 and keys == [] and len(words) == 1
 
 
 class TestAssembly:
@@ -590,6 +594,32 @@ class TestAssembly:
         assembly = TwinAssembly.from_dict({"sensors": [config, config]})
         assert assembly.sensors[0] is assembly.sensors[1]
         assert assembly.calibrations[0] is assembly.calibrations[1]
+
+    # one JSON value builds one config; 85 for 85.0 is another document of the same value,
+    # so it builds two and then shares one; another length builds two and keeps them
+    @pytest.mark.parametrize("length, builds, fits", [(85.0, 1, 1), (85, 2, 1), (80.0, 2, 2)],
+                             ids=["equal", "int_for_float", "unequal"])
+    def test_sensor_documents_build_one_config_per_json_value(self, monkeypatch, length, builds,
+                                                              fits):
+        """Counts, so a second build of an equal document fails here, not in timing noise."""
+        doc = encoder_sensor_config().to_dict()
+        built, fitted = [], []
+        post_init, calibrate = SensorConfig.__post_init__, twin.calibrate_encoder
+        monkeypatch.setattr(SensorConfig, "__post_init__",
+                            lambda config: built.append(config) or post_init(config))
+        monkeypatch.setattr(twin, "calibrate_encoder",
+                            lambda *args: fitted.append(args) or calibrate(*args))
+        assembly = TwinAssembly.from_dict({"sensors": [doc, {**doc, "length_mm": length}]})
+        assert (len(built), len(fitted)) == (builds, fits)
+        assert (assembly.sensors[0] is assembly.sensors[1]) == (fits == 1)
+
+    # false == 0.0 in Python, but the codec refuses it for a number
+    @pytest.mark.parametrize("value, message", [(False, "must be a number, got false"),
+                                                (-1.0, "must be finite and >= 0, got -1.0")])
+    def test_bad_second_sensor_document_names_its_path(self, value, message):
+        doc = {**encoder_sensor_config().to_dict(), "clear_loss_per_mm": 0.0}
+        with pytest.raises(ConfigError, match=rf"^'sensors\[1\]\.clear_loss_per_mm' {message}$"):
+            TwinAssembly.from_dict({"sensors": [doc, {**doc, "clear_loss_per_mm": value}]})
 
     @pytest.mark.parametrize("field, count", [("sensors", 1), ("encoders", 3)])
     def test_one_part_per_joint_required(self, assembly, field, count):
