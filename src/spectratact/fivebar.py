@@ -189,18 +189,20 @@ def _reach(config: FiveBarConfig, x, y, margin: float = 0.0):
 
 
 def _ik_batch(config: FiveBarConfig, x, y):
-    """Array inverse kinematics, elementwise: (theta1, theta2, keep).
+    """Array inverse kinematics, elementwise: (theta1, theta2, keep, cos1, cos2).
 
     :func:`inverse_kinematics` term for term, acos arguments clamped at 1
     so that dropped points stay finite.  ``keep`` is the reach test at
     margin REACH_REL_TOL * l and the branch test: the pose lies above the
-    midpoint of its elbows.
+    midpoint of its elbows.  The branch test's cos(theta1) and cos(theta2)
+    come back for :func:`_loop_closure`.
     """
     l, d = config.l_mm, config.d_mm
     reach, r1, r2 = _reach(config, x, y, REACH_REL_TOL * l)
     t1 = np.pi / 2 - np.arctan2(y, x) - np.arccos(np.minimum(r1 / (2.0 * l), 1.0))
     t2 = np.pi / 2 - np.arctan2(y, d - x) - np.arccos(np.minimum(r2 / (2.0 * l), 1.0))
-    return t1, t2, reach & (y > 0.5 * (l * np.cos(t1) + l * np.cos(t2)))
+    c1, c2 = np.cos(t1), np.cos(t2)
+    return t1, t2, reach & (y > 0.5 * (l * c1 + l * c2)), c1, c2
 
 
 @dataclass(frozen=True)
@@ -262,15 +264,16 @@ def working_branch(config: FiveBarConfig, pose: TerminalPose) -> bool:
     return bool(_ik_batch(config, pose.x_mm, pose.y_mm)[2])
 
 
-def _loop_closure(config: FiveBarConfig, theta1, theta2, x_mm, y_mm):
+def _loop_closure(config: FiveBarConfig, theta1, theta2, c1, c2, x_mm, y_mm):
     """Velocity loop closure A dP = B dtheta at terminal points P, so J = A^-1 B.
 
     From |P - E_i|^2 = l^2 (Gosselin & Angeles, IEEE T-RA 6(3), 1990): row
     A_i = (P - E_i)^T, B = diag(b_i) with b_i = (P - E_i) . dE_i/dtheta_i.
+    ``c1`` and ``c2`` are np.cos of the angles, which the caller has.
     Returns (A_1, A_2, b_1, b_2, det A) elementwise; det A = 0 is the fold.
     """
     l, d = config.l_mm, config.d_mm
-    s1, c1, s2, c2 = np.sin(theta1), np.cos(theta1), np.sin(theta2), np.cos(theta2)
+    s1, s2 = np.sin(theta1), np.sin(theta2)
     a1 = (x_mm - l * s1, y_mm - l * c1)
     a2 = (x_mm - (d - l * s2), y_mm - l * c2)
     det = a1[0] * a2[1] - a1[1] * a2[0]
@@ -283,7 +286,8 @@ def fk_jacobian(config: FiveBarConfig, angles: JointAngles) -> np.ndarray:
     Raises as :func:`forward_kinematics` does, and SingularError on the fold.
     """
     pose = forward_kinematics(config, angles)
-    a1, a2, b1, b2, det = _loop_closure(config, angles.theta1_rad, angles.theta2_rad,
+    t1, t2 = angles.theta1_rad, angles.theta2_rad
+    a1, a2, b1, b2, det = _loop_closure(config, t1, t2, np.cos(t1), np.cos(t2),
                                         pose.x_mm, pose.y_mm)
     if det == 0:
         raise SingularError("passive links colinear: terminal Jacobian undefined")
@@ -329,11 +333,11 @@ def deviation_map(
         raise ValueError(f"unknown method {method!r}")
     sigma_rad = math.radians(angle_sigma_deg)
     x, y = grid.x_axis()[None, :], grid.y_axis()[:, None]
-    t1, t2, keep = _ik_batch(config, x, y)
+    t1, t2, keep, c1, c2 = _ik_batch(config, x, y)
     out = np.full((grid.ny, grid.nx), np.nan)
     if method == "jacobian":
         # |J|_F = l * hypot(b1, b2) / |det A|: both rows of A have length l
-        _, _, b1, b2, det = _loop_closure(config, t1, t2, x, y)
+        _, _, b1, b2, det = _loop_closure(config, t1, t2, c1, c2, x, y)
         np.divide(sigma_rad * config.l_mm * np.hypot(b1, b2), np.abs(det),
                   out=out, where=keep & (det != 0))
         return out

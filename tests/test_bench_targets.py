@@ -110,3 +110,18 @@ def test_every_bench_record_holds_the_declared_metrics():
             untraced = lines["trace0"]["metrics"]
             assert metrics <= set(untraced), (name, workload, metrics - set(untraced))
             assert all(isinstance(untraced[m]["value"], (int, float)) for m in metrics), name
+
+
+def test_bench_records_are_one_numbered_run_per_tree():
+    """``BENCH_1.json`` .. ``BENCH_<N>.json`` without a gap, each of ``run.py --workload all``
+    at its defaults (seed 1, 25 s) and each of a different source tree."""
+    records = sorted((name for name in os.listdir(ROOT) if re.fullmatch(r"BENCH_\d+\.json", name)),
+                     key=lambda name: int(name[6:-5]))
+    assert records == [f"BENCH_{n}.json" for n in range(1, len(records) + 1)]
+    trees = []
+    for name in records:
+        with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+            bench = json.load(fh)
+        assert (bench["seed"], bench["seconds"]) == (1, 25), name
+        trees.append(bench["environment"]["src_sha256"])
+    assert len(set(trees)) == len(trees)

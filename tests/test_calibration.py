@@ -29,7 +29,7 @@ from spectratact import (
 )
 from spectratact.spectral import Spectrum, default_wavelength_grid, line_bank
 from spectratact import calibration
-from spectratact.calibration import SLOPE_FLOOR_ULPS
+from spectratact.calibration import INVERT_REL_TOL, INVERT_SHARED_LEVELS, SLOPE_FLOOR_ULPS
 from spectratact.sensor import (
     SensorConfig,
     grid_intensities,
@@ -291,6 +291,77 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def reference_invert(cal, normalized_value):
+    """``cal.invert`` of in-range values as the level-by-level bisection computes it.
+
+    Every value starts from the knot range and halves its own bracket; no
+    level is shared.  ``ForceCalibration.invert`` must give these bits.
+    """
+    target = np.asarray(normalized_value, dtype=float).ravel()
+    forces = np.empty_like(target)
+    active = np.arange(target.size)
+    lo = np.full(target.size, cal.forces_n[0])
+    hi = np.full(target.size, cal.forces_n[-1])
+    for _ in range(200):
+        if not active.size:
+            break
+        mid = 0.5 * (lo + hi)
+        rising = cal._evaluate(mid) < target
+        lo = np.where(rising, mid, lo)
+        hi = np.where(rising, hi, mid)
+        done = hi - lo <= INVERT_REL_TOL * np.maximum(1.0, np.abs(mid))
+        if np.count_nonzero(done):
+            forces[active[done]] = 0.5 * (lo[done] + hi[done])
+            left = ~done
+            active, lo, hi, target = active[left], lo[left], hi[left], target[left]
+    forces[active] = 0.5 * (lo + hi)
+    return forces
+
+
+def hard_targets(cal, seed, n_random=50):
+    """In-range values where a bisection step is closest to a tie.
+
+    The knot values, the shared midpoints' evaluations, their ``nextafter``
+    neighbours, then uniform values.
+    """
+    y, evaluations = cal.normalized, cal._shared_levels[1]
+    exact = np.concatenate([y, evaluations])
+    values = np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+                             np.random.default_rng(seed).uniform(y[0], y[-1], n_random)])
+    return values[(values >= y[0]) & (values <= y[-1])]
+
+
+def fresh(cal):
+    """A new calibration on the same knots, with nothing cached."""
+    return ForceCalibration(cal.forces_n, cal.normalized)
+
+
+def counting_evaluations(monkeypatch):
+    """Count every ``ForceCalibration._evaluate`` call from here on."""
+    calls = []
+    evaluate = ForceCalibration._evaluate
+
+    def counted(self, force_n):
+        calls.append(np.size(force_n))
+        return evaluate(self, force_n)
+
+    monkeypatch.setattr(ForceCalibration, "_evaluate", counted)
+    return calls
+
+
+def shared_depth(cal):
+    return cal._shared_levels[1].size.bit_length()  # 2**depth - 1 midpoints
+
+
+def narrow(width):
+    """Four knots ``width`` N wide at 2 N, where the loop's stop width is 2e-10 N."""
+    return ForceCalibration(2.0 + np.array([0.0, 0.3, 0.7, 1.0]) * width, [0.1, 0.2, 0.25, 0.3])
+
+
+# ends steeper than three times their next secant: both end slopes clamp to 0
+CLAMPED = ForceCalibration([0.0, 1.0, 2.0, 3.0], [0.0, 0.01, 1.0, 1.01])
+
+
 class TestCalibrateSamples:
     """``calibrate_samples`` refuses what the CLI refuses, naming the rows of the samples."""
 
@@ -376,12 +447,89 @@ class TestPchipOracle:
         assert same_bits(cal.evaluate(queries), scipy_pchip(queries))
         assert same_bits(cal.derivative(queries), scipy_pchip.derivative()(queries))
 
-    @settings(max_examples=20, deadline=None)  # each scalar call takes about 1 ms
+    @settings(max_examples=20, deadline=None)  # each scalar call takes about 0.5 ms
     @given(knot_sets(), stn.integers(0, 2**32 - 1))
     def test_array_invert_equals_scalar_calls(self, cal, seed):
         y = cal.normalized
         values = np.concatenate([y, np.random.default_rng(seed).uniform(y[0], y[-1], 10)])
         assert np.array_equal(cal.invert(values), [cal.invert(v) for v in values.tolist()])
+
+    def assert_inverts_as_the_reference(self, cal, seed):
+        values = hard_targets(cal, seed)
+        expected = reference_invert(cal, values)
+        assert same_bits(cal.invert(values), expected)
+        assert same_bits(cal.invert(values[::-1]), expected[::-1])
+        some = np.random.default_rng(seed).choice(values.size, 12, replace=False)
+        assert same_bits([cal.invert(v) for v in values[some].tolist()], expected[some])
+
+    @settings(max_examples=40, deadline=None)
+    @given(knot_sets(), stn.integers(0, 2**32 - 1))
+    def test_invert_matches_the_level_by_level_loop(self, cal, seed):
+        self.assert_inverts_as_the_reference(cal, seed)
+
+    # level k's children are width / 2**(k + 1) wide, and levels stop before
+    # the first whose children reach the stop width of 2e-10 N
+    @pytest.mark.parametrize("width, depth", [(1e-12, 0), (1e-9, 2), (1e-7, 8),
+                                              (1e-6, INVERT_SHARED_LEVELS)])
+    def test_narrow_range_shares_the_levels_its_stop_width_allows(self, width, depth):
+        cal = narrow(width)
+        assert shared_depth(cal) == depth
+        self.assert_inverts_as_the_reference(cal, 0)
+
+    def test_clamped_end_slopes_match_the_loop(self):
+        assert CLAMPED._coefficients[2, 0] == 0.0
+        assert CLAMPED.derivative(3.0) == 0.0
+        self.assert_inverts_as_the_reference(CLAMPED, 0)
+
+    def test_non_monotone_midpoint_evaluations_share_no_level(self, monkeypatch):
+        cal = ForceCalibration([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
+        evaluate = ForceCalibration._evaluate
+        monkeypatch.setattr(ForceCalibration, "_evaluate",
+                            lambda self, force_n: evaluate(self, force_n)[::-1])
+        bounds, evaluations = cal._shared_levels
+        assert bounds.tolist() == [0.0, 2.0] and evaluations.size == 0
+
+
+class TestInvertCounts:
+    """How many interpolant passes one ``invert`` call costs, as counts not times."""
+
+    def test_shared_levels_save_their_passes(self, default_forcecal, monkeypatch):
+        cal = fresh(default_forcecal)
+        values = np.random.default_rng(1).uniform(cal.normalized[0], cal.normalized[-1], 3000)
+        calls = counting_evaluations(monkeypatch)
+        reference_invert(cal, values)
+        loop = len(calls)
+        calls.clear()
+        cal.invert(values)
+        # one pass over the 2**11 - 1 midpoints builds the levels
+        assert calls[0] == 2**INVERT_SHARED_LEVELS - 1
+        assert len(calls) == loop - INVERT_SHARED_LEVELS + 1
+        assert (loop, len(calls)) == (37, 27)
+
+    def test_shared_levels_are_built_once_per_calibration(self, default_forcecal, monkeypatch):
+        cal = fresh(default_forcecal)
+        values = np.linspace(cal.normalized[0], cal.normalized[-1], 500)
+        calls = counting_evaluations(monkeypatch)
+        reference_invert(cal, values)
+        loop = len(calls)
+        calls.clear()
+        for _ in range(3):
+            cal.invert(values)
+        assert len(calls) == 3 * (loop - INVERT_SHARED_LEVELS) + 1
+        calls.clear()
+        fresh(cal).invert(values)
+        assert len(calls) == loop - INVERT_SHARED_LEVELS + 1
+
+    def test_narrow_range_saves_only_its_shared_levels(self, monkeypatch):
+        cal = narrow(1e-9)
+        values = np.linspace(0.1, 0.3, 101)
+        calls = counting_evaluations(monkeypatch)
+        reference_invert(cal, values)
+        loop = len(calls)
+        calls.clear()
+        cal.invert(values)
+        assert calls[0] == 2**2 - 1
+        assert len(calls) == loop - 2 + 1
 
     def test_scalar_in_float_out(self, default_forcecal):
         force = float(default_forcecal.forces_n[3])
