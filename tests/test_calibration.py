@@ -489,6 +489,34 @@ class TestPchipOracle:
         bounds, evaluations = cal._shared_levels
         assert bounds.tolist() == [0.0, 2.0] and evaluations.size == 0
 
+    def test_scalar_in_float_out(self, default_forcecal):
+        force = float(default_forcecal.forces_n[3])
+        value = float(default_forcecal.normalized[3])
+        assert type(default_forcecal.evaluate(force)) is float
+        assert type(default_forcecal.derivative(force)) is float
+        assert type(default_forcecal.invert(value)) is float
+        assert type(default_forcecal.invert(np.float64(value))) is float
+
+    def test_empty_array_in_empty_array_out(self, default_forcecal):
+        out = default_forcecal.invert(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_out_of_range_array_raises_like_scalar(self, default_forcecal):
+        lo, hi = default_forcecal.normalized[0], default_forcecal.normalized[-1]
+        mid = 0.5 * (lo + hi)
+        with pytest.raises(BelowThresholdError):
+            default_forcecal.invert(np.array([mid, lo - 0.1]))
+        with pytest.raises(SaturatedError):
+            default_forcecal.invert(np.array([mid, hi + 0.1]))
+
+    def test_nan_raises(self, default_forcecal):
+        # NaN is neither below nor above the knots, and would bisect to the first knot
+        mid = 0.5 * (default_forcecal.normalized[0] + default_forcecal.normalized[-1])
+        with pytest.raises(ValueError, match="NaN"):
+            default_forcecal.invert(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            default_forcecal.invert(np.array([mid, math.nan]))
+
 
 class TestInvertCounts:
     """How many interpolant passes one ``invert`` call costs, as counts not times."""
@@ -530,34 +558,6 @@ class TestInvertCounts:
         cal.invert(values)
         assert calls[0] == 2**2 - 1
         assert len(calls) == loop - 2 + 1
-
-    def test_scalar_in_float_out(self, default_forcecal):
-        force = float(default_forcecal.forces_n[3])
-        value = float(default_forcecal.normalized[3])
-        assert type(default_forcecal.evaluate(force)) is float
-        assert type(default_forcecal.derivative(force)) is float
-        assert type(default_forcecal.invert(value)) is float
-        assert type(default_forcecal.invert(np.float64(value))) is float
-
-    def test_empty_array_in_empty_array_out(self, default_forcecal):
-        out = default_forcecal.invert(np.array([]))
-        assert isinstance(out, np.ndarray) and out.shape == (0,)
-
-    def test_out_of_range_array_raises_like_scalar(self, default_forcecal):
-        lo, hi = default_forcecal.normalized[0], default_forcecal.normalized[-1]
-        mid = 0.5 * (lo + hi)
-        with pytest.raises(BelowThresholdError):
-            default_forcecal.invert(np.array([mid, lo - 0.1]))
-        with pytest.raises(SaturatedError):
-            default_forcecal.invert(np.array([mid, hi + 0.1]))
-
-    def test_nan_raises(self, default_forcecal):
-        # NaN is neither below nor above the knots, and would bisect to the first knot
-        mid = 0.5 * (default_forcecal.normalized[0] + default_forcecal.normalized[-1])
-        with pytest.raises(ValueError, match="NaN"):
-            default_forcecal.invert(math.nan)
-        with pytest.raises(ValueError, match="NaN"):
-            default_forcecal.invert(np.array([mid, math.nan]))
 
 
 class TestEstimateResolution:
