@@ -122,6 +122,12 @@ def _ratio_pair(values: np.ndarray, names, num: str, den: str):
     return values[..., names.index(num)], values[..., names.index(den)]
 
 
+def _by_name(names, channels: np.ndarray) -> np.ndarray:
+    """The columns of ``channels`` in channel-name order, the order a reading's total sums
+    them in, so that no total depends on the column order of a file."""
+    return channels[:, sorted(range(len(names)), key=names.__getitem__)]
+
+
 def fit_position(
     names,
     channels,
@@ -458,7 +464,7 @@ class CalibrationFile(Record):
         if forcecal is not None:
             # a total past the float range reads inf, so its row is saturated
             with np.errstate(over="ignore"):
-                totals = channels[rows].sum(axis=1)
+                totals = _by_name(names, channels[rows]).sum(axis=1)
             normalized = totals / np.interp(position, table.positions_mm, table.factors)
             below, above = forcecal.out_of_range(normalized)
             code[rows[below]] = 4
@@ -513,7 +519,7 @@ def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_
         if candidates:
             p, rows = max(candidates, key=lambda item: len(item[1]))
             try:
-                forcecal = fit_force(channels[rows], force[rows], config, p)
+                forcecal = fit_force(_by_name(names, channels[rows]), force[rows], config, p)
             except NonMonotoneDataError as exc:
                 raise NonMonotoneDataError(f"force fit at {p} mm: {exc}") from None
 
@@ -529,16 +535,22 @@ def calibrate_samples(config: SensorConfig, names, channels, position_mm, force_
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """First-order resolution and held-out accuracy at an operating point."""
+    """First-order resolution and held-out accuracy at an operating point.
+
+    ``force_resolution_n`` decodes the force at the known press position,
+    ``force_resolution_decoded_n`` at the position decoded from the same
+    reading, as :meth:`CalibrationFile.decode` does.
+    """
 
     spatial_resolution_mm: float
     spatial_accuracy_mm: float
     force_resolution_n: float
     force_accuracy_n: float
+    force_resolution_decoded_n: float
 
     def __post_init__(self):
-        for name in ("spatial_resolution_mm", "spatial_accuracy_mm",
-                     "force_resolution_n", "force_accuracy_n"):
+        for name in ("spatial_resolution_mm", "spatial_accuracy_mm", "force_resolution_n",
+                     "force_accuracy_n", "force_resolution_decoded_n"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -560,10 +572,11 @@ def estimate_resolution(
     absolute decode residual on noise-free held-out grids, i.e. pure
     model bias, independent of the noise level.
 
-    The force figures hold at the known press position ``position_mm``.
-    :meth:`CalibrationFile.decode` decodes the position from the same noisy
-    reading first, which widens the force spread: at 40 dB, 0.5 N and
-    42.5 mm, from 5.42 to 6.13 mN (a ledger row of ``test_paper_claims``).
+    The decoded force resolution is the delta method on
+    F(c) = invert(sum(c) / T(x(c))), with x(c) the decoded position: the
+    ratio channels move x, and x moves the transmission T, whose slope
+    T'/T is minus the clear-path loss plus the decay averaged over the
+    filtered spectrum that reaches the bank.
     """
     ratio = (config.bank.names, poscal.numerator_ch, poscal.denominator_ch)
     values = grid_intensities(config, [position_mm], [force_n])[0]
@@ -580,6 +593,16 @@ def estimate_resolution(
     if slope_force <= 0:
         raise DegenerateFitError("force law has nonpositive slope at operating point")
     force_resolution = (sigma_total / transmission) / slope_force
+    optics = config._optics
+    reaching = optics.responses.sum(axis=0) * optics.widths * optics.source \
+        * np.exp(optics.neg_decay * position_mm)
+    log_slope = reaching @ optics.neg_decay / reaching.sum() - config.clear_loss_per_mm
+    dx = np.zeros_like(values)  # d(decoded position) / d(channel)
+    names = config.bank.names
+    dx[names.index(poscal.numerator_ch)] = 1.0 / (num * poscal.slope)
+    dx[names.index(poscal.denominator_ch)] = -1.0 / (den * poscal.slope)
+    gains = (1.0 - values.sum() * log_slope * dx) / (transmission * slope_force)
+    force_resolution_decoded = float(np.sqrt(np.sum((gains * sigma) ** 2)))
 
     if held_out_positions is None:
         lo, hi = poscal.span_mm
@@ -604,4 +627,5 @@ def estimate_resolution(
         spatial_accuracy_mm=spatial_accuracy,
         force_resolution_n=force_resolution,
         force_accuracy_n=force_accuracy,
+        force_resolution_decoded_n=force_resolution_decoded,
     )

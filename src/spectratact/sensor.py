@@ -356,26 +356,15 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _M32 = 0xFFFFFFFF
 
-
-@lru_cache(maxsize=16)
-def _hash_consts(init: int, mult: int, n: int) -> tuple[int, ...]:
-    """``init * mult**k mod 2**32`` for k < n: the hash constants do not depend on the data."""
-    consts = [init]
-    for _ in range(n - 1):
-        consts.append(consts[-1] * mult & _M32)
-    return tuple(consts)
-
-
-# generate_state's constants for its eight output words
-_OUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1), dtype=np.uint64)
+# generate_state's constants for its eight output words: hash call k uses the
+# constants init * mult**k and init * mult**(k + 1), mod 2**32
+_OUT_CONSTS = np.array([_INIT_B * pow(_MULT_B, k, 2**32) & _M32 for k in range(2 * _POOL + 1)],
+                       dtype=np.uint64)
 
 
 def _hashmix(value, xor, mult):
-    """numpy's hashmix of 32-bit words, given the hash constant before and after its step.
-
-    Works alike on Python ints and on uint64 arrays, where a product of
-    two 32-bit words cannot wrap.
-    """
+    """numpy's hashmix of uint64 arrays of 32-bit words, given the hash constant before
+    and after its step (a product of two 32-bit words cannot wrap)."""
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
@@ -392,29 +381,21 @@ def _seed_words(seed: int, axes) -> np.ndarray:
     ``seed`` is a non-negative int and ``axes`` 1-D integer arrays of key
     words in [0, 2**32), one per key position.  numpy's entropy is the
     seed's uint32 words, zero-padded to the pool size, then the key words.
-    The pool that the seed's words make is the same for every key, so it is
-    built once in Python ints; each axis then mixes in as uint64 array ops
-    over that axis alone, broadcast against the axes before it, and
-    ``generate_state`` follows.
+    The seed's words alone make ``SeedSequence(seed).pool``, as numpy
+    hashes a 0 for each word a short seed lacks; each axis then mixes in as
+    uint64 array ops over that axis alone, broadcast against the axes
+    before it, and ``generate_state`` follows.  A seed of w words (0 is
+    one) takes 4 * max(w, 4) hash calls, so the key words' calls start there.
     """
-    # the seed's uint32 words, low word first (0 is one word)
-    run = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    run += [0] * (_POOL - len(run))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(run) + len(axes)) + 1)
-    calls = iter(zip(consts, consts[1:]))  # hashmix call i: consts[i] and consts[i + 1]
-    pool = [_hashmix(w, *next(calls)) for w in run[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    for w in run[_POOL:]:  # a seed of more than four words
-        pool = [_mix(p, _hashmix(w, *next(calls))) for p in pool]
-    pool = np.array(pool, dtype=np.uint64)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    padded = max(-(-seed.bit_length() // 32), _POOL)  # the seed's words, padded to the pool
     for d, axis in enumerate(axes):
         # axis d of the key grid, with the pool's words on a last axis of their own
         word = axis.astype(np.uint64).reshape((-1,) + (1,) * (len(axes) - d))
-        xor, mult = np.array([next(calls) for _ in range(_POOL)], dtype=np.uint64).T
-        pool = _mix(pool, _hashmix(word, xor, mult))
+        first = _POOL * (padded + d)  # the first hash call of key word d
+        consts = np.array([_INIT_A * pow(_MULT_A, k, 2**32) & _M32
+                           for k in range(first, first + _POOL + 1)], dtype=np.uint64)
+        pool = _mix(pool, _hashmix(word, consts[:-1], consts[1:]))
     state = _hashmix(np.tile(pool, 2), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
     return (state[..., ::2] | state[..., 1::2] << 32).reshape(-1, _POOL)
 

@@ -567,7 +567,7 @@ class TestEstimateResolution:
             NoiseModel("absolute_sigma", 0.0), 42.5, 2.0,
         )
         assert report.spatial_resolution_mm == 0.0
-        assert report.force_resolution_n == 0.0
+        assert report.force_resolution_n == report.force_resolution_decoded_n == 0.0
 
     def test_doubling_sigma_doubles_spatial_resolution(
         self, default_config, default_poscal, default_forcecal
@@ -582,6 +582,9 @@ class TestEstimateResolution:
         )
         assert reports[1].force_resolution_n == pytest.approx(
             2.0 * reports[0].force_resolution_n, rel=1e-12
+        )
+        assert reports[1].force_resolution_decoded_n == pytest.approx(
+            2.0 * reports[0].force_resolution_decoded_n, rel=1e-12
         )
 
     def test_matches_monte_carlo_spread(self, default_config, default_poscal, default_forcecal):

@@ -291,6 +291,27 @@ class TestCalibrate:
                                            "the calibration's ratio channel 'Q'\n")
         assert not out.exists()
 
+    def test_force_knots_do_not_depend_on_column_order(self, band_config_path, tmp_path):
+        # the force fit summed each row's channels in file order: reversing the ch_* columns
+        # moved knot 3 from 0.21624252645738284 to 0.2162425264573829
+        _, _, sim = self.run_pipeline(band_config_path, tmp_path,
+                                      forces="0.1,0.3,0.7,1.5,3,5,7.5,10",
+                                      noise=("--snr-db", "40", "--seed", "3"))
+        rows = list(csv.reader(io.StringIO(read(sim / "sweep.csv"))))
+        assert rows[0][2:5] == ["ch_B", "ch_G", "ch_R"]
+        reversed_csv = tmp_path / "reversed.csv"
+        with open(reversed_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:2] + row[4:1:-1] + row[5:] for row in rows)
+        docs = []
+        for samples in (sim / "sweep.csv", reversed_csv):
+            out = tmp_path / f"cal_{len(docs)}"
+            assert main(["calibrate", "--config", band_config_path, "--out", str(out),
+                         "--samples", str(samples), "--numerator", "B",
+                         "--denominator", "R"]) == 0
+            docs.append(read(out / "calibration.json"))
+        assert json.loads(docs[1])["force"]["normalized"][3] == 0.21624252645738284
+        assert docs[1] == docs[0]
+
 
 class TestDecode:
     def test_round_trip_positions(self, line_config_path, tmp_path):

@@ -30,10 +30,12 @@ with simulation, 40 dB         0.5 N: 103.67 um, 5.505 mN;      rows within 3 %
                                rows: 102.22 um, 5.421 mN
 Same, 60 dB                    10.367 um, 0.5505 mN; rows:      within 3 %
                                10.219 um, 0.5421 mN
-Force resolution as decode     std of 4000 rows through         within 3 %
-delivers it, 40 dB             CalibrationFile.decode at
-                               42.5 mm, 0.5 N: 6.130 mN
-                               (formula: 5.505 mN)
+Force resolution as decode     std of 4000 rows through         within 3 %, and
+delivers it, 40 dB             CalibrationFile.decode at        the formula within
+                               42.5 mm, 0.5 N: 6.130 mN;        3 % of the rows
+                               estimate_resolution's decoded
+                               formula: 6.236 mN (known
+                               position: 5.505 mN)
 "Self-decoupled": force does   CalibrationFile.decode of 28     spread <= 1e-9 mm;
 not move the decoded           positions on [2, 83] mm x        <= 0.1 % and
 position, and position         {0.2 .. 9.5} N: position spread  <= 1.5 %; every
@@ -41,9 +43,11 @@ reaches force only through     across forces 7.1e-15 mm; force  row "ok"
 the transmission               error 0.043 % at the known
                                position, 0.88 % decoded
 7 um spatial and 5 mN force    channel SNR at 42.5 mm, 0.5 N:   63.41 dB, 0.372 mN,
-resolution                     63.41 dB for 7 um, where force   40.84 dB, each
-                               reads 0.372 mN; 40.84 dB for     +- 0.005 dB or 0.5 uN
-                               5 mN alone
+resolution                     63.41 dB for 7 um, where force   40.84 dB, 41.92 dB,
+                               reads 0.372 mN; 40.84 dB for     each +- 0.005 dB or
+                               5 mN alone at the known          0.5 uN
+                               position, 41.92 dB for 5 mN
+                               with the position decoded
 Known model limit: spatial     noise-free held-out spatial      31.3 um +- 0.05, and
 accuracy (bias of the affine   accuracy at 42.5 mm, 0.5 N       coarser than 7 um
 fit) vs 7 um resolution        (31.32 um)
@@ -75,8 +79,10 @@ and decode force at the known press position, as the formula assumes.
 ``CalibrationFile.decode``, as CLI ``decode`` runs it, decodes the position
 from the same noisy reading first and divides by the transmission
 interpolated there, so the position noise feeds the force: the 40 dB
-force spread widens from 5.42 to 6.13 mN (+13 %), which the formula
-leaves out.  The decoupling rows use the same calibrations with the
+force spread widens from 5.42 to 6.13 mN (+13 %).
+``force_resolution_decoded_n`` carries that position noise through the
+transmission's slope (the delta method on the decoded force) and reads
+6.236 mN, +1.7 % of the rows.  The decoupling rows use the same calibrations with the
 129-point transmission table that ``calibrate`` writes.  The coupled
 fraction scales both ratio channels alike, so it cancels in the ratio up
 to rounding; the force error at the decoded position is the affine fit's
@@ -233,7 +239,11 @@ def test_force_resolution_as_decode_delivers_it(ledger_calibration):
     _, _, channels = sweep(config, [42.5], [0.5] * 4000, NoiseModel("snr_db", 40.0))
     _, forces, code = ledger_calibration.decode(config.bank.names, channels)
     assert DECODE_FLAGS[code].tolist() == ["ok"] * 4000
-    assert np.std(forces, ddof=1) * 1e3 == pytest.approx(6.13, rel=0.03)
+    spread = np.std(forces, ddof=1)
+    assert spread * 1e3 == pytest.approx(6.13, rel=0.03)
+    report = estimate_resolution(config, ledger_calibration.position, ledger_calibration.force,
+                                 NoiseModel("snr_db", 40.0), 42.5, 0.5)
+    assert report.force_resolution_decoded_n == pytest.approx(spread, rel=0.03)
 
 
 DECOUPLING_POSITIONS = np.linspace(2.0, 83.0, 28)
@@ -270,6 +280,11 @@ def test_paper_resolution_at_one_operating_point(calibrations, default_forcecal)
     assert at_7um.force_resolution_n * 1e3 == pytest.approx(0.372, abs=5e-4)
     at_5mn = resolution_at(calibrations, default_forcecal, snr_5mn)
     assert at_5mn.force_resolution_n == pytest.approx(5e-3, rel=1e-12)
+    # the same 5 mN when decode reads the position from the reading too
+    snr_5mn_decoded = 40.0 + 20.0 * math.log10(at_40.force_resolution_decoded_n / 5e-3)
+    assert snr_5mn_decoded == pytest.approx(41.92, abs=0.005)
+    at_5mn_decoded = resolution_at(calibrations, default_forcecal, snr_5mn_decoded)
+    assert at_5mn_decoded.force_resolution_decoded_n == pytest.approx(5e-3, rel=1e-12)
 
 
 def test_noise_free_spatial_accuracy_is_coarser_than_the_resolution(calibrations,

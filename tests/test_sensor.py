@@ -207,6 +207,7 @@ class TestSubstreams:
     @example(seed=2**32, axes=BATCH_AXES)  # two words
     @example(seed=2**128, axes=BATCH_AXES)  # five words: the fifth mixes in after the pool
     @example(seed=2**130 + 12345, axes=BATCH_AXES)
+    @example(seed=2**256 + 1, axes=BATCH_AXES)  # nine words: five mix in after the pool
     def test_equals_seed_sequence(self, seed, axes):
         keys = product_keys(axes)
         got = [rng.standard_normal(3) for rng in substreams(seed, *axes)]
